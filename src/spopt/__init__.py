@@ -34,7 +34,7 @@ from .geometry import (
     tangent_coordinates,
 )
 from .optimizer import (
-    Problem,
+    Evaluation,
     SolverOptions,
     SolverResult,
     SolverStatus,

@@ -5,19 +5,19 @@ reduction (PSD cost, cotangent lift, DEIM).
 Cost functions and their Euclidean gradients are defined on all of matrix
 space (smooth extensions), so central finite differences are always a valid
 oracle; the PSD gradient in particular is gated behind that check in the test
-suite before any model-reduction run trusts it.
+suite before any model-reduction run trusts it.  ``evaluate`` derives each
+gradient from the cost's intermediate (X - W, A X, or the PSD residual).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .core import (
-    Dims,
     SymplecticPoint,
     jmul,
     jtmul,
@@ -28,12 +28,12 @@ from .core import (
     sym_part,
 )
 from .geometry import NotSPD
-from .optimizer import Problem, SolverOptions, SolverResult, SolverStatus, minimize
+from .optimizer import Evaluation, SolverOptions, SolverResult, SolverStatus, minimize
 from .sr import sgs
 
 __all__ = [
     "TargetProblem", "TraceProblem", "PsdProblem", "SymplecticSpectrum",
-    "sum_gate", "target_cost_grad", "trace_cost_grad", "psd_cost_grad",
+    "sum_gate",
     "gauss_transform", "random_symplectic_orthogonal", "spsd_test_matrix",
     "williamson_small", "williamson_spsd", "symplectic_eigenpairs",
     "cotangent_lift", "deim_select", "deim_reduced_rhs",
@@ -55,15 +55,15 @@ class TargetProblem:
 
     w: np.ndarray
 
+    def evaluate(self, x: np.ndarray) -> Evaluation:
+        d = x - self.w
+        return Evaluation(float(np.linalg.norm(d) ** 2), lambda: 2.0 * d)
+
     def cost(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.w) ** 2)
+        return self.evaluate(x).cost
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (x - self.w)
-
-    def problem(self) -> Problem:
-        rows, cols = self.w.shape
-        return Problem(self.cost, self.euclidean_gradient, Dims(rows // 2, cols // 2))
+        return self.evaluate(x).gradient()
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,15 @@ class TraceProblem:
         if np.linalg.norm(self.a - self.a.T) > 1e-12 * max(1.0, np.linalg.norm(self.a)):
             raise ValueError("A must be symmetric")
 
+    def evaluate(self, x: np.ndarray) -> Evaluation:
+        ax = self.a @ x
+        return Evaluation(float(np.sum(x * ax)), lambda: 2.0 * ax)
+
     def cost(self, x: np.ndarray) -> float:
-        return float(np.sum(x * (self.a @ x)))
+        return self.evaluate(x).cost
 
     def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.a @ x)
-
-    def problem(self) -> Problem:
-        return Problem(self.cost, self.euclidean_gradient,
-                       Dims(self.a.shape[0] // 2, self.k))
+        return self.evaluate(x).gradient()
 
 
 @dataclass(frozen=True)
@@ -97,30 +97,37 @@ class PsdProblem:
     """Proper symplectic decomposition cost f(X) = ||A - X X^+ A||_F^2.
 
     Invariant under right-multiplication of X by any symplectic 2k-by-2k
-    matrix, since X X^+ depends only on the symplectic subspace.
+    matrix, since X X^+ depends only on the symplectic subspace.  J A is
+    formed once, at construction.
     """
 
     snapshots: np.ndarray
     k: int
+    ja: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ja", jmul(self.snapshots))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        a = self.snapshots
-        return a - x @ (jtmul(x.T @ jmul(a)))
+        return self.snapshots - x @ (jtmul(x.T @ self.ja))
 
-    def cost(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.residual(x)) ** 2)
-
-    def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
-        a = self.snapshots
+    def evaluate(self, x: np.ndarray) -> Evaluation:
         e = self.residual(x)
+        return Evaluation(float(np.linalg.norm(e) ** 2),
+                          lambda: self._gradient(x, e))
+
+    def _gradient(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        a = self.snapshots
         # adjoint of dPi = dX J^T X^T J + X J^T dX^T J applied to -2E
         t1 = mulj(e @ (a.T @ jtmul(x)))
         t2 = muljt(jmul(a @ (e.T @ x)))
         return -2.0 * (t1 + t2)
 
-    def problem(self) -> Problem:
-        return Problem(self.cost, self.euclidean_gradient,
-                       Dims(self.snapshots.shape[0] // 2, self.k))
+    def cost(self, x: np.ndarray) -> float:
+        return self.evaluate(x).cost
+
+    def euclidean_gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x).gradient()
 
 
 def sum_gate() -> SymplecticPoint:
@@ -132,18 +139,6 @@ def sum_gate() -> SymplecticPoint:
         [0.0, 0.0, 0.0, 1.0],
     ])
     return SymplecticPoint.from_entries(w)
-
-
-def target_cost_grad(prob: TargetProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    return prob.cost(x), prob.euclidean_gradient(x)
-
-
-def trace_cost_grad(prob: TraceProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    return prob.cost(x), prob.euclidean_gradient(x)
-
-
-def psd_cost_grad(prob: PsdProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    return prob.cost(x), prob.euclidean_gradient(x)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,7 @@ def symplectic_eigenpairs(a: np.ndarray, k: int,
         solver_options = SolverOptions(gtol=1e-12, niter=5000, gamma_max=1.0)
     if x0 is None:
         x0 = random_symplectic_point(n, k, seed)
-    result = minimize(prob.problem(), x0, solver_options)
+    result = minimize(prob, x0, solver_options)
     if result.status is not SolverStatus.GRAD_TOLERANCE_REACHED:
         warnings.warn(
             f"trace minimization ended with {result.status.value}; "

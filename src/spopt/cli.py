@@ -191,7 +191,7 @@ def run_target(config: ExperimentConfig) -> dict:
 
     def cell(scheme: str):
         opts = scheme_options(scheme, rho=rho, **solver)
-        result = minimize(problem.problem(), x0, opts)
+        result = minimize(problem, x0, opts)
         write_trace_csv(out / f"target_{preset}_{scheme}_trace.csv", result)
         return scheme, _result_summary(result)
 
@@ -449,12 +449,13 @@ def main(argv=None) -> int:
         return 3
     elapsed = time.perf_counter() - start
     print(f"{config.application} done in {elapsed:.1f}s -> {config.out_dir}")
-    for key in ("schemes", "rows"):
-        if key in summary and isinstance(summary[key], dict):
-            for name, info in summary[key].items():
-                print(f"  {name}: f={info['final']['f']:.6e} "
-                      f"grad={info['final']['gradnorm']:.3e} "
-                      f"feas={info['final']['feasibility']:.3e} [{info['status']}]")
+    for name, info in summary.get("schemes", {}).items():
+        print(f"  {name}: f={info['final']['f']:.6e} "
+              f"grad={info['final']['gradnorm']:.3e} "
+              f"feas={info['final']['feasibility']:.3e} [{info['status']}]")
+    for row in summary.get("rows", []):
+        print(f"  k={row['k']} {row['scheme']} {row['nonlin']}: "
+              f"re_x={row['re_x']:.6e} re_h={row['re_h']:.3e} aaf={row['aaf']:.3g}")
     return 0
 
 

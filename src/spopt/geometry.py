@@ -169,15 +169,12 @@ def _sxy_times_jx(e: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return gy @ (xj.T @ jx) + xj @ (gy.T @ jx)
 
 
-def project_tangent(metric: Metric, x: SymplecticPoint, y,
-                    complement: ComplementBasis | None = None) -> TangentVector:
+def project_tangent(metric: Metric, x: SymplecticPoint, y) -> TangentVector:
     """Orthogonal projection of an ambient Y onto the tangent space at X.
 
     Canonical-like: P(Y) = S_{X,Y} J X with S_{X,Y} built from G_X Y.
-    Euclidean: P(Y) = Y - J X Omega_{X,Y}.  The ``complement`` argument is
-    accepted for interface symmetry; neither branch needs it.
+    Euclidean: P(Y) = Y - J X Omega_{X,Y}.
     """
-    del complement
     ye = np.asarray(getattr(y, "entries", y), dtype=float)
     e = x.entries
     if metric.kind is MetricKind.EUCLIDEAN:

@@ -639,7 +639,7 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
     opt_result: SolverResult | None = None
     if reduction == "optimized":
         opts = solver_options or SolverOptions(gamma0=1e-8, gtol=1e-12, niter=1000)
-        opt_result = minimize(prob.problem(), u, opts)
+        opt_result = minimize(prob, u, opts)
         u = opt_result.x_final
         diagnostics["cost_optimized"] = prob.cost(u.entries)
         if include_initial_state:

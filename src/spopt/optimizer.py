@@ -7,11 +7,16 @@ reduces to plain monotone Armijo backtracking.  Trial steps alternate between
 the two Barzilai-Borwein formulas based on the parity of the iteration index,
 then are clamped to [gamma_min, gamma_max].
 
+A problem is any object with ``evaluate(x) -> Evaluation``.  Each trial point
+is evaluated once; the Euclidean gradient at an accepted point is derived
+from that evaluation's intermediates.
+
 The search-direction slope g(grad f, Z) is evaluated through the gradient
 duality g(grad f, Z) = tr(egrad^T Z), which holds for every tangent Z under
 either metric, so no coordinate extraction is ever needed.  A retraction
 failure (singular Cayley resolvent, SR breakdown) during backtracking counts
-as a rejected step and shrinks the step size; it never aborts the run.
+as a rejected step and shrinks the step size; it never aborts the run.  Each
+rejection is logged at DEBUG level with its reason.
 
 Deterministic given (problem, X0, options): there is no internal randomness.
 """
@@ -19,29 +24,34 @@ Deterministic given (problem, X0, options): there is no internal randomness.
 from __future__ import annotations
 
 import enum
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .core import Dims, SymplecticPoint, symplecticity_residual
+from .core import SymplecticPoint, symplecticity_residual
 from .geometry import Metric, riemannian_gradient
 from .retractions import RETRACTION_ERRORS, RetractionKind, retract
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
-class Problem:
-    """A smooth cost on matrix space with its Euclidean gradient.
-
-    Both callables receive plain 2n-by-2k arrays; they must be well defined
-    off the manifold (smooth extension), which the line search and the
-    finite-difference validation rely on.
+class Evaluation:
+    """A smooth cost at one 2n-by-2k array; ``gradient()`` derives the
+    Euclidean gradient there from intermediates the cost kept.  Costs must be
+    well defined off the manifold (smooth extension), which the line search
+    and the finite-difference validation rely on.
     """
 
-    cost: Callable[[np.ndarray], float]
-    euclidean_gradient: Callable[[np.ndarray], np.ndarray]
-    dims: Dims
+    cost: float
+    gradient: Callable[[], np.ndarray]
+
+
+class Objective(Protocol):
+    def evaluate(self, x: np.ndarray) -> Evaluation: ...
 
 
 @dataclass(frozen=True)
@@ -125,11 +135,12 @@ class LineSearchError(Exception):
 
 
 class SearchResult(NamedTuple):
-    """Accepted line-search step; unpacks as (tau, x_next, f_next, backtracks)."""
+    """Accepted line-search step: the step size, the new iterate, its
+    evaluation (cost and gradient source) and the number of rejected trials."""
 
     tau: float
     x_next: SymplecticPoint
-    f_next: float
+    evaluation: Evaluation
     backtracks: int
 
 
@@ -154,38 +165,42 @@ def bb_trial_step(i: int, w_prev: np.ndarray, y_prev: np.ndarray,
     return float(min(max(gamma, gamma_min), gamma_max))
 
 
-def nonmonotone_search(problem: Problem, metric: Metric,
-                       retraction: RetractionKind, x: SymplecticPoint,
-                       z: np.ndarray, gamma: float, c_ref: float,
-                       beta: float = 1e-4, delta: float = 1e-1,
+def nonmonotone_search(problem: Objective, retraction: RetractionKind,
+                       x: SymplecticPoint, z: np.ndarray, gamma: float,
+                       c_ref: float, beta: float = 1e-4, delta: float = 1e-1,
                        max_backtracks: int = 30,
                        slope: float | None = None) -> SearchResult:
     """Find the smallest l with f(R(tau Z)) <= c_ref + beta tau g(grad f, Z),
     tau = gamma delta^l.
 
     ``slope`` is g(grad f, Z); when omitted it is computed by duality as
-    tr(egrad^T Z).  Retraction failures and non-finite costs are treated as
-    rejections.  Raises :class:`LineSearchError` after ``max_backtracks``
+    tr(egrad^T Z).  Each trial point is evaluated once; retraction failures,
+    non-finite costs and insufficient decrease are rejections, logged at
+    DEBUG level.  Raises :class:`LineSearchError` after ``max_backtracks``
     rejections.
     """
-    del metric  # the duality slope is metric-independent for tangent z
     if slope is None:
-        slope = float(np.sum(problem.euclidean_gradient(x.entries) * z))
+        slope = float(np.sum(problem.evaluate(x.entries).gradient() * z))
     for ell in range(max_backtracks + 1):
         tau = gamma * delta**ell
         try:
             x_next = retract(retraction, x, tau * z, check=False)
-        except RETRACTION_ERRORS:
+        except RETRACTION_ERRORS as exc:
+            logger.debug("backtrack %d, tau=%.3e rejected: %s",
+                         ell, tau, type(exc).__name__)
             continue
-        f_next = float(problem.cost(x_next.entries))
-        if np.isfinite(f_next) and f_next <= c_ref + beta * tau * slope:
-            return SearchResult(tau, x_next, f_next, ell)
+        ev = problem.evaluate(x_next.entries)
+        if np.isfinite(ev.cost) and ev.cost <= c_ref + beta * tau * slope:
+            return SearchResult(tau, x_next, ev, ell)
+        logger.debug("backtrack %d, tau=%.3e rejected: %s", ell, tau,
+                     "insufficient decrease" if np.isfinite(ev.cost)
+                     else "non-finite cost")
     raise LineSearchError(
         f"no acceptable step within {max_backtracks} backtracks (gamma={gamma:.3e})"
     )
 
 
-def minimize(problem: Problem, x0: SymplecticPoint,
+def minimize(problem: Objective, x0: SymplecticPoint,
              options: SolverOptions | None = None) -> SolverResult:
     """Riemannian gradient descent on Sp(2k, 2n); see the module docstring.
 
@@ -196,8 +211,8 @@ def minimize(problem: Problem, x0: SymplecticPoint,
     start = time.perf_counter()
 
     x = x0
-    f = float(problem.cost(x.entries))
-    egrad = problem.euclidean_gradient(x.entries)
+    ev = problem.evaluate(x.entries)
+    f, egrad = ev.cost, ev.gradient()
     grad = riemannian_gradient(opts.metric, x, egrad)
     gnorm = grad.norm()
 
@@ -220,18 +235,19 @@ def minimize(problem: Problem, x0: SymplecticPoint,
             gamma = min(max(opts.gamma0, opts.gamma_min), opts.gamma_max)
         slope = -float(np.sum(egrad * grad.entries))
         try:
-            step = nonmonotone_search(problem, opts.metric, opts.retraction,
-                                      x, z, gamma, c, opts.beta, opts.delta,
-                                      opts.max_backtracks, slope=slope)
+            step = nonmonotone_search(problem, opts.retraction, x, z, gamma, c,
+                                      opts.beta, opts.delta, opts.max_backtracks,
+                                      slope=slope)
         except LineSearchError:
             status = SolverStatus.LINE_SEARCH_FAILED
             break
         prev_x, prev_z = x.entries, z
-        x, f = step.x_next, step.f_next
+        x, ev = step.x_next, step.evaluation
+        f = ev.cost
         q_next = opts.alpha * q + 1.0
         c = (opts.alpha * q * c + f) / q_next
         q = q_next
-        egrad = problem.euclidean_gradient(x.entries)
+        egrad = ev.gradient()
         grad = riemannian_gradient(opts.metric, x, egrad)
         gnorm = grad.norm()
         trace.records.append(TraceRecord(

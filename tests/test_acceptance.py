@@ -181,7 +181,7 @@ def test_criterion_05_gradient_correctness():
 
 
 def test_criterion_06_sum_gate():
-    prob = TargetProblem(sum_gate().entries).problem()
+    prob = TargetProblem(sum_gate().entries)
     x0 = SymplecticPoint.from_entries(np.eye(4))
     failures = []
     for name, (retr, metric) in SCHEMES.items():

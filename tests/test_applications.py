@@ -10,23 +10,33 @@ from spopt.applications import (
     deim_reduced_rhs,
     deim_select,
     gauss_transform,
-    psd_cost_grad,
     random_symplectic_orthogonal,
     random_symplectic_point,
     spsd_test_matrix,
     sum_gate,
     symplectic_eigenpairs,
-    target_cost_grad,
-    trace_cost_grad,
     williamson_small,
     williamson_spsd,
 )
-from spopt.core import canonical_point, jmul, poisson, symplecticity_residual
+from spopt.core import (
+    canonical_point,
+    jmul,
+    jtmul,
+    mulj,
+    muljt,
+    poisson,
+    symplecticity_residual,
+)
 from spopt.geometry import NotSPD
-from spopt.optimizer import SolverOptions
+from spopt.optimizer import SolverOptions, minimize
 from spopt.sr import sgs
 
 from conftest import random_point
+
+
+def cost_grad(prob, x):
+    ev = prob.evaluate(x)
+    return ev.cost, ev.gradient()
 
 
 def central_diff(cost, x, direction, h=1e-6):
@@ -45,7 +55,7 @@ class TestSumGate:
 
     def test_cost_vanishes_at_target(self):
         w = sum_gate().entries
-        f, g = target_cost_grad(TargetProblem(w), w)
+        f, g = cost_grad(TargetProblem(w), w)
         assert f == 0.0
         assert np.array_equal(g, np.zeros_like(w))
 
@@ -55,7 +65,7 @@ class TestTargetCost:
         w = sum_gate().entries
         x = w.copy()
         x[0, 0] += 1.0
-        f, g = target_cost_grad(TargetProblem(w), x)
+        f, g = cost_grad(TargetProblem(w), x)
         assert f == 1.0
         expected = np.zeros_like(w)
         expected[0, 0] = 2.0
@@ -66,7 +76,7 @@ class TestTargetCost:
         prob = TargetProblem(w)
         x = rng.standard_normal((8, 4))
         d = rng.standard_normal((8, 4))
-        f, g = target_cost_grad(prob, x)
+        f, g = cost_grad(prob, x)
         fd = central_diff(prob.cost, x, d)
         assert abs(np.sum(g * d) - fd) <= 1e-8 * max(1.0, abs(fd))
 
@@ -75,7 +85,7 @@ class TestTraceCost:
     def test_identity_at_canonical(self):
         e = canonical_point(6, 2)
         prob = TraceProblem(np.eye(12), 2)
-        f, g = trace_cost_grad(prob, e.entries)
+        f, g = cost_grad(prob, e.entries)
         assert np.isclose(f, 4.0)  # 2k
 
     def test_minimum_is_twice_smallest_values(self, rng):
@@ -92,7 +102,7 @@ class TestTraceCost:
         prob = TraceProblem(a, 2)
         x = rng.standard_normal((12, 4))
         d = rng.standard_normal((12, 4))
-        f, g = trace_cost_grad(prob, x)
+        f, g = cost_grad(prob, x)
         fd = central_diff(prob.cost, x, d)
         assert abs(np.sum(g * d) - fd) <= 1e-8 * max(1.0, abs(fd))
 
@@ -263,7 +273,7 @@ class TestPsdCost:
         c = rng.standard_normal((6, 10))
         a = x.entries @ c
         prob = PsdProblem(a, 3)
-        f, g = psd_cost_grad(prob, x.entries)
+        f, g = cost_grad(prob, x.entries)
         scale = (np.linalg.norm(a, 2) * np.linalg.norm(x.entries, 2)) ** 2
         assert f <= 1e-28 * scale
         # the gradient is linear in the residual E, so it inherits sqrt(f)
@@ -278,7 +288,7 @@ class TestPsdCost:
             prob = PsdProblem(a, 2)
             x = random_point(10, 2, rng).entries
             d = rng.standard_normal((20, 4))
-            f, g = psd_cost_grad(prob, x)
+            f, g = cost_grad(prob, x)
             fd = central_diff(prob.cost, x, d)
             assert abs(np.sum(g * d) - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -287,6 +297,77 @@ class TestPsdCost:
         s = sgs(rng.standard_normal((4, 4))).s.entries
         prob = PsdProblem(rng.standard_normal((18, 11)), 2)
         assert np.isclose(prob.cost(x.entries @ s), prob.cost(x.entries), rtol=1e-9)
+
+
+# Reference formulas: each cost and gradient as an independent computation.
+# ``evaluate`` must reproduce them bit for bit, so that optimizer trajectories
+# do not depend on whether the gradient reuses the cost's intermediates.
+
+
+def ref_target(w, x):
+    return float(np.linalg.norm(x - w) ** 2), 2.0 * (x - w)
+
+
+def ref_trace(a, x):
+    return float(np.sum(x * (a @ x))), 2.0 * (a @ x)
+
+
+def ref_psd(a, x):
+    e = a - x @ (jtmul(x.T @ jmul(a)))
+    f = float(np.linalg.norm(e) ** 2)
+    t1 = mulj(e @ (a.T @ jtmul(x)))
+    t2 = muljt(jmul(a @ (e.T @ x)))
+    return f, -2.0 * (t1 + t2)
+
+
+EVAL_SHAPES = [(3, 1), (5, 2), (4, 4), (6, 6), (12, 3)]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n,k", EVAL_SHAPES)
+    def test_bitwise_equal_to_reference(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        w = rng.standard_normal((2 * n, 2 * k))
+        sym = rng.standard_normal((2 * n, 2 * n))
+        sym = sym + sym.T
+        few, many = rng.standard_normal((2 * n, 7)), rng.standard_normal((2 * n, 3 * n))
+        cases = [
+            (TargetProblem(w), ref_target, w),
+            (TraceProblem(sym, k), ref_trace, sym),
+            (PsdProblem(few, k), ref_psd, few),
+            (PsdProblem(many, k), ref_psd, many),
+        ]
+        points = [random_point(n, k, rng).entries,
+                  rng.standard_normal((2 * n, 2 * k))]  # off the manifold too
+        for prob, ref, operand in cases:
+            for x in points:
+                f_ref, g_ref = ref(operand, x)
+                ev = prob.evaluate(x)
+                assert ev.cost == f_ref
+                assert np.array_equal(ev.gradient(), g_ref)
+                assert prob.cost(x) == f_ref
+                assert np.array_equal(prob.euclidean_gradient(x), g_ref)
+
+    def test_psd_residual_built_once_per_evaluated_point(self, monkeypatch):
+        # the line search evaluates each trial point once and the accepted
+        # point's gradient reuses that residual: one build per trial step
+        # plus one for the start point
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((20, 15))
+        prob = PsdProblem(a, 3)
+        calls = []
+        inner = PsdProblem.residual
+
+        def counting(self, x):
+            calls.append(1)
+            return inner(self, x)
+
+        monkeypatch.setattr(PsdProblem, "residual", counting)
+        res = minimize(prob, cotangent_lift(a, 3),
+                       SolverOptions(gtol=1e-12, niter=40, gamma0=1.0))
+        backtracks = sum(r.backtracks for r in res.trace.iteration_records)
+        assert res.trace.iterations == 40 and backtracks > 0
+        assert len(calls) == res.trace.iterations + backtracks + 1
 
 
 class TestCotangentLift:

@@ -103,7 +103,7 @@ class TestSympevRuns:
 
 
 class TestMorRuns:
-    def test_wave_small(self, tmp_path):
+    def test_wave_small(self, tmp_path, capsys):
         out = tmp_path / "mor"
         cfg = write_cfg(tmp_path, {
             "model": "wave", "n": 60, "t_final": 5.0, "h_t": 0.01,
@@ -119,6 +119,13 @@ class TestMorRuns:
         assert summary["aaf"] > 0
         series = (out / "mor_wave_k4_CotLift_exact_series.csv").read_text()
         assert series.splitlines()[0] == "t,state_err,energy_err"
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line.strip() for line in printed if line.startswith("  k=")]
+        assert [r.split(":")[0] for r in rows] == ["k=4 CotLift exact", "k=4 SRE exact"]
+        for row, info in zip(rows, summary["rows"]):
+            assert f"re_x={info['re_x']:.6e}" in row
+            assert f"re_h={info['re_h']:.3e}" in row
+            assert "aaf=" in row
 
     def test_vlasov_deim_variants(self, tmp_path):
         out = tmp_path / "morv"

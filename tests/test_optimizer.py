@@ -1,12 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from spopt.applications import TargetProblem, sum_gate
-from spopt.core import Dims, SymplecticPoint
+from spopt.core import SymplecticPoint
 from spopt.geometry import Metric
 from spopt.optimizer import (
+    Evaluation,
     LineSearchError,
-    Problem,
     SolverOptions,
     SolverStatus,
     bb_trial_step,
@@ -72,18 +74,29 @@ class TestBbTrialStep:
             bb_trial_step(0, np.eye(2), np.eye(2), 1e-15, 1.0)
 
 
+class Callables:
+    """An ad-hoc problem from separate cost and Euclidean-gradient callables."""
+
+    def __init__(self, cost, euclidean_gradient):
+        self.cost = cost
+        self.euclidean_gradient = euclidean_gradient
+
+    def evaluate(self, x):
+        return Evaluation(float(self.cost(x)), lambda: self.euclidean_gradient(x))
+
+
 def _target(n, k, rng, offset=1.0):
     w = random_point(n, k, rng)
     prob = TargetProblem(w.entries)
-    return prob.problem(), w
+    return prob, w
 
 
 class TestNonmonotoneSearch:
     def test_constant_cost_accepts_immediately(self, rng):
         x = random_point(5, 2, rng)
         z = -np.zeros_like(x.entries)
-        problem = Problem(lambda m: 1.0, lambda m: np.zeros_like(m), Dims(5, 2))
-        res = nonmonotone_search(problem, EUCLID, RetractionKind.SR, x,
+        problem = Callables(lambda m: 1.0, lambda m: np.zeros_like(m))
+        res = nonmonotone_search(problem, RetractionKind.SR, x,
                                  np.zeros_like(x.entries), 1e-3, 1.0)
         assert res.backtracks == 0
 
@@ -94,7 +107,7 @@ class TestNonmonotoneSearch:
         from spopt.geometry import riemannian_gradient
         grad = riemannian_gradient(EUCLID, x, egrad)
         z = -grad.entries
-        res = nonmonotone_search(problem, EUCLID, RetractionKind.SR, x, z,
+        res = nonmonotone_search(problem, RetractionKind.SR, x, z,
                                  1e6, problem.cost(x.entries))
         assert res.backtracks > 0
 
@@ -104,26 +117,50 @@ class TestNonmonotoneSearch:
         egrad = problem.euclidean_gradient(x.entries)
         from spopt.geometry import riemannian_gradient
         grad = riemannian_gradient(EUCLID, x, egrad)
-        res = nonmonotone_search(problem, EUCLID, RetractionKind.SR, x,
+        res = nonmonotone_search(problem, RetractionKind.SR, x,
                                  -grad.entries, 1e-9, problem.cost(x.entries))
         assert res.backtracks == 0
 
     def test_exhaustion_raises(self, rng):
         # an adversarial cost that always increases
         x = random_point(4, 2, rng)
-        problem = Problem(lambda m: float(np.linalg.norm(m - x.entries)**2 + 1e-3
-                                          * (np.linalg.norm(m - x.entries) > 0)),
-                          lambda m: 2.0 * (m - x.entries), Dims(4, 2))
+        problem = Callables(lambda m: float(np.linalg.norm(m - x.entries)**2 + 1e-3
+                                            * (np.linalg.norm(m - x.entries) > 0)),
+                            lambda m: 2.0 * (m - x.entries))
         with pytest.raises(LineSearchError):
-            nonmonotone_search(problem, EUCLID, RetractionKind.SR, x,
+            nonmonotone_search(problem, RetractionKind.SR, x,
                                np.ones_like(x.entries) * 0 + 1e-6, 1.0, 0.0,
                                max_backtracks=3, slope=-1.0)
+
+
+class TestRejectionLogging:
+    def test_retraction_breakdown_logged(self, rng, caplog):
+        # the full step X + Z = 0 has only isotropic column pairs
+        problem, w = _target(5, 2, rng)
+        x = random_point(5, 2, np.random.default_rng(99))
+        with caplog.at_level(logging.DEBUG, logger="spopt.optimizer"):
+            res = nonmonotone_search(problem, RetractionKind.SR, x, -x.entries,
+                                     1.0, problem.cost(x.entries) + 1e3, slope=0.0)
+        assert res.backtracks == 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["backtrack 0, tau=1.000e+00 rejected: Breakdown"]
+
+    def test_non_finite_and_insufficient_decrease_logged(self, rng, caplog):
+        x = random_point(4, 2, rng)
+        costs = iter([np.nan, 5.0, 0.5])
+        problem = Callables(lambda m: next(costs), lambda m: np.zeros_like(m))
+        with caplog.at_level(logging.DEBUG, logger="spopt.optimizer"):
+            res = nonmonotone_search(problem, RetractionKind.SR, x,
+                                     np.zeros_like(x.entries), 1.0, 1.0, slope=0.0)
+        assert res.backtracks == 2 and res.evaluation.cost == 0.5
+        reasons = [r.getMessage().split(": ", 1)[1] for r in caplog.records]
+        assert reasons == ["non-finite cost", "insufficient decrease"]
 
 
 class TestMinimize:
     def test_critical_start_returns_immediately(self, rng):
         w = sum_gate()
-        prob = TargetProblem(w.entries).problem()
+        prob = TargetProblem(w.entries)
         res = minimize(prob, w, SolverOptions(gtol=1e-12, niter=100))
         assert res.status is SolverStatus.GRAD_TOLERANCE_REACHED
         assert res.trace.iterations == 0
@@ -131,7 +168,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("metric,retr", ALL_SCHEMES)
     def test_sum_gate_euclidean_fast_canonical_slower(self, metric, retr):
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.eye(4))
         opts = SolverOptions(metric=metric, retraction=retr, gtol=1e-12, niter=500)
         res = minimize(prob, x0, opts)
@@ -140,7 +177,7 @@ class TestMinimize:
             assert res.trace.iterations <= 50
 
     def test_saddle_start_converges_to_nonminimum(self):
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.diag([1.728, -1.2, 1 / 1.728, -1 / 1.2]))
         opts = SolverOptions(metric=EUCLID, retraction=RetractionKind.SR,
                              gtol=1e-12, niter=2000)
@@ -157,7 +194,7 @@ class TestMinimize:
         eye, zero = np.eye(n), np.zeros((n, n))
         w = np.block([[eye, zero], [0.2 * v, eye]])
         x0 = SymplecticPoint.from_entries(np.block([[eye, 0.2 * y], [zero, eye]]))
-        prob = TargetProblem(w).problem()
+        prob = TargetProblem(w)
         opts = SolverOptions(metric=metric, retraction=retr, gtol=1e-10, niter=3000)
         res = minimize(prob, x0, opts)
         assert res.trace.records[-1].grad_norm <= 1e-10
@@ -165,7 +202,7 @@ class TestMinimize:
     def test_surrogate_monotonicity_and_reference_bounds(self, rng):
         # replay the non-monotone acceptance test from the trace and check
         # that c_i stays inside the past-cost envelope
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.diag([1.728, -1.2, 1 / 1.728, -1 / 1.2]))
         opts = SolverOptions(metric=CANON, retraction=RetractionKind.CAYLEY_ECONOMICAL,
                              gtol=1e-12, niter=500)
@@ -182,7 +219,7 @@ class TestMinimize:
             q = q_next
 
     def test_alpha_zero_is_monotone_armijo(self, rng):
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.diag([1.728, -1.2, 1 / 1.728, -1 / 1.2]))
         opts = SolverOptions(metric=EUCLID, retraction=RetractionKind.SR,
                              gtol=1e-12, niter=500, alpha=0.0)
@@ -191,7 +228,7 @@ class TestMinimize:
         assert np.all(np.diff(costs) <= 1e-13)
 
     def test_feasibility_recorded_and_small(self, rng):
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.eye(4))
         opts = SolverOptions(metric=EUCLID, retraction=RetractionKind.SR,
                              gtol=1e-12, niter=500)
@@ -199,7 +236,7 @@ class TestMinimize:
         assert np.all(res.trace.feasibilities() <= 1e-10)
 
     def test_deterministic(self):
-        prob = TargetProblem(sum_gate().entries).problem()
+        prob = TargetProblem(sum_gate().entries)
         x0 = SymplecticPoint.from_entries(np.diag([1.728, -1.2, 1 / 1.728, -1 / 1.2]))
         opts = SolverOptions(metric=EUCLID, retraction=RetractionKind.SR,
                              gtol=1e-12, niter=200)
