@@ -11,6 +11,8 @@ trace / PSD costs, Williamson post-processing, DEIM), ``hamiltonian``
 
 from .core import (
     Dims,
+    FeasibilityError,
+    NumericalFailure,
     PerfectShuffle,
     SymplecticPoint,
     TangentVector,

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    NumericalFailure,
     SymplecticPoint,
     jmul,
     jtmul,
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class SingularSelection(Exception):
+class SingularSelection(NumericalFailure):
     """An intermediate interpolation block in the greedy selection is singular."""
 
 
@@ -414,10 +415,10 @@ class DeimOperator:
 
     Precomputes U^T M U and the oblique projection factor
     B = U^T V (P^T V)^{-1} offline.  ``grad_h`` must evaluate components of
-    the nonlinear gradient at given indices: grad_h(indices, x_full).  When a
-    stencil map is available the selected components are fed only the state
-    entries they depend on (rows ``support`` of the basis), so one evaluation
-    costs O(|support| k) instead of O(n k).
+    the nonlinear gradient at given indices: grad_h(indices, x_full).  The
+    selected components are evaluated at :meth:`state`, which is nonzero
+    only on the rows ``support`` they read, so one evaluation costs
+    O(|support| k) instead of O(n k).
     """
 
     reduced_mass: np.ndarray
@@ -426,27 +427,23 @@ class DeimOperator:
     indices: np.ndarray
     grad_h: object
     variant: str
-    inner_map: np.ndarray | None   # (V^T P)^{-1} V^T U for the SP variant
-    support: np.ndarray | None     # state rows feeding the selected components
-    basis_support: np.ndarray | None
+    support: np.ndarray          # state rows feeding the selected components
+    support_map: np.ndarray      # xt -> state at those rows: U[support], or
+                                 # (V^T P)^{-1} V^T U for the SP variant
 
-    def _nonlinear_values(self, xt: np.ndarray) -> np.ndarray:
+    def state(self, xt: np.ndarray) -> np.ndarray:
+        """Full-length state the nonlinearity is evaluated at for ``xt``."""
         full = np.zeros(self.basis.shape[0])
-        if self.variant == "psd-deim":
-            if self.support is not None:
-                full[self.support] = self.basis_support @ xt
-            else:
-                full = self.basis @ xt
-        else:
-            full[self.indices] = self.inner_map @ xt
-        return self.grad_h(self.indices, full)
+        full[self.support] = self.support_map @ xt
+        return full
 
     def __call__(self, xt: np.ndarray) -> np.ndarray:
-        return self.reduced_mass @ xt + self.oblique @ self._nonlinear_values(xt)
+        nonlinear = self.grad_h(self.indices, self.state(xt))
+        return self.reduced_mass @ xt + self.oblique @ nonlinear
 
 
 def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, grad_h,
-                     variant: str = "psd-deim", stencil=None) -> DeimOperator:
+                     variant: str = "psd-deim", *, stencil) -> DeimOperator:
     """Assemble the reduced nonlinear gradient map for a ROM.
 
     variant "psd-deim":            U^T M U xt + B gradh(U xt) at the indices;
@@ -454,9 +451,9 @@ def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, grad_h,
     sparse state P (V^T P)^{-1} V^T U xt instead, which keeps the reduced
     model Hamiltonian at the price of approximation quality.
 
-    ``stencil``, when given, maps an index array to the union of state
-    entries those components read; it turns the online nonlinear evaluation
-    into a stencil-support product.
+    ``stencil`` maps an index array to the union of state entries those
+    components read; it turns the online "psd-deim" evaluation into a
+    stencil-support product.
     """
     if variant not in ("psd-deim", "structure-preserving"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -468,12 +465,11 @@ def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, grad_h,
         oblique = np.linalg.solve(vp.T, (ue.T @ v).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSelection("P^T V is singular") from exc
-    inner = None
     if variant == "structure-preserving":
-        inner = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
-    support = basis_support = None
-    if stencil is not None and variant == "psd-deim":
+        support = indices
+        support_map = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
+    else:
         support = np.unique(np.asarray(stencil(indices), dtype=int))
-        basis_support = ue[support]
+        support_map = ue[support]
     return DeimOperator(np.asarray(reduced_mass), oblique, ue, indices,
-                        grad_h, variant, inner, support, basis_support)
+                        grad_h, variant, support, support_map)

@@ -39,11 +39,10 @@ from .applications import (
     sum_gate,
     symplectic_eigenpairs,
 )
-from .core import SymplecticPoint
+from .core import NumericalFailure, SymplecticPoint
 from .geometry import Metric
 from .hamiltonian import (
     IntegratorOptions,
-    NewtonDivergence,
     build_rom,
     crank_nicolson,
     extract_snapshots,
@@ -55,7 +54,6 @@ from .hamiltonian import (
 )
 from .optimizer import SolverOptions, SolverResult, minimize
 from .retractions import RetractionKind
-from .sr import Breakdown
 
 TRACE_HEADER = "iter,f,gradnorm,feasibility,tau,backtracks,time_s"
 
@@ -439,14 +437,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         summary = RUNNERS[config.application](config)
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        # checked first: a feasibility blow-up is also a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         # precondition violations inside the library (bad shapes, parameter
         # ranges) trace back to the experiment configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Breakdown, NewtonDivergence, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     elapsed = time.perf_counter() - start
     print(f"{config.application} done in {elapsed:.1f}s -> {config.out_dir}")
     for name, info in summary.get("schemes", {}).items():

@@ -24,6 +24,14 @@ class FeasibilityWarning(UserWarning):
     """A constructed point or tangent vector is noticeably off the manifold."""
 
 
+class NumericalFailure(Exception):
+    """Base of every error a computation raises on numerically bad data."""
+
+
+class FeasibilityError(NumericalFailure, ValueError):
+    """A constructed point or tangent vector is far off the manifold."""
+
+
 def poisson(n: int) -> np.ndarray:
     """Dense Poisson matrix J_{2n} = [[0, I_n], [-I_n, 0]]."""
     if n < 1:
@@ -123,7 +131,7 @@ def _check_residual(kind: str, residual: float, tol: float) -> None:
     # Warn above tol, hard-error above 1e3*tol: iterative schemes are allowed
     # to drift a little, garbage input is not.
     if residual > 1e3 * tol:
-        raise ValueError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}")
+        raise FeasibilityError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}")
     if residual > tol:
         warnings.warn(
             f"{kind} residual {residual:.3e} above tolerance {tol:.1e}",

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    NumericalFailure,
     SymplecticPoint,
     TangentVector,
     jmul,
@@ -43,15 +44,15 @@ from .core import (
 )
 
 
-class RankDeficient(Exception):
+class RankDeficient(NumericalFailure):
     """The point is numerically rank-deficient; no orthonormal complement."""
 
 
-class SingularSystem(Exception):
+class SingularSystem(NumericalFailure):
     """A coordinate-extraction system is numerically singular."""
 
 
-class NotSPD(Exception):
+class NotSPD(NumericalFailure):
     """The Lyapunov coefficient matrix is not symmetric positive definite."""
 
 

@@ -6,8 +6,11 @@ four models are a periodic linear wave equation, a sine-Gordon equation with
 Dirichlet boundary values frozen at their initial-time values, a cubic
 Schroedinger equation split into real and imaginary parts, and a
 particle-in-cell discretization of a 1D Vlasov equation with sampled initial
-data.  Every nonlinearity is componentwise with a stencil of at most two
-state entries, which the DEIM machinery exploits.
+data.  Every nonlinearity is a sum of per-site energies V(q_i, p_i), so each
+gradient component reads at most two state entries, which the DEIM machinery
+exploits.  A model supplies only V and its first two derivatives as a
+:class:`Nonlinearity`; the gradient, its single components, the Hessian and
+its rows, and the DEIM stencil are derived there.
 
 The reduced models keep the Hamiltonian form xtdot = J_{2k} grad Ht(xt).
 Reduced bases contain the initial state exactly by construction (and are
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import SymplecticPoint, jvec, symplectic_inverse
+from .core import NumericalFailure, SymplecticPoint, jvec, symplectic_inverse
 from .applications import PsdProblem, DeimOperator, deim_reduced_rhs, deim_select
 from .optimizer import SolverOptions, SolverResult, minimize
 from .sr import sgs
@@ -43,32 +46,81 @@ __all__ = [
 ]
 
 
-class NewtonDivergence(Exception):
+class NewtonDivergence(NumericalFailure):
     """The implicit step's Newton iteration exceeded its budget."""
 
 
-class GridMismatch(Exception):
+class GridMismatch(NumericalFailure):
     """Two trajectories do not share a time grid."""
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Componentwise nonlinear part h of a Hamiltonian.
+    """Sitewise nonlinear part h(x) = sum_i V(q_i, p_i, i) of a Hamiltonian.
 
-    ``gradient_at(indices, x)`` evaluates single components of grad h against
-    a full-length state vector; components depend on at most the stencil
-    entries of x, so callers may pass states that are zero elsewhere.
-    ``stencil(indices)`` returns the union of state entries those components
-    read, and ``jacobian_rows`` the matching rows of the Hessian as a sparse
-    matrix.
+    A model supplies the per-site energy and its first two derivatives, each
+    evaluated elementwise on arrays of site values q, p with ``i`` the
+    matching site indices (an index array, or ``slice(None)`` for all sites):
+    ``potential`` returns V, ``slope`` (V_q, V_p) and ``curvature``
+    (V_qq, V_qp, V_pp).  A derivative that vanishes may be the scalar 0.0;
+    ``reads_p`` is False when V depends on q alone.
+
+    Everything else is derived here.  Component j of grad h reads only the
+    pair (q_i, p_i) of its site i = j mod n, so ``gradient_at(indices, x)``
+    may be given states that are zero outside ``stencil(indices)``;
+    ``jacobian_rows`` returns the matching Hessian rows as CSR.
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    gradient_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], sp.spmatrix]
-    jacobian_rows: Callable[[np.ndarray, np.ndarray], sp.spmatrix]
-    stencil: Callable[[np.ndarray], np.ndarray]
+    n: int
+    potential: Callable
+    slope: Callable
+    curvature: Callable
+    reads_p: bool = True
+
+    def _sites(self, indices: np.ndarray):
+        return indices < self.n, indices % self.n
+
+    def value(self, x: np.ndarray) -> float:
+        n = self.n
+        return float(np.sum(self.potential(x[:n], x[n:], slice(None))))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        n = self.n
+        g = np.zeros(2 * n)
+        g[:n], g[n:] = self.slope(x[:n], x[n:], slice(None))
+        return g
+
+    def gradient_at(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
+        on_q, site = self._sites(indices)
+        v_q, v_p = self.slope(x[site], x[site + self.n], site)
+        return np.where(on_q, v_q, v_p)
+
+    def jacobian_rows(self, indices: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
+        # row j holds d(grad_j h)/d(q_i, p_i) at columns (i, i + n)
+        n, m = self.n, indices.size
+        on_q, site = self._sites(indices)
+        v_qq, v_qp, v_pp = self.curvature(x[site], x[site + n], site)
+        data = np.empty((m, 2))
+        data[:, 0] = np.where(on_q, v_qq, v_qp)
+        data[:, 1] = np.where(on_q, v_qp, v_pp)
+        # int32 index arrays spare the CSR constructor a downcasting copy
+        cols = np.empty((m, 2), dtype=np.int32)
+        cols[:, 0] = site
+        cols[:, 1] = site + n
+        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+        rows = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, 2 * n))
+        rows.eliminate_zeros()
+        return rows
+
+    def hessian(self, x: np.ndarray) -> sp.csr_matrix:
+        return self.jacobian_rows(np.arange(2 * self.n), x)
+
+    def stencil(self, indices: np.ndarray) -> np.ndarray:
+        """State entries read by the gradient components at ``indices``."""
+        if not self.reads_p:
+            return indices[indices < self.n]
+        _, site = self._sites(indices)
+        return np.concatenate([site, site + self.n])
 
 
 @dataclass(frozen=True)
@@ -279,42 +331,17 @@ def sine_gordon_system(n: int, a: float = 0.0, b: float = 50.0, v: float = 0.2,
     p0 = -4.0 * v * ex / (gamma * (1.0 + ex**2))
     x0 = np.concatenate([q0, p0])
 
-    def value(x):
-        q = x[:n]
-        bnd = (phi_a**2 + phi_b**2) / (2 * h_xi**2) - ca * q[0] - cb * q[-1]
-        return float(np.sum(1.0 - np.cos(q)) + bnd)
-
-    def gradient(x):
-        q = x[:n]
-        g = np.sin(q)
-        g[0] -= ca
-        g[-1] -= cb
-        return np.concatenate([g, np.zeros(n)])
-
-    def gradient_at(indices, x):
-        out = np.zeros(indices.size)
-        qpart = indices < n
-        qi = indices[qpart]
-        vals = np.sin(x[qi])
-        vals -= ca * (qi == 0)
-        vals -= cb * (qi == n - 1)
-        out[qpart] = vals
-        return out
-
-    def hessian(x):
-        return sp.diags(np.concatenate([np.cos(x[:n]), np.zeros(n)]), format="csr")
-
-    def jacobian_rows(indices, x):
-        qpart = indices < n
-        rows = np.nonzero(qpart)[0]
-        cols = indices[qpart]
-        data = np.cos(x[cols])
-        return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
-
-    def stencil(indices):
-        return indices[indices < n]
-
-    nl = Nonlinearity(value, gradient, gradient_at, hessian, jacobian_rows, stencil)
+    # the frozen boundary values couple to the first and last interior sites
+    force = np.zeros(n)
+    offset = np.zeros(n)
+    force[0], force[-1] = ca, cb
+    offset[0], offset[-1] = phi_a**2 / (2 * h_xi**2), phi_b**2 / (2 * h_xi**2)
+    nl = Nonlinearity(
+        n,
+        potential=lambda q, p, i: 1.0 - np.cos(q) - force[i] * q + offset[i],
+        slope=lambda q, p, i: (np.sin(q) - force[i], 0.0),
+        curvature=lambda q, p, i: (np.cos(q), 0.0, 0.0),
+        reads_p=False)
     return HamiltonianSystem("sine-gordon", n, mass, x0, nl,
                              meta=dict(a=a, b=b, v=v, xi0=xi0, h_xi=h_xi, xi=xi,
                                        phi_a=phi_a, phi_b=phi_b))
@@ -338,46 +365,16 @@ def schrodinger_system(n: int, length: float = 2 * np.pi / 0.11,
     z0 = np.sqrt(2.0) / np.cosh(xi - xi0) * np.exp(1j * 0.5 * c * (xi - xi0))
     x0 = np.concatenate([z0.real, z0.imag])
 
-    def value(x):
-        q, p = x[:n], x[n:]
-        return float(-(eps / 4.0) * np.sum((q**2 + p**2) ** 2))
-
-    def gradient(x):
-        q, p = x[:n], x[n:]
+    def slope(q, p, i):
         r = q**2 + p**2
-        return -eps * np.concatenate([r * q, r * p])
+        return -eps * (r * q), -eps * (r * p)
 
-    def gradient_at(indices, x):
-        site = np.where(indices < n, indices, indices - n)
-        q, p = x[site], x[site + n]
+    def curvature(q, p, i):
         r = q**2 + p**2
-        return -eps * np.where(indices < n, r * q, r * p)
+        return -eps * (r + 2 * q**2), -eps * 2 * q * p, -eps * (r + 2 * p**2)
 
-    def hessian(x):
-        q, p = x[:n], x[n:]
-        r = q**2 + p**2
-        aa = -eps * (r + 2 * q**2)
-        bb = -eps * (r + 2 * p**2)
-        cc = -eps * 2 * q * p
-        return sp.bmat([[sp.diags(aa), sp.diags(cc)],
-                        [sp.diags(cc), sp.diags(bb)]], format="csr")
-
-    def jacobian_rows(indices, x):
-        site = np.where(indices < n, indices, indices - n)
-        q, p = x[site], x[site + n]
-        r = q**2 + p**2
-        rows = np.repeat(np.arange(indices.size), 2)
-        cols = np.column_stack([site, site + n]).ravel()
-        diag_q = np.where(indices < n, -eps * (r + 2 * q**2), -eps * 2 * q * p)
-        diag_p = np.where(indices < n, -eps * 2 * q * p, -eps * (r + 2 * p**2))
-        data = np.column_stack([diag_q, diag_p]).ravel()
-        return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
-
-    def stencil(indices):
-        site = np.where(indices < n, indices, indices - n)
-        return np.concatenate([site, site + n])
-
-    nl = Nonlinearity(value, gradient, gradient_at, hessian, jacobian_rows, stencil)
+    nl = Nonlinearity(n, potential=lambda q, p, i: -(eps / 4.0) * (q**2 + p**2) ** 2,
+                      slope=slope, curvature=curvature)
     return HamiltonianSystem("schrodinger", n, mass, x0, nl,
                              meta=dict(length=length, eps=eps, c=c, xi0=xi0,
                                        h_xi=h_xi, xi=xi))
@@ -432,47 +429,16 @@ def vlasov_system(n: int, seed: int = 0,
     bump-on-tail density, deterministic per seed.
     """
     four_pi = 4.0 * np.pi
-
-    def phi(q):
-        return -(3.0 / four_pi) * np.sin(four_pi * q)
-
-    def efield(q):
-        return 3.0 * np.cos(four_pi * q)
-
-    def dfield(q):
-        # derivative of the gradient component E(q): -12 pi sin(4 pi q)
-        return -3.0 * four_pi * np.sin(four_pi * q)
-
     mass = sp.block_diag([sp.csr_matrix((n, n)), sp.eye(n)], format="csr")
     q0, p0 = sample_vlasov_ic(n, params, seed)
     x0 = np.concatenate([q0, p0])
-
-    def value(x):
-        return float(-np.sum(phi(x[:n])))
-
-    def gradient(x):
-        return np.concatenate([efield(x[:n]), np.zeros(n)])
-
-    def gradient_at(indices, x):
-        out = np.zeros(indices.size)
-        qpart = indices < n
-        out[qpart] = efield(x[indices[qpart]])
-        return out
-
-    def hessian(x):
-        return sp.diags(np.concatenate([dfield(x[:n]), np.zeros(n)]), format="csr")
-
-    def jacobian_rows(indices, x):
-        qpart = indices < n
-        rows = np.nonzero(qpart)[0]
-        cols = indices[qpart]
-        return sp.csr_matrix((dfield(x[cols]), (rows, cols)),
-                             shape=(indices.size, 2 * n))
-
-    def stencil(indices):
-        return indices[indices < n]
-
-    nl = Nonlinearity(value, gradient, gradient_at, hessian, jacobian_rows, stencil)
+    # per-site energy -phi(q) = (3/4pi) sin(4 pi q), whose slope is the field E
+    nl = Nonlinearity(
+        n,
+        potential=lambda q, p, i: (3.0 / four_pi) * np.sin(four_pi * q),
+        slope=lambda q, p, i: (3.0 * np.cos(four_pi * q), 0.0),
+        curvature=lambda q, p, i: (-3.0 * four_pi * np.sin(four_pi * q), 0.0, 0.0),
+        reads_p=False)
     return HamiltonianSystem("vlasov", n, mass, x0, nl,
                              meta=dict(seed=seed, params=params))
 
@@ -565,11 +531,8 @@ class ReducedSystem:
             return u.T @ self.full.grad(u @ xt)
         return self.deim(xt)
 
-    def reduced_rhs(self, xt: np.ndarray) -> np.ndarray:
-        return jvec(self.grad(xt))
-
     def rhs(self, xt: np.ndarray) -> np.ndarray:
-        return self.reduced_rhs(xt)
+        return jvec(self.grad(xt))
 
     def grad_jacobian(self, xt: np.ndarray) -> np.ndarray:
         if self.full.nonlin is None:
@@ -581,18 +544,14 @@ class ReducedSystem:
         if self.variant == "psd-deim":
             rows = nl.jacobian_rows(self.deim.indices, u @ xt)
             return self.reduced_mass + self.deim.oblique @ (rows @ u)
-        sparse_state = np.zeros(self.full.dim)
-        sparse_state[self.deim.indices] = self.deim.inner_map @ xt
-        rows = nl.jacobian_rows(self.deim.indices, sparse_state)
+        rows = nl.jacobian_rows(self.deim.indices, self.deim.state(xt))
         rows_sel = rows.tocsc()[:, self.deim.indices].toarray()
-        return self.reduced_mass + self.deim.oblique @ (rows_sel @ self.deim.inner_map)
+        return self.reduced_mass + self.deim.oblique @ (rows_sel @ self.deim.support_map)
 
     def reduced_hamiltonian(self, xt: np.ndarray) -> float:
         if self.variant == "structure-preserving":
-            sparse_state = np.zeros(self.full.dim)
-            sparse_state[self.deim.indices] = self.deim.inner_map @ xt
             quad = 0.5 * float(xt @ (self.reduced_mass @ xt))
-            return quad + self.full.nonlin.value(sparse_state)
+            return quad + self.full.nonlin.value(self.deim.state(xt))
         return self.full.hamiltonian(self.basis.entries @ xt)
 
     def reconstruct(self, states: np.ndarray) -> np.ndarray:

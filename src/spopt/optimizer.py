@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .core import SymplecticPoint, symplecticity_residual
+from .core import NumericalFailure, SymplecticPoint, symplecticity_residual
 from .geometry import Metric, riemannian_gradient
 from .retractions import RETRACTION_ERRORS, RetractionKind, retract
 
@@ -130,7 +130,7 @@ class SolverResult:
     status: SolverStatus
 
 
-class LineSearchError(Exception):
+class LineSearchError(NumericalFailure):
     """No acceptable step within the backtracking budget."""
 
 

@@ -17,11 +17,11 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .core import SymplecticPoint, jmul, jtmul, mulj
+from .core import NumericalFailure, SymplecticPoint, jmul, jtmul, mulj
 from .sr import Breakdown, sgs, spectral_norm_estimate
 
 
-class SingularCayley(Exception):
+class SingularCayley(NumericalFailure):
     """The Cayley resolvent is numerically singular (eigenvalue 2 nearby)."""
 
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, SymplecticPoint, jmul, perfect_shuffle
+from .core import Dims, NumericalFailure, SymplecticPoint, jmul, perfect_shuffle
 
 #: Relative threshold on |omega| below which a column pair counts as isotropic.
 DEFAULT_BREAKDOWN_TOL = 1e-14
 
 
-class Breakdown(Exception):
+class Breakdown(NumericalFailure):
     """No SR decomposition: an isotropic column pair was encountered."""
 
     def __init__(self, pair_index: int, omega: float):
@@ -75,28 +75,28 @@ class SrFactors:
     r: np.ndarray
 
 
-def desr(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) -> DesrFactors:
+def desr(a: np.ndarray) -> DesrFactors:
     """Diagonal elementary SR decomposition of a two-column matrix.
 
     omega = a1^T J a2, r11 = sqrt(|omega|), r22 = sign(omega) r11,
     s1 = a1/r11, s2 = a2/r22.  Raises :class:`Breakdown` when
-    |omega| <= breakdown_tol * ||a1|| * ||a2||.
+    |omega| <= DEFAULT_BREAKDOWN_TOL * ||a1|| * ||a2||.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] % 2:
         raise ValueError(f"expected a (2n, 2) matrix, got shape {a.shape}")
     a1, a2 = a[:, 0], a[:, 1]
     omega = float(a1 @ np.concatenate([a2[a.shape[0] // 2:], -a2[: a.shape[0] // 2]]))
-    if abs(omega) <= breakdown_tol * np.linalg.norm(a1) * np.linalg.norm(a2):
+    if abs(omega) <= DEFAULT_BREAKDOWN_TOL * np.linalg.norm(a1) * np.linalg.norm(a2):
         raise Breakdown(0, omega)
     r11 = np.sqrt(abs(omega))
     r22 = np.sign(omega) * r11
     return DesrFactors(a1 / r11, a2 / r22, float(r11), float(r22))
 
 
-def _desr_pair(w: np.ndarray, j: int, breakdown_tol: float):
+def _desr_pair(w: np.ndarray, j: int):
     try:
-        f = desr(w, breakdown_tol)
+        f = desr(w)
     except Breakdown as exc:
         raise Breakdown(j, exc.omega) from None
     return f.s(), np.array([f.r11, f.r22])
@@ -107,7 +107,7 @@ def _j2t(block: np.ndarray) -> np.ndarray:
     return np.concatenate([-block[1:2], block[0:1]], axis=0)
 
 
-def sgs_basic(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) -> PspsFactors:
+def sgs_basic(a: np.ndarray) -> PspsFactors:
     """Classical-order symplectic Gram-Schmidt in shuffled column order.
 
     Every coefficient block R_hat[i, j] = J_2^T S_i^T J A_j is computed from
@@ -127,19 +127,19 @@ def sgs_basic(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) -> Ps
             rij = _j2t(si.T @ jmul(aj))
             r_hat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = rij
             w -= si @ rij
-        sj, diag = _desr_pair(w, j, breakdown_tol)
+        sj, diag = _desr_pair(w, j)
         s_hat[:, 2 * j: 2 * j + 2] = sj
         r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
     return PspsFactors(s_hat, r_hat)
 
 
-def sgs_modified(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) -> PspsFactors:
+def sgs_modified(a: np.ndarray) -> PspsFactors:
     """Modified-order symplectic Gram-Schmidt in shuffled column order.
 
     As soon as a pair is finalized, all remaining columns are orthogonalized
     against it, so later coefficients are computed from already-reduced
     columns.  Algebraically identical to :func:`sgs_basic`; numerically the
-    better-behaved variant and the default inside :func:`sgs`.
+    better-behaved variant and the one :func:`sgs` runs.
     """
     a = _check_shape(a)
     n2, k2 = a.shape
@@ -148,7 +148,7 @@ def sgs_modified(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) ->
     r_hat = np.zeros((k2, k2))
     w = a.copy()
     for j in range(k):
-        sj, diag = _desr_pair(w[:, 2 * j: 2 * j + 2], j, breakdown_tol)
+        sj, diag = _desr_pair(w[:, 2 * j: 2 * j + 2], j)
         s_hat[:, 2 * j: 2 * j + 2] = sj
         r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
         if j + 1 < k:
@@ -159,15 +159,12 @@ def sgs_modified(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL) ->
     return PspsFactors(s_hat, r_hat)
 
 
-def sgs(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
-        variant: str = "modified", check: bool = True) -> SrFactors:
+def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     """SR decomposition A = S R via shuffle, Gram-Schmidt, unshuffle.
 
     Parameters
     ----------
     a : (2n, 2k) array with k <= n.
-    breakdown_tol : relative isotropy threshold passed to the pair factorizer.
-    variant : "modified" (default) or "basic" Gram-Schmidt ordering.
     check : validate the symplecticity of S on construction.
 
     Raises
@@ -179,8 +176,7 @@ def sgs(a: np.ndarray, breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
     d = Dims(a.shape[0] // 2, a.shape[1] // 2)
     shuffle = perfect_shuffle(d.k)
     b = shuffle.shuffle_cols(a)
-    factor = sgs_modified if variant == "modified" else sgs_basic
-    psps = factor(b, breakdown_tol)
+    psps = sgs_modified(b)
     s = shuffle.unshuffle_cols(psps.s_hat)
     r = shuffle.unconjugate(psps.r_hat)
     point = SymplecticPoint.from_entries(s, check=check)

@@ -432,7 +432,7 @@ class TestDeim:
         xt = rng.standard_normal(4)
         expected = u.entries.T @ (m @ (u.entries @ xt))
         for variant in ("psd-deim", "structure-preserving"):
-            op = deim_reduced_rhs(u, m, v, idx, zero, variant)
+            op = deim_reduced_rhs(u, m, v, idx, zero, variant, stencil=lambda idx: idx)
             assert np.allclose(op(xt), expected, atol=1e-12)
 
     def test_square_orthogonal_basis_exact(self, rng):
@@ -446,7 +446,7 @@ class TestDeim:
         def grad_h(indices, x):
             return np.sin(x[indices])
 
-        op = deim_reduced_rhs(u, m, v, idx, grad_h, "psd-deim")
+        op = deim_reduced_rhs(u, m, v, idx, grad_h, "psd-deim", stencil=lambda idx: idx)
         xt = rng.standard_normal(4)
         full = u.entries @ xt
         assert np.allclose(op(xt), u.entries.T @ np.sin(full), atol=1e-10)

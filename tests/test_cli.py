@@ -1,8 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from spopt import cli
+from spopt.applications import SingularSelection
 from spopt.cli import ConfigError, ExperimentConfig, main, scheme_options
+from spopt.core import FeasibilityError, NumericalFailure, SymplecticPoint
+from spopt.geometry import NotSPD, RankDeficient, SingularSystem
+from spopt.hamiltonian import GridMismatch, NewtonDivergence
+from spopt.optimizer import LineSearchError
+from spopt.retractions import SingularCayley
+from spopt.sr import Breakdown
 
 
 def strip_time_column(csv_text):
@@ -139,6 +148,47 @@ class TestMorRuns:
         assert rc == 0
         rows = (out / "mor_vlasov_results.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 4  # 2 variants x (CotLift + SRE)
+
+
+def _singular_selection():
+    raise SingularSelection("singular interpolation block at step 3")
+
+
+def _not_spd():
+    raise NotSPD("smallest eigenvalue -1.000e-03")
+
+
+def _off_manifold():
+    SymplecticPoint.from_entries(np.ones((4, 2)))  # residual far above 1e3 * tol
+
+
+class TestNumericalFailureExit:
+    @pytest.mark.parametrize("fail, message", [
+        (_singular_selection, "singular interpolation block"),
+        (_not_spd, "smallest eigenvalue"),
+        (_off_manifold, "symplecticity residual"),
+    ])
+    def test_mor_failure_exits_3(self, fail, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_rom", lambda *args, **kwargs: fail())
+        cfg = write_cfg(tmp_path, {
+            "model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
+            "snapshots": 20, "k_values": [4],
+        })
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert message in err
+
+    def test_taxonomy(self):
+        for cls in (Breakdown, SingularCayley, SingularSelection, NotSPD,
+                    RankDeficient, SingularSystem, GridMismatch,
+                    NewtonDivergence, LineSearchError, FeasibilityError):
+            assert issubclass(cls, NumericalFailure)
+        # callers that catch ValueError for an off-manifold input still do
+        with pytest.raises(ValueError):
+            _off_manifold()
 
 
 class TestDeterminism:

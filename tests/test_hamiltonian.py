@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -439,3 +441,200 @@ class TestSerialization:
             csv = os.path.join(td, "snaps.csv")
             snapshots_to_csv(csv, snaps[:4, :3])
             assert open(csv).readline().strip() == "s0,s1,s2"
+
+
+# ---------------------------------------------------------------------------
+# Per-model closures as each model wrote them before ``Nonlinearity`` derived
+# them from one per-site description; the derived maps must reproduce them.
+
+
+def reference_sine_gordon(n, meta):
+    h_xi, phi_a, phi_b = meta["h_xi"], meta["phi_a"], meta["phi_b"]
+    ca, cb = phi_a / h_xi**2, phi_b / h_xi**2
+
+    def value(x):
+        q = x[:n]
+        bnd = (phi_a**2 + phi_b**2) / (2 * h_xi**2) - ca * q[0] - cb * q[-1]
+        return float(np.sum(1.0 - np.cos(q)) + bnd)
+
+    def gradient(x):
+        q = x[:n]
+        g = np.sin(q)
+        g[0] -= ca
+        g[-1] -= cb
+        return np.concatenate([g, np.zeros(n)])
+
+    def gradient_at(indices, x):
+        out = np.zeros(indices.size)
+        qpart = indices < n
+        qi = indices[qpart]
+        vals = np.sin(x[qi])
+        vals -= ca * (qi == 0)
+        vals -= cb * (qi == n - 1)
+        out[qpart] = vals
+        return out
+
+    def hessian(x):
+        return sp.diags(np.concatenate([np.cos(x[:n]), np.zeros(n)]), format="csr")
+
+    def jacobian_rows(indices, x):
+        qpart = indices < n
+        rows = np.nonzero(qpart)[0]
+        cols = indices[qpart]
+        data = np.cos(x[cols])
+        return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
+
+    def stencil(indices):
+        return indices[indices < n]
+
+    return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
+                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+
+
+def reference_schrodinger(n, meta):
+    eps = meta["eps"]
+
+    def value(x):
+        q, p = x[:n], x[n:]
+        return float(-(eps / 4.0) * np.sum((q**2 + p**2) ** 2))
+
+    def gradient(x):
+        q, p = x[:n], x[n:]
+        r = q**2 + p**2
+        return -eps * np.concatenate([r * q, r * p])
+
+    def gradient_at(indices, x):
+        site = np.where(indices < n, indices, indices - n)
+        q, p = x[site], x[site + n]
+        r = q**2 + p**2
+        return -eps * np.where(indices < n, r * q, r * p)
+
+    def hessian(x):
+        q, p = x[:n], x[n:]
+        r = q**2 + p**2
+        aa = -eps * (r + 2 * q**2)
+        bb = -eps * (r + 2 * p**2)
+        cc = -eps * 2 * q * p
+        return sp.bmat([[sp.diags(aa), sp.diags(cc)],
+                        [sp.diags(cc), sp.diags(bb)]], format="csr")
+
+    def jacobian_rows(indices, x):
+        site = np.where(indices < n, indices, indices - n)
+        q, p = x[site], x[site + n]
+        r = q**2 + p**2
+        rows = np.repeat(np.arange(indices.size), 2)
+        cols = np.column_stack([site, site + n]).ravel()
+        diag_q = np.where(indices < n, -eps * (r + 2 * q**2), -eps * 2 * q * p)
+        diag_p = np.where(indices < n, -eps * 2 * q * p, -eps * (r + 2 * p**2))
+        data = np.column_stack([diag_q, diag_p]).ravel()
+        return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
+
+    def stencil(indices):
+        site = np.where(indices < n, indices, indices - n)
+        return np.concatenate([site, site + n])
+
+    return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
+                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+
+
+def reference_vlasov(n, meta):
+    four_pi = 4.0 * np.pi
+
+    def phi(q):
+        return -(3.0 / four_pi) * np.sin(four_pi * q)
+
+    def efield(q):
+        return 3.0 * np.cos(four_pi * q)
+
+    def dfield(q):
+        return -3.0 * four_pi * np.sin(four_pi * q)
+
+    def value(x):
+        return float(-np.sum(phi(x[:n])))
+
+    def gradient(x):
+        return np.concatenate([efield(x[:n]), np.zeros(n)])
+
+    def gradient_at(indices, x):
+        out = np.zeros(indices.size)
+        qpart = indices < n
+        out[qpart] = efield(x[indices[qpart]])
+        return out
+
+    def hessian(x):
+        return sp.diags(np.concatenate([dfield(x[:n]), np.zeros(n)]), format="csr")
+
+    def jacobian_rows(indices, x):
+        qpart = indices < n
+        rows = np.nonzero(qpart)[0]
+        cols = indices[qpart]
+        return sp.csr_matrix((dfield(x[cols]), (rows, cols)),
+                             shape=(indices.size, 2 * n))
+
+    def stencil(indices):
+        return indices[indices < n]
+
+    return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
+                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+
+
+REFERENCE_MODELS = {
+    "sine-gordon": (sine_gordon_system, reference_sine_gordon, 4e-16),
+    "schrodinger": (schrodinger_system, reference_schrodinger, 4e-16),
+    "vlasov": (lambda n: vlasov_system(n, seed=7), reference_vlasov, 0.0),
+}
+
+
+class TestNonlinearity:
+    """The derived maps are bit-identical to the hand-written closures."""
+
+    @staticmethod
+    def states(dim, rng):
+        dense = rng.standard_normal(dim)
+        sparse = rng.standard_normal(dim)
+        sparse[rng.random(dim) < 0.6] = 0.0  # as in structure-preserving DEIM
+        return dense, sparse
+
+    @pytest.mark.parametrize("n", [3, 8, 32])
+    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    def test_matches_reference_closures(self, model, n, rng):
+        factory, reference, value_rtol = REFERENCE_MODELS[model]
+        sysm = factory(n)
+        new, ref = sysm.nonlin, reference(n, sysm.meta)
+        idx = rng.choice(sysm.dim, size=min(sysm.dim, 7), replace=False)
+        u = rng.standard_normal((sysm.dim, 4))
+        for x in self.states(sysm.dim, rng):
+            assert np.array_equal(new.gradient(x), ref.gradient(x))
+            assert np.array_equal(new.gradient_at(idx, x), ref.gradient_at(idx, x))
+            rows, ref_rows = new.jacobian_rows(idx, x), ref.jacobian_rows(idx, x)
+            assert np.array_equal(rows.toarray(), ref_rows.toarray())
+            assert np.array_equal(rows @ u, ref_rows @ u)
+            hess, ref_hess = new.hessian(x), ref.hessian(x)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(hess, attr), getattr(ref_hess, attr))
+            total, ref_total = sysm.mass + hess, sysm.mass + ref_hess
+            assert np.array_equal(total.toarray(), ref_total.toarray())
+            assert np.isclose(new.value(x), ref.value(x), rtol=value_rtol, atol=0.0)
+        assert np.array_equal(new.stencil(idx), ref.stencil(idx))
+
+    def test_reads_p_only_for_schrodinger(self):
+        assert schrodinger_system(8).nonlin.reads_p
+        assert not sine_gordon_system(8).nonlin.reads_p
+        assert not vlasov_system(8).nonlin.reads_p
+
+    def test_pipeline_bit_identical_to_reference(self):
+        sysm = vlasov_system(48, seed=3)
+        ref_sysm = dataclasses.replace(sysm, nonlin=reference_vlasov(48, sysm.meta))
+        opts = IntegratorOptions(1e-3, 0.1)
+        traj = crank_nicolson(sysm, sysm.x0, opts)
+        ref_traj = crank_nicolson(ref_sysm, ref_sysm.x0, opts)
+        assert np.array_equal(traj.states, ref_traj.states)
+        snaps = extract_snapshots(traj, 60)
+        for variant in ("exact", "psd-deim", "structure-preserving"):
+            rom = build_rom(sysm, snaps, 4, nonlin=variant)
+            ref_rom = build_rom(ref_sysm, snaps, 4, nonlin=variant)
+            rt = crank_nicolson(rom, rom.x0_reduced, opts)
+            ref_rt = crank_nicolson(ref_rom, ref_rom.x0_reduced, opts)
+            assert np.array_equal(rt.states, ref_rt.states), variant
+            assert (relative_errors(traj, rom, rt).re_h
+                    == relative_errors(ref_traj, ref_rom, ref_rt).re_h)
