@@ -129,8 +129,9 @@ def tangency_residual(x, z) -> float:
 
 def _check_residual(kind: str, residual: float, tol: float) -> None:
     # Warn above tol, hard-error above 1e3*tol: iterative schemes are allowed
-    # to drift a little, garbage input is not.
-    if residual > 1e3 * tol:
+    # to drift a little, garbage input is not.  Written so that a NaN residual
+    # (non-finite entries) fails the test too.
+    if not residual <= 1e3 * tol:
         raise FeasibilityError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}")
     if residual > tol:
         warnings.warn(

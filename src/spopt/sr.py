@@ -6,14 +6,32 @@ gives an upper triangular matrix whose 2x2 diagonal blocks are diagonal with
 zero super-entry, positive first entry, and matched absolute values.  That
 normalization makes the factors unique.
 
-The workhorse processes two columns at a time.  A pair (a1, a2) with
-omega = a1^T J a2 != 0 is rescaled into a symplectic pair; omega == 0 means
-the pair spans an isotropic subspace and no decomposition exists, reported as
-:class:`Breakdown`.  Existence for the full matrix is equivalent to all even
-leading minors of the shuffled Gram matrix P A^T J A P^T being nonzero;
-:func:`even_minor_check` evaluates that condition directly and is kept as a
-small-scale oracle (minor evaluation is far more expensive than running the
-factorization itself).
+:func:`sgs` factors the shuffled matrix B = A P^T along one of two paths.
+
+* The Gram path, in the style of CholeskyQR2, runs two passes.  Each forms
+  the skew Gram G = B^T J B with one GEMM, LU-factors J_hat^T G (J_hat =
+  diag(J_2, ..., J_2)) with one LAPACK ``dgetrf``, reads R_hat from
+  U = D R_hat, and applies S = B R_hat^{-1} with one triangular solve.  The
+  second pass re-factors S^T J S, which is close to J_hat, and R_hat is the
+  product of the two triangular factors.  Without row interchanges the LU of
+  J_hat^T G is unique and equals (J_hat^T R_hat^T J_hat) R_hat, so this path
+  computes the same factors as Gram-Schmidt.
+* The Gram-Schmidt path, :func:`sgs_modified`, processes two columns at a
+  time.  A pair (a1, a2) with omega = a1^T J a2 != 0 is rescaled into a
+  symplectic pair; omega == 0 means the pair spans an isotropic subspace and
+  no decomposition exists, reported as :class:`Breakdown`.
+
+The Gram path is taken when partial pivoting made no row interchange in
+either pass, every pivot omega_j is finite and nonzero, and no first-pass
+pair is numerically isotropic; this is the retraction regime, where X + Z
+stays close to symplectic and the Gram stays close to J_hat.  Otherwise, on
+ill-conditioned or non-factorizable input, the Gram-Schmidt path runs on the
+original columns and alone decides whether to raise :class:`Breakdown`.
+
+Existence for the full matrix is equivalent to all even leading minors of
+the shuffled Gram matrix P A^T J A P^T being nonzero; :func:`even_minor_check`
+evaluates that condition directly and is kept as a small-scale oracle (minor
+evaluation is far more expensive than running the factorization itself).
 """
 
 from __future__ import annotations
@@ -21,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .core import Dims, NumericalFailure, SymplecticPoint, jmul, perfect_shuffle
 
@@ -159,8 +178,71 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
     return PspsFactors(s_hat, r_hat)
 
 
+def _gram_pass(b: np.ndarray, overwrite_b: bool) -> PspsFactors | None:
+    """One Gram pass: B = S_hat R_hat from the unpivoted LU of J_hat^T B^T J B.
+
+    With G = B^T J B = R_hat^T J_hat R_hat, H = J_hat^T G factors as
+    (J_hat^T R_hat^T J_hat) R_hat: lower times upper triangular, the lower
+    factor's diagonal being D = diag(r22, r11, ...).  LAPACK returns U =
+    D R_hat, with omega_j = U[2j, 2j].  Returns None when partial pivoting
+    interchanged rows (the LU is then not that one) or a pivot is zero or
+    non-finite.
+    """
+    n = b.shape[0] // 2
+    k2 = b.shape[1]
+    m = b[:n].T @ b[n:]  # G = m - m^T exactly skew
+    h = np.empty((k2, k2), order="F")
+    h[0::2] = m.T[1::2] - m[1::2]
+    h[1::2] = m[0::2] - m.T[0::2]
+    lu, piv, info = lapack.dgetrf(h, overwrite_a=True)
+    if info != 0 or (piv != np.arange(k2)).any():
+        return None
+    omega = lu.diagonal()[0::2]
+    r11 = np.sqrt(np.abs(omega))
+    if not (r11.min() > 0.0 and r11.max() < np.inf):
+        return None
+    r22 = np.sign(omega) * r11
+    d = np.empty(k2)
+    d[0::2] = r22
+    d[1::2] = r11
+    r_hat = np.triu(lu) / d[:, None]
+    first = np.arange(0, k2, 2)
+    r_hat[first, first + 1] = 0.0
+    r_hat[first, first] = r11
+    r_hat[first + 1, first + 1] = r22
+    s_hat = blas.dtrsm(1.0, r_hat, b, side=1, overwrite_b=overwrite_b)
+    return PspsFactors(s_hat, r_hat)
+
+
+def _sgs_gram(b: np.ndarray) -> PspsFactors | None:
+    """Two Gram passes in shuffled column order, or None to fall back.
+
+    The second pass re-factors S_1^T J S_1, close to J_hat, and recovers the
+    accuracy one pass loses to the conditioning of G.  Besides the pivot
+    tests of :func:`_gram_pass`, a first-pass pair counts as isotropic by
+    the :func:`desr` test |omega| <= tol ||w_p|| ||w_q||, which through
+    s = w / r11 reads ||s_p|| ||s_q|| tol >= 1.
+    """
+    first = _gram_pass(b, overwrite_b=False)
+    if first is None:
+        return None
+    norms = np.sqrt(np.einsum("ij,ij->j", first.s_hat, first.s_hat))
+    if (norms[0::2] * norms[1::2] * DEFAULT_BREAKDOWN_TOL >= 1.0).any():
+        return None
+    second = _gram_pass(first.s_hat, overwrite_b=True)
+    if second is None:
+        return None
+    return PspsFactors(second.s_hat, second.r_hat @ first.r_hat)
+
+
 def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
-    """SR decomposition A = S R via shuffle, Gram-Schmidt, unshuffle.
+    """SR decomposition A = S R via shuffle, factorization, unshuffle.
+
+    The shuffled matrix is factored by two Gram passes (one GEMM, one LU
+    and one triangular solve each) when their LU needs no row interchange
+    and every pivot is finite, nonzero and not isotropic; otherwise by
+    :func:`sgs_modified`.  The module docstring gives the details.  Both
+    paths compute the unique normalized factors.
 
     Parameters
     ----------
@@ -176,7 +258,9 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     d = Dims(a.shape[0] // 2, a.shape[1] // 2)
     shuffle = perfect_shuffle(d.k)
     b = shuffle.shuffle_cols(a)
-    psps = sgs_modified(b)
+    psps = _sgs_gram(b)
+    if psps is None:
+        psps = sgs_modified(b)
     s = shuffle.unshuffle_cols(psps.s_hat)
     r = shuffle.unconjugate(psps.r_hat)
     point = SymplecticPoint.from_entries(s, check=check)

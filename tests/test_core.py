@@ -3,6 +3,7 @@ import pytest
 
 from spopt.core import (
     Dims,
+    FeasibilityError,
     FeasibilityWarning,
     SymplecticPoint,
     TangentVector,
@@ -191,3 +192,24 @@ class TestConstruction:
             TangentVector.from_entries(x, x.entries)  # X itself is not tangent
         z = mulj(x.entries) @ np.eye(4)  # W = I is symmetric
         TangentVector.from_entries(x, z)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(FeasibilityError):
+            SymplecticPoint.from_entries(np.full((4, 2), bad))
+        e = canonical_point(5, 2).entries.copy()
+        e[3, 1] = bad
+        with pytest.raises(FeasibilityError):
+            SymplecticPoint.from_entries(e)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tangent_rejected(self, bad):
+        x = canonical_point(5, 2)
+        z = mulj(x.entries) @ np.eye(4)  # tangent before the bad entry
+        z[7, 2] = bad
+        with pytest.raises(FeasibilityError):
+            TangentVector.from_entries(x, z)
+        with pytest.raises(FeasibilityError):
+            TangentVector.from_entries(x, np.full(x.entries.shape, bad))

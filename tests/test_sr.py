@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spopt.core import canonical_point, jmul, perfect_shuffle, poisson, symplecticity_residual
+from spopt import sr
+from spopt.applications import random_symplectic_orthogonal
+from spopt.core import (
+    FeasibilityError,
+    SymplecticPoint,
+    canonical_point,
+    jmul,
+    perfect_shuffle,
+    poisson,
+    symplecticity_residual,
+)
 from spopt.sr import (
     Breakdown,
     desr,
@@ -13,7 +25,7 @@ from spopt.sr import (
     spectral_norm_estimate,
 )
 
-from conftest import random_point, random_tangent_spectral
+from conftest import random_point, random_tangent, random_tangent_spectral
 
 
 def unit(n2, i):
@@ -193,6 +205,108 @@ class TestSgs:
         for trial in range(50):
             z = random_tangent_spectral(x, rng, 0.99)
             sgs(x.entries + z.entries)  # must not raise
+
+
+def orthosymplectic_point(n, k, seed):
+    """Columns 1..k and n+1..n+k of a random orthogonal symplectic matrix."""
+    q = random_symplectic_orthogonal(n, seed)
+    cols = np.r_[0:k, n:n + k]
+    return SymplecticPoint.from_entries(q[:, cols])
+
+
+def unit_ball_step(n, k, seed, norm2):
+    """X + Z with X orthosymplectic and Z tangent at X, ||Z||_2 = norm2 < 1."""
+    x = orthosymplectic_point(n, k, seed)
+    z = random_tangent(x, np.random.default_rng(seed)).entries
+    return x.entries + z * (norm2 / np.linalg.norm(z, 2))
+
+
+def modified_factors(a):
+    """sgs computed by the Gram-Schmidt path alone."""
+    shuffle = perfect_shuffle(a.shape[1] // 2)
+    f = sgs_modified(shuffle.shuffle_cols(a))
+    return shuffle.unshuffle_cols(f.s_hat), shuffle.unconjugate(f.r_hat)
+
+
+def psps_residual(s_hat):
+    k = s_hat.shape[1] // 2
+    hat = np.kron(np.eye(k), poisson(1))
+    return np.linalg.norm(s_hat.T @ jmul(s_hat) - hat)
+
+
+@st.composite
+def shapes(draw):
+    n = draw(st.integers(1, 24))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    return n, k
+
+
+class TestGramPath:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=shapes(), seed=st.integers(0, 2**32 - 1),
+           norm2=st.floats(0.0, 0.999))
+    def test_unit_ball_factors(self, shape, seed, norm2):
+        n, k = shape
+        a = unit_ball_step(n, k, seed, norm2)
+        f = sgs(a)
+        assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
+        assert in_normalized_triangular_set(f.r, atol=1e-13 * np.linalg.norm(f.r))
+        shuffle = perfect_shuffle(k)
+        basic = sgs_basic(shuffle.shuffle_cols(a))
+        assert np.allclose(f.s.entries, shuffle.unshuffle_cols(basic.s_hat),
+                           rtol=1e-10, atol=1e-12)
+        assert np.allclose(f.r, shuffle.unconjugate(basic.r_hat), rtol=1e-10, atol=1e-12)
+        s_modified, _ = modified_factors(a)
+        eps = np.finfo(float).eps
+        assert (symplecticity_residual(f.s)
+                <= 10 * max(symplecticity_residual(s_modified), eps))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (6, 2), (20, 5), (8, 8), (60, 12)])
+    def test_taken_in_retraction_regime(self, n, k, monkeypatch):
+        a = unit_ball_step(n, k, seed=n + k, norm2=0.5)
+        s_ref, r_ref = modified_factors(a)
+
+        def no_fallback(b):
+            raise AssertionError("sgs fell back to sgs_modified")
+
+        monkeypatch.setattr(sr, "sgs_modified", no_fallback)
+        f = sgs(a)
+        assert np.allclose(f.s.entries, s_ref, rtol=1e-12, atol=1e-14)
+        assert np.allclose(f.r, r_ref, rtol=1e-12, atol=1e-14)
+
+    @staticmethod
+    def _interchanging(kind, rng):
+        a = rng.standard_normal((16, 6))
+        if kind == "near-isotropic":
+            # omega of the first shuffled pair is 1e-9 of its column norms
+            a[:, 3] = a[:, 0] + 1e-9 * rng.standard_normal(16)
+        elif kind == "near-dependent":
+            a[:, 1] = a[:, 0] + 1e-8 * rng.standard_normal(16)
+        return a
+
+    @pytest.mark.parametrize("kind", ["gaussian", "near-isotropic", "near-dependent"])
+    def test_interchange_falls_back_exactly(self, kind, rng):
+        for _ in range(5):
+            a = self._interchanging(kind, rng)
+            assert sr._sgs_gram(perfect_shuffle(3).shuffle_cols(a)) is None
+            f = sgs(a, check=False)
+            s_ref, r_ref = modified_factors(a)
+            assert np.array_equal(f.s.entries, s_ref)
+            assert np.array_equal(f.r, r_ref)
+
+    def test_deterministic_bitwise(self):
+        a = unit_ball_step(30, 6, seed=5, norm2=0.9)
+        f1, f2 = sgs(a), sgs(a)
+        assert np.array_equal(f1.s.entries, f2.s.entries)
+        assert np.array_equal(f1.r, f2.r)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = unit_ball_step(6, 2, seed=0, norm2=0.5)
+        a[2, 1] = bad
+        with pytest.raises(FeasibilityError):
+            sgs(a)
 
 
 class TestEvenMinorCheck:
