@@ -1,4 +1,4 @@
-"""SR factorization by symplectic Gram-Schmidt.
+"""SR factorization by skew-Gram LU passes or symplectic Gram-Schmidt.
 
 An SR decomposition writes A = S R with S in Sp(2k, 2n) and R in the
 normalized permuted-triangular set T0: conjugating R by the perfect shuffle
@@ -158,7 +158,7 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
     As soon as a pair is finalized, all remaining columns are orthogonalized
     against it, so later coefficients are computed from already-reduced
     columns.  Algebraically identical to :func:`sgs_basic`; numerically the
-    better-behaved variant and the one :func:`sgs` runs.
+    better-behaved variant and the one :func:`sgs` falls back to.
     """
     a = _check_shape(a)
     n2, k2 = a.shape
@@ -206,10 +206,10 @@ def _gram_pass(b: np.ndarray, overwrite_b: bool) -> PspsFactors | None:
     d[0::2] = r22
     d[1::2] = r11
     r_hat = np.triu(lu) / d[:, None]
-    first = np.arange(0, k2, 2)
-    r_hat[first, first + 1] = 0.0
-    r_hat[first, first] = r11
-    r_hat[first + 1, first + 1] = r22
+    lead = np.arange(0, k2, 2)
+    r_hat[lead, lead + 1] = 0.0
+    r_hat[lead, lead] = r11
+    r_hat[lead + 1, lead + 1] = r22
     s_hat = blas.dtrsm(1.0, r_hat, b, side=1, overwrite_b=overwrite_b)
     return PspsFactors(s_hat, r_hat)
 

@@ -234,6 +234,13 @@ def psps_residual(s_hat):
     return np.linalg.norm(s_hat.T @ jmul(s_hat) - hat)
 
 
+def forbid_fallback(monkeypatch):
+    def no_fallback(b):
+        raise AssertionError("sgs fell back to sgs_modified")
+
+    monkeypatch.setattr(sr, "sgs_modified", no_fallback)
+
+
 @st.composite
 def shapes(draw):
     n = draw(st.integers(1, 24))
@@ -250,7 +257,7 @@ class TestGramPath:
         a = unit_ball_step(n, k, seed, norm2)
         f = sgs(a)
         assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
-        assert in_normalized_triangular_set(f.r, atol=1e-13 * np.linalg.norm(f.r))
+        assert in_normalized_triangular_set(f.r)  # exact zeros and |r22| = r11
         shuffle = perfect_shuffle(k)
         basic = sgs_basic(shuffle.shuffle_cols(a))
         assert np.allclose(f.s.entries, shuffle.unshuffle_cols(basic.s_hat),
@@ -265,11 +272,7 @@ class TestGramPath:
     def test_taken_in_retraction_regime(self, n, k, monkeypatch):
         a = unit_ball_step(n, k, seed=n + k, norm2=0.5)
         s_ref, r_ref = modified_factors(a)
-
-        def no_fallback(b):
-            raise AssertionError("sgs fell back to sgs_modified")
-
-        monkeypatch.setattr(sr, "sgs_modified", no_fallback)
+        forbid_fallback(monkeypatch)
         f = sgs(a)
         assert np.allclose(f.s.entries, s_ref, rtol=1e-12, atol=1e-14)
         assert np.allclose(f.r, r_ref, rtol=1e-12, atol=1e-14)
@@ -294,6 +297,38 @@ class TestGramPath:
             assert np.array_equal(f.s.entries, s_ref)
             assert np.array_equal(f.r, r_ref)
 
+    def test_second_pass_restores_feasibility(self, monkeypatch):
+        # B = S R with S orthosymplectic and R = I - 0.9 (strict block upper
+        # ones): every LU multiplier is below 1, so nothing pivots, and
+        # cond(B) ~ 8e5 costs a single pass about cond^2 eps of feasibility
+        n, k = 40, 12
+        shuffle = perfect_shuffle(k)
+        s = shuffle.shuffle_cols(orthosymplectic_point(n, k, seed=3).entries)
+        u = np.triu(np.ones((2 * k, 2 * k)), 1)
+        u[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
+        a = shuffle.unshuffle_cols(s @ (np.eye(2 * k) - 0.9 * u))
+        s_modified, _ = modified_factors(a)
+        forbid_fallback(monkeypatch)
+        f = sgs(a)
+        assert symplecticity_residual(f.s) <= 1e-13
+        assert symplecticity_residual(f.s) <= 10 * symplecticity_residual(s_modified)
+        assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
+
+    def test_isotropic_pair_without_interchange_breaks(self):
+        # J_hat^T G is diagonal, so the LU pivots nowhere, but the first pair
+        # has |omega| = 1e-15 ||a1|| ||a2||: the isotropy test must hand the
+        # input to sgs_modified, which raises as before
+        n = 4
+        a = np.zeros((2 * n, 4))
+        a[:, 0] = unit(2 * n, 0)
+        a[:, 2] = unit(2 * n, 1) + 1e-15 * unit(2 * n, n)
+        a[:, 1] = unit(2 * n, 2)
+        a[:, 3] = unit(2 * n, n + 2)
+        b = perfect_shuffle(2).shuffle_cols(a)
+        assert sr._gram_pass(b, overwrite_b=False) is not None
+        with pytest.raises(Breakdown):
+            sgs(a)
+
     def test_deterministic_bitwise(self):
         a = unit_ball_step(30, 6, seed=5, norm2=0.9)
         f1, f2 = sgs(a), sgs(a)
@@ -305,6 +340,7 @@ class TestGramPath:
     def test_non_finite_entry_rejected(self, bad):
         a = unit_ball_step(6, 2, seed=0, norm2=0.5)
         a[2, 1] = bad
+        assert sr._sgs_gram(perfect_shuffle(2).shuffle_cols(a)) is None
         with pytest.raises(FeasibilityError):
             sgs(a)
 
