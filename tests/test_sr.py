@@ -228,12 +228,6 @@ def modified_factors(a):
     return shuffle.unshuffle_cols(f.s_hat), shuffle.unconjugate(f.r_hat)
 
 
-def psps_residual(s_hat):
-    k = s_hat.shape[1] // 2
-    hat = np.kron(np.eye(k), poisson(1))
-    return np.linalg.norm(s_hat.T @ jmul(s_hat) - hat)
-
-
 def forbid_fallback(monkeypatch):
     def no_fallback(b):
         raise AssertionError("sgs fell back to sgs_modified")
