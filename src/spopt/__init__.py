@@ -6,7 +6,8 @@ projections, gradients), ``retractions`` (Cayley, quasi-geodesic, SR),
 ``optimizer`` (non-monotone BB gradient descent), ``applications`` (target /
 trace / PSD costs, Williamson post-processing, DEIM), ``hamiltonian``
 (semi-discrete models, Crank-Nicolson, ROM assembly), and ``cli`` (the
-``spopt`` experiment harness).
+``spopt`` experiment harness).  ``oracles`` holds the test-scale reference
+forms the suite checks the fast kernels against.
 """
 
 from .core import (
@@ -24,16 +25,11 @@ from .core import (
     tangency_residual,
 )
 from .geometry import (
-    ComplementBasis,
     Metric,
     MetricKind,
-    TangentCoordinates,
-    metric_inner,
-    orthonormal_complement,
     project_tangent,
     riemannian_gradient,
     solve_skew_lyapunov,
-    tangent_coordinates,
 )
 from .optimizer import (
     Evaluation,
@@ -45,11 +41,21 @@ from .optimizer import (
     minimize,
     nonmonotone_search,
 )
+from .oracles import (
+    ComplementBasis,
+    TangentCoordinates,
+    cayley_full,
+    even_minor_check,
+    in_normalized_triangular_set,
+    metric_inner,
+    orthonormal_complement,
+    sgs_basic,
+    tangent_coordinates,
+)
 from .retractions import (
     RetractionKind,
     SingularCayley,
     cayley_economical,
-    cayley_full,
     quasi_geodesic,
     retract,
     sr_retract,
@@ -60,9 +66,7 @@ from .sr import (
     PspsFactors,
     SrFactors,
     desr,
-    even_minor_check,
     sgs,
-    sgs_basic,
     sgs_modified,
 )
 

@@ -22,7 +22,6 @@ from .core import (
     SymplecticPoint,
     jmul,
     jtmul,
-    jvec,
     mulj,
     muljt,
     skew_part,
@@ -40,6 +39,10 @@ __all__ = [
     "cotangent_lift", "deim_select", "deim_reduced_rhs",
     "random_symplectic_point", "SingularSelection",
 ]
+
+
+#: Relative eigenvalue threshold of the symplectic null space in Williamson.
+NULL_TOL = 1e-8
 
 
 class SingularSelection(NumericalFailure):
@@ -242,7 +245,7 @@ def williamson_small(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, 1.0 / mus
 
 
-def williamson_spsd(m: np.ndarray, null_tol: float = 1e-8,
+def williamson_spsd(m: np.ndarray, null_tol: float = NULL_TOL,
                     scale_hint: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Williamson form extended to SPSD matrices with a symplectic null space.
 
@@ -303,16 +306,11 @@ class SymplecticSpectrum:
         return [(self.u_vectors[:, j], self.v_vectors[:, j])
                 for j in range(self.values.size)]
 
-    @property
-    def converged(self) -> bool:
-        return self.solver_result.status is SolverStatus.GRAD_TOLERANCE_REACHED
-
 
 def symplectic_eigenpairs(a: np.ndarray, k: int,
                           solver_options: SolverOptions | None = None,
                           x0: SymplecticPoint | None = None,
-                          seed: int = 0,
-                          null_tol: float = 1e-8) -> SymplecticSpectrum:
+                          seed: int = 0) -> SymplecticSpectrum:
     """The k smallest symplectic eigenvalues of an SPSD matrix by trace
     minimization followed by Williamson post-processing.
 
@@ -337,16 +335,16 @@ def symplectic_eigenpairs(a: np.ndarray, k: int,
     xs = result.x_final.entries
     small = sym_part(xs.T @ (a @ xs))
     # a numerically zero X^T A X (all requested values zero) must still be
-    # classified as null space: floor the scale at null_tol times the ambient
+    # classified as null space: floor the scale at NULL_TOL times the ambient
     # problem size so the relative test cannot collapse
-    hint = null_tol * np.linalg.norm(a, 2) * np.linalg.norm(xs, 2) ** 2
-    s, d = williamson_spsd(small, null_tol=null_tol, scale_hint=hint)
+    hint = NULL_TOL * np.linalg.norm(a, 2) * np.linalg.norm(xs, 2) ** 2
+    s, d = williamson_spsd(small, scale_hint=hint)
     vecs = xs @ s
     u, v = vecs[:, :k], vecs[:, k:]
     res = np.empty((k, 2))
     for j in range(k):
-        res[j, 0] = np.linalg.norm(a @ u[:, j] - d[j] * jvec(v[:, j]))
-        res[j, 1] = np.linalg.norm(a @ v[:, j] + d[j] * jvec(u[:, j]))
+        res[j, 0] = np.linalg.norm(a @ u[:, j] - d[j] * jmul(v[:, j]))
+        res[j, 1] = np.linalg.norm(a @ v[:, j] + d[j] * jmul(u[:, j]))
     ortho_dev = float(np.linalg.norm(s.T @ s - np.eye(2 * k)))
     return SymplecticSpectrum(d, u, v, res, ortho_dev, result)
 

@@ -94,7 +94,17 @@ def scheme_options(name: str, rho: float = 0.5, **overrides) -> SolverOptions:
     """SolverOptions for a named scheme, with per-experiment overrides."""
     retraction, metric_name = SCHEMES[name]
     metric = Metric.canonical_like(rho) if metric_name == "canonical" else Metric.euclidean()
-    return SolverOptions(metric=metric, retraction=retraction, **overrides)
+    try:
+        return SolverOptions(metric=metric, retraction=retraction, **overrides)
+    except TypeError as exc:  # an unknown key or a value of the wrong type
+        raise ConfigError(f"solver options: {exc}") from exc
+
+
+def _options_by_scheme(config: ExperimentConfig, solver: dict) -> dict:
+    """Options of every selected scheme, built before any cell runs so that a
+    bad solver override fails as a config error."""
+    rho = float(config.params.get("rho", 0.5))
+    return {s: scheme_options(s, rho=rho, **solver) for s in config.schemes}
 
 
 def _pool_size() -> int:
@@ -105,6 +115,12 @@ def _pool_size() -> int:
         except ValueError as exc:
             raise ConfigError(f"SPOPT_THREADS={env!r} is not an integer") from exc
     return min(4, os.cpu_count() or 1)
+
+
+def _map_cells(cell, items) -> list:
+    """Run independent cells on the worker pool; results keep input order."""
+    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        return list(pool.map(cell, items))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -181,20 +197,18 @@ def run_target(config: ExperimentConfig) -> dict:
         raise ConfigError(f"unknown target preset {preset!r}")
     solver = dict(defaults[preset])
     solver.update(p.get("solver", {}))
-    rho = float(p.get("rho", 0.5))
+    options = _options_by_scheme(config, solver)
 
     problem, x0 = _target_case(preset, n, config.seed)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
     def cell(scheme: str):
-        opts = scheme_options(scheme, rho=rho, **solver)
-        result = minimize(problem, x0, opts)
+        result = minimize(problem, x0, options[scheme])
         write_trace_csv(out / f"target_{preset}_{scheme}_trace.csv", result)
         return scheme, _result_summary(result)
 
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        results = dict(pool.map(cell, config.schemes))
+    results = dict(_map_cells(cell, config.schemes))
 
     summary = {"application": "target", "preset": preset, "seed": config.seed,
                "solver": solver, "schemes": results}
@@ -217,7 +231,7 @@ def run_sympev(config: ExperimentConfig) -> dict:
     k = int(p.get("k", 5))
     solver = dict(gtol=1e-12, niter=5000, gamma_max=1.0)
     solver.update(p.get("solver", {}))
-    rho = float(p.get("rho", 0.5))
+    options = _options_by_scheme(config, solver)
 
     a, diag = spsd_test_matrix(n, m, seed=config.seed)
     truth = np.sort(diag)[:k]
@@ -226,8 +240,7 @@ def run_sympev(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     def cell(scheme: str):
-        opts = scheme_options(scheme, rho=rho, **solver)
-        spectrum = symplectic_eigenpairs(a, k, solver_options=opts, x0=x0)
+        spectrum = symplectic_eigenpairs(a, k, solver_options=options[scheme], x0=x0)
         result = spectrum.solver_result
         write_trace_csv(out / f"sympev_{preset}_{scheme}_trace.csv", result)
         info = _result_summary(result)
@@ -237,8 +250,7 @@ def run_sympev(config: ExperimentConfig) -> dict:
         info["diagonalizer_orthogonality"] = spectrum.diagonalizer_orthogonality
         return scheme, info
 
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        results = dict(pool.map(cell, config.schemes))
+    results = dict(_map_cells(cell, config.schemes))
 
     timing = {s: results[s]["time_per_step_s"] for s in results}
     summary = {"application": "sympev", "preset": preset, "seed": config.seed,
@@ -303,7 +315,7 @@ def run_mor(config: ExperimentConfig) -> dict:
     deim_variants = p.get("deim_variants")
     solver = dict(gamma0=1e-8, gtol=1e-12, niter=1000)
     solver.update(p.get("solver", {}))
-    rho = float(p.get("rho", 0.5))
+    options = _options_by_scheme(config, solver)
 
     system = _build_model(model, int(setup["n"]), config.seed)
     iopts = IntegratorOptions(float(setup["h_t"]), float(setup["t_final"]))
@@ -326,9 +338,8 @@ def run_mor(config: ExperimentConfig) -> dict:
         if scheme is None:
             rom = build_rom(system, snaps, k, reduction="cotlift", nonlin=var)
         else:
-            opts = scheme_options(scheme, rho=rho, **solver)
             rom = build_rom(system, snaps, k, reduction="optimized",
-                            solver_options=opts, nonlin=var)
+                            solver_options=options[scheme], nonlin=var)
         rom_traj = crank_nicolson(rom, rom.x0_reduced, iopts)
         report = relative_errors(fom, rom, rom_traj)
         _series_csv(out / f"mor_{model}_k{k}_{label}_{var}_series.csv", report)
@@ -343,8 +354,7 @@ def run_mor(config: ExperimentConfig) -> dict:
         }
         return row
 
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        rows = list(pool.map(cell, cases))
+    rows = _map_cells(cell, cases)
 
     # one accelerating factor per (k, variant) group: FOM time over the mean
     # ROM simulation time across the reduction methods of that group
@@ -418,7 +428,10 @@ def config_from_args(args) -> ExperimentConfig:
     schemes = cfg.get("schemes", list(SCHEMES))
     if args.schemes:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    try:
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}") from exc
     out_dir = Path(args.out if args.out else cfg.get("out", "spopt-out"))
     paper = bool(args.paper_scale or cfg.get("paper_scale", False))
     params = {key: val for key, val in cfg.items()

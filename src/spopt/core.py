@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default absolute tolerance on the Frobenius feasibility residual.
+#: Absolute tolerance on the Frobenius feasibility residual.
 DEFAULT_FEAS_TOL = 1e-8
-#: Default absolute tolerance on the Frobenius tangency residual.
+#: Absolute tolerance on the Frobenius tangency residual.
 DEFAULT_TAN_TOL = 1e-8
 
 
@@ -43,7 +43,8 @@ def poisson(n: int) -> np.ndarray:
 
 
 def jmul(a: np.ndarray) -> np.ndarray:
-    """J @ a without forming J; `a` has an even number of rows."""
+    """J @ a without forming J; `a` (a matrix or a vector) has an even number
+    of rows."""
     m = a.shape[0] // 2
     return np.concatenate([a[m:], -a[:m]], axis=0)
 
@@ -64,12 +65,6 @@ def muljt(a: np.ndarray) -> np.ndarray:
     """a @ J^T without forming J."""
     m = a.shape[1] // 2
     return np.concatenate([a[:, m:], -a[:, :m]], axis=1)
-
-
-def jvec(v: np.ndarray) -> np.ndarray:
-    """J @ v for a 1-d vector of even length."""
-    m = v.shape[0] // 2
-    return np.concatenate([v[m:], -v[:m]])
 
 
 def skew_part(a: np.ndarray) -> np.ndarray:
@@ -152,12 +147,12 @@ class SymplecticPoint:
     entries: np.ndarray
 
     @classmethod
-    def from_entries(cls, entries, tol_feas: float = DEFAULT_FEAS_TOL,
-                     check: bool = True) -> "SymplecticPoint":
+    def from_entries(cls, entries, check: bool = True) -> "SymplecticPoint":
         e = np.ascontiguousarray(entries, dtype=float)
         d = _dims_of(e)
         if check:
-            _check_residual("symplecticity", symplecticity_residual(e), tol_feas)
+            _check_residual("symplecticity", symplecticity_residual(e),
+                            DEFAULT_FEAS_TOL)
         return cls(d, e)
 
     @property
@@ -167,12 +162,6 @@ class SymplecticPoint:
     @property
     def k(self) -> int:
         return self.dims.k
-
-    def residual(self) -> float:
-        return symplecticity_residual(self.entries)
-
-    def symplectic_inverse(self) -> np.ndarray:
-        return symplectic_inverse(self)
 
 
 @dataclass(frozen=True)
@@ -184,19 +173,17 @@ class TangentVector:
 
     @classmethod
     def from_entries(cls, base: SymplecticPoint, entries,
-                     tol_tan: float = DEFAULT_TAN_TOL, check: bool = True) -> "TangentVector":
+                     check: bool = True) -> "TangentVector":
         e = np.ascontiguousarray(entries, dtype=float)
         if e.shape != base.entries.shape:
             raise ValueError(f"shape mismatch: {e.shape} vs {base.entries.shape}")
         if check:
-            _check_residual("tangency", tangency_residual(base.entries, e), tol_tan)
+            _check_residual("tangency", tangency_residual(base.entries, e),
+                            DEFAULT_TAN_TOL)
         return cls(base, e)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    def residual(self) -> float:
-        return tangency_residual(self.base.entries, self.entries)
 
 
 def canonical_point(n: int, k: int) -> SymplecticPoint:

@@ -17,19 +17,17 @@ composes the operators
 
 applied as chains of 2n-by-2k products; Xperp Xperp^T is applied through the
 orthogonal projector I - Q Q^T with Q a thin orthonormal basis of range(X),
-so no 2n-by-2n matrix and no explicit complement is ever formed on the hot
-path.  The explicit complement and the (W, K) coordinate extraction are
-test-scale facilities with cubic cost in 2(n-k).
+so no 2n-by-2n matrix and no explicit complement is ever formed.  The
+explicit complement, the (W, K) coordinate extraction and the metric inner
+products built on it are test-scale oracles in :mod:`spopt.oracles`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     NumericalFailure,
@@ -40,16 +38,7 @@ from .core import (
     mulj,
     skew_part,
     sym_part,
-    symplectic_inverse,
 )
-
-
-class RankDeficient(NumericalFailure):
-    """The point is numerically rank-deficient; no orthonormal complement."""
-
-
-class SingularSystem(NumericalFailure):
-    """A coordinate-extraction system is numerically singular."""
 
 
 class NotSPD(NumericalFailure):
@@ -79,59 +68,6 @@ class Metric:
     @classmethod
     def euclidean(cls) -> "Metric":
         return cls(MetricKind.EUCLIDEAN)
-
-
-@dataclass(frozen=True)
-class ComplementBasis:
-    """Orthonormal basis of range(X)^perp: X^T Xperp = 0, Xperp^T Xperp = I."""
-
-    base: SymplecticPoint
-    entries: np.ndarray
-
-    @cached_property
-    def form(self) -> np.ndarray:
-        """The restricted symplectic form Xperp^T J Xperp (skew, nonsingular)."""
-        return self.entries.T @ jmul(self.entries)
-
-
-@dataclass(frozen=True)
-class TangentCoordinates:
-    """Coordinates (W, K) of Z = X J W + J Xperp K with W symmetric."""
-
-    w: np.ndarray
-    k: np.ndarray
-
-
-def orthonormal_complement(x: SymplecticPoint) -> ComplementBasis:
-    """Extend a thin orthogonal factorization of X to a full basis.
-
-    Raises :class:`RankDeficient` when the smallest singular value of X is
-    below 1e-10 times the largest.  For k = n the complement is empty and all
-    downstream formulas degrade to their square-case forms.
-    """
-    e = x.entries
-    sv = np.linalg.svd(e, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise RankDeficient(f"singular value ratio {sv[-1] / sv[0]:.3e}")
-    q, _ = scipy.linalg.qr(e, mode="full")
-    return ComplementBasis(x, np.ascontiguousarray(q[:, e.shape[1]:]))
-
-
-def tangent_coordinates(x: SymplecticPoint, complement: ComplementBasis,
-                        z) -> TangentCoordinates:
-    """Recover (W, K) from a tangent vector; dense solve, test-scale only."""
-    ze = np.asarray(getattr(z, "entries", z), dtype=float)
-    w = sym_part(jtmul(symplectic_inverse(x) @ ze))
-    rhs = complement.entries.T @ ze
-    form = complement.form
-    if form.size == 0:
-        k = np.zeros((0, ze.shape[1]))
-    else:
-        cond = np.linalg.cond(form)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularSystem(f"restricted form condition {cond:.3e}")
-        k = np.linalg.solve(form, rhs)
-    return TangentCoordinates(w, k)
 
 
 def solve_skew_lyapunov(p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -186,46 +122,21 @@ def project_tangent(metric: Metric, x: SymplecticPoint, y) -> TangentVector:
     return TangentVector(x, z)
 
 
-def riemannian_gradient(metric: Metric, x: SymplecticPoint, egrad: np.ndarray,
-                        complement: ComplementBasis | None = None) -> TangentVector:
+def riemannian_gradient(metric: Metric, x: SymplecticPoint,
+                        egrad: np.ndarray) -> TangentVector:
     """Riemannian gradient from the Euclidean gradient of a smooth extension.
 
-    Defined by g(grad f(X), Z) = tr(egrad^T Z) for all tangent Z.  Canonical:
-    S_{X,egrad} J X with H_X in place of G_X; Euclidean: egrad - J X Omega.
-    When no complement is supplied the canonical branch applies
-    Xperp Xperp^T = I - Q Q^T through a thin QR of X.
+    Defined by g(grad f(X), Z) = tr(egrad^T Z) for all tangent Z.  Euclidean:
+    the Euclidean projection egrad - J X Omega.  Canonical: S_{X,egrad} J X
+    with H_X in place of G_X, applying Xperp Xperp^T = I - Q Q^T through a
+    thin QR of X.
     """
+    if metric.kind is MetricKind.EUCLIDEAN:
+        return project_tangent(metric, x, egrad)
     e = x.entries
     g = np.asarray(egrad, dtype=float)
-    if metric.kind is MetricKind.EUCLIDEAN:
-        omega = euclidean_normal_coefficient(x, g)
-        z = g - jmul(e @ omega)
-        return TangentVector(x, z)
     v = jtmul(g)
-    if complement is not None:
-        xp = complement.entries
-        proj = xp @ (xp.T @ v)
-    else:
-        q, _ = np.linalg.qr(e)
-        proj = v - q @ (q.T @ v)
+    q, _ = np.linalg.qr(e)
+    proj = v - q @ (q.T @ v)
     hg = 0.5 * metric.rho * e @ (e.T @ g) + jmul(proj)
     return TangentVector(x, _sxy_times_jx(e, hg))
-
-
-def metric_inner(metric: Metric, x: SymplecticPoint,
-                 complement: ComplementBasis | None, z1, z2) -> float:
-    """Inner product of two tangent vectors at X under the chosen metric.
-
-    The canonical-like branch extracts (W, K) coordinates and therefore
-    needs an explicit complement; the optimizer never calls it, evaluating
-    g(grad f, Z) through the gradient duality instead.
-    """
-    z1e = np.asarray(getattr(z1, "entries", z1), dtype=float)
-    z2e = np.asarray(getattr(z2, "entries", z2), dtype=float)
-    if metric.kind is MetricKind.EUCLIDEAN:
-        return float(np.sum(z1e * z2e))
-    if complement is None:
-        complement = orthonormal_complement(x)
-    c1 = tangent_coordinates(x, complement, z1e)
-    c2 = tangent_coordinates(x, complement, z2e)
-    return float(np.sum(c1.w * c2.w) / metric.rho + np.sum(c1.k * c2.k))

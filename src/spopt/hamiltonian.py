@@ -29,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import NumericalFailure, SymplecticPoint, jvec, symplectic_inverse
-from .applications import PsdProblem, DeimOperator, deim_reduced_rhs, deim_select
-from .optimizer import SolverOptions, SolverResult, minimize
+from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
+from .applications import (DeimOperator, PsdProblem, _block_diag_lift,
+                           deim_reduced_rhs, deim_select)
+from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
 __all__ = [
@@ -155,7 +156,7 @@ class HamiltonianSystem:
         return g
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
-        return jvec(self.grad(x))
+        return jmul(self.grad(x))
 
     def grad_jacobian(self, x: np.ndarray):
         if self.nonlin is None:
@@ -167,12 +168,13 @@ class HamiltonianSystem:
 class IntegratorOptions:
     h_t: float
     t_final: float
-    newton_tol: float = 1e-10
     newton_maxit: int = 50
 
     def __post_init__(self):
         if self.h_t <= 0 or self.t_final <= 0:
             raise ValueError("h_t and t_final must be positive")
+        if self.newton_maxit < 1:
+            raise ValueError(f"newton_maxit must be >= 1, got {self.newton_maxit}")
         steps = self.t_final / self.h_t
         if abs(steps - round(steps)) > 1e-8 * max(1.0, round(steps)):
             raise ValueError(f"t_final/h_t = {steps} is not integral")
@@ -210,7 +212,8 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     Linear systems reduce to one prefactored solve per step and conserve the
     quadratic energy exactly up to roundoff.  Nonlinear steps run a Newton
     iteration on the step residual with the analytic Jacobian
-    I - (h/2) J (M + Hess h); exceeding the budget raises
+    I - (h/2) J (M + Hess h) until the residual norm is at most 1e-10;
+    exceeding the budget of ``newton_maxit`` iterations raises
     :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
@@ -240,12 +243,12 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             raise NewtonDivergence("linear step produced non-finite states")
     else:
         for m in range(steps):
-            fx = jvec(system.grad(x))
+            fx = jmul(system.grad(x))
             y = x + h * fx
             converged = False
             for _ in range(opts.newton_maxit):
-                res = y - x - 0.5 * h * (fx + jvec(system.grad(y)))
-                if np.linalg.norm(res) <= opts.newton_tol:
+                res = y - x - 0.5 * h * (fx + jmul(system.grad(y)))
+                if np.linalg.norm(res) <= 1e-10:
                     converged = True
                     break
                 jac = _jmul_matrix(system.grad_jacobian(y))
@@ -473,11 +476,7 @@ def state_seeded_cotangent_lift(snapshots: np.ndarray, k: int,
     if len(seeds) > k:
         raise ValueError("k too small to seed the initial state")
     q, _ = np.linalg.qr(np.column_stack(seeds + [u[:, :k]]))
-    xhat = q[:, :k]
-    out = np.zeros((2 * n, 2 * k))
-    out[:n, :k] = xhat
-    out[n:, k:] = xhat
-    return SymplecticPoint.from_entries(out)
+    return _block_diag_lift(q[:, :k])
 
 
 def restore_state_containment(u: SymplecticPoint, x0: np.ndarray) -> SymplecticPoint:
@@ -532,7 +531,7 @@ class ReducedSystem:
         return self.deim(xt)
 
     def rhs(self, xt: np.ndarray) -> np.ndarray:
-        return jvec(self.grad(xt))
+        return jmul(self.grad(xt))
 
     def grad_jacobian(self, xt: np.ndarray) -> np.ndarray:
         if self.full.nonlin is None:
@@ -561,9 +560,7 @@ class ReducedSystem:
 def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
               reduction: str = "cotlift",
               solver_options: SolverOptions | None = None,
-              nonlin: str = "exact",
-              deim_modes: int | None = None,
-              include_initial_state: bool = True) -> ReducedSystem:
+              nonlin: str = "exact") -> ReducedSystem:
     """Assemble a structure-preserving reduced model from snapshot data.
 
     reduction "cotlift" takes the (state-seeded) cotangent lift; "optimized"
@@ -574,8 +571,8 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
 
     nonlin "exact" keeps the full nonlinear term; "psd-deim" and
     "structure-preserving" interpolate it on greedily selected components of
-    a gradient-snapshot basis with round(2.5 k) modes by default, clamped to
-    the available rank.
+    a gradient-snapshot basis with round(2.5 k) modes, clamped to the
+    available rank.
     """
     snapshots = np.asarray(snapshots, dtype=float)
     if snapshots.shape[1] < k:
@@ -587,23 +584,17 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
     if system.is_linear and nonlin != "exact":
         raise ValueError(f"{system.name} is linear; no term to interpolate")
 
-    if include_initial_state:
-        u = state_seeded_cotangent_lift(snapshots, k, system.x0)
-    else:
-        from .applications import cotangent_lift
-        u = cotangent_lift(snapshots, k)
+    u = state_seeded_cotangent_lift(snapshots, k, system.x0)
     prob = PsdProblem(snapshots, k)
     diagnostics = {"cost_cotlift": prob.cost(u.entries)}
 
-    opt_result: SolverResult | None = None
     if reduction == "optimized":
         opts = solver_options or SolverOptions(gamma0=1e-8, gtol=1e-12, niter=1000)
         opt_result = minimize(prob, u, opts)
         u = opt_result.x_final
         diagnostics["cost_optimized"] = prob.cost(u.entries)
-        if include_initial_state:
-            u = restore_state_containment(u, system.x0)
-            diagnostics["cost_restored"] = prob.cost(u.entries)
+        u = restore_state_containment(u, system.x0)
+        diagnostics["cost_restored"] = prob.cost(u.entries)
         diagnostics["solver_status"] = opt_result.status.value
         diagnostics["solver_iterations"] = opt_result.trace.iterations
         diagnostics["cost_trace"] = opt_result.trace.costs()
@@ -619,8 +610,7 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         rank = int(np.sum(sv > 1e-12 * sv[0])) if sv[0] > 0 else 0
         if rank == 0:
             raise ValueError("nonlinear gradient snapshots are identically zero")
-        m = deim_modes if deim_modes is not None else int(round(2.5 * k))
-        m = max(1, min(m, rank))
+        m = max(1, min(int(round(2.5 * k)), rank))
         v = basis_full[:, :m]
         indices = deim_select(v)
         deim_op = deim_reduced_rhs(u, system.mass, v, indices,

@@ -77,6 +77,8 @@ class SolverOptions:
             raise ValueError("need 0 < gamma_min < gamma_max")
         if self.gtol <= 0 or self.niter < 1 or self.gamma0 <= 0:
             raise ValueError("gtol, niter, gamma0 must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError(f"max_backtracks must be >= 0, got {self.max_backtracks}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,8 @@ class SolverTrace:
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records])
 
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records])
-
     def feasibilities(self) -> np.ndarray:
         return np.array([r.feasibility for r in self.records])
-
-    def taus(self) -> np.ndarray:
-        return np.array([r.tau for r in self.records[1:]])
 
     @property
     def iterations(self) -> int:

@@ -1,0 +1,190 @@
+"""Test-scale oracles: dense reference forms the fast kernels are checked
+against on small instances (SR existence and normalization, classical-order
+Gram-Schmidt, the full Cayley transform, and the (W, K) tangent coordinates
+with the metrics evaluated through them).  Only the package ``__init__``
+imports this module; the solver path never does.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+import scipy.linalg
+
+from .core import (NumericalFailure, SymplecticPoint, jmul, jtmul, mulj,
+                   perfect_shuffle, sym_part, symplectic_inverse)
+from .geometry import Metric, MetricKind
+from .retractions import _solve_checked
+from .sr import PspsFactors, _check_shape, _desr_pair, _j2t
+
+
+class RankDeficient(NumericalFailure):
+    """The point is numerically rank-deficient; no orthonormal complement."""
+
+
+class SingularSystem(NumericalFailure):
+    """A coordinate-extraction system is numerically singular."""
+
+
+def sgs_basic(a: np.ndarray) -> PspsFactors:
+    """Classical-order symplectic Gram-Schmidt in shuffled column order.
+
+    Every coefficient block R_hat[i, j] = J_2^T S_i^T J A_j is computed from
+    the original columns before subtracting.  Kept for oracle comparisons;
+    prefer :func:`spopt.sr.sgs_modified`.
+    """
+    a = _check_shape(a)
+    n2, k2 = a.shape
+    k = k2 // 2
+    s_hat = np.empty_like(a)
+    r_hat = np.zeros((k2, k2))
+    for j in range(k):
+        aj = a[:, 2 * j: 2 * j + 2]
+        w = aj.copy()
+        for i in range(j):
+            si = s_hat[:, 2 * i: 2 * i + 2]
+            rij = _j2t(si.T @ jmul(aj))
+            r_hat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = rij
+            w -= si @ rij
+        sj, diag = _desr_pair(w, j)
+        s_hat[:, 2 * j: 2 * j + 2] = sj
+        r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
+    return PspsFactors(s_hat, r_hat)
+
+
+def even_minor_check(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
+    """Existence oracle: are all even leading minors of P A^T J A P^T nonzero?
+
+    "Nonzero" is judged by the smallest singular value of each leading block
+    relative to ||A^T J A||_2.  Exponential in nothing but still O(k^4) dense
+    work; intended for small test instances only.
+    """
+    a = _check_shape(a)
+    k = a.shape[1] // 2
+    gram = a.T @ jmul(a)
+    b = perfect_shuffle(k).conjugate(gram)
+    scale = np.linalg.norm(gram, 2)
+    if scale == 0.0:
+        return False
+    for j in range(1, k + 1):
+        sub = b[: 2 * j, : 2 * j]
+        smin = np.linalg.svd(sub, compute_uv=False)[-1]
+        if smin <= rel_tol * scale:
+            return False
+    return True
+
+
+def in_normalized_triangular_set(r: np.ndarray, atol: float = 0.0) -> bool:
+    """Check membership of R in the normalized set fixing SR uniqueness.
+
+    Conjugating by the perfect shuffle must give an upper triangular matrix
+    with, per 2x2 diagonal block, zero super-entry, positive first entry, and
+    equal absolute values on the diagonal.
+    """
+    r = np.asarray(r, dtype=float)
+    k = r.shape[0] // 2
+    r_hat = perfect_shuffle(k).conjugate(r)
+    if not np.allclose(r_hat, np.triu(r_hat), atol=atol, rtol=0.0):
+        return False
+    for j in range(k):
+        d1, d2 = r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1]
+        if abs(r_hat[2 * j, 2 * j + 1]) > atol:
+            return False
+        if not d1 > 0.0:
+            return False
+        if abs(abs(d2) - d1) > atol + 1e-15 * d1:
+            return False
+    return True
+
+
+def cayley_full(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
+    """Full-size Cayley transform (I - S J/2)^{-1} (I + S J/2) X.
+
+    S is the canonical projection intermediate built from G_X Z; the solve is
+    2n-by-2n, so this form is the oracle, not the workhorse.
+    """
+    e = x.entries
+    ze = np.asarray(getattr(z, "entries", z), dtype=float)
+    n2 = e.shape[0]
+    gz = ze - 0.5 * e @ jmul(e.T @ jtmul(ze))
+    xj = mulj(e)
+    s = gz @ xj.T + xj @ gz.T
+    half = 0.5 * mulj(s)
+    lhs = np.eye(n2) - half
+    rhs = (np.eye(n2) + half) @ e
+    out = _solve_checked(lhs, rhs)
+    return SymplecticPoint.from_entries(out, check=check)
+
+
+@dataclass(frozen=True)
+class ComplementBasis:
+    """Orthonormal basis of range(X)^perp: X^T Xperp = 0, Xperp^T Xperp = I."""
+
+    base: SymplecticPoint
+    entries: np.ndarray
+
+    @cached_property
+    def form(self) -> np.ndarray:
+        """The restricted symplectic form Xperp^T J Xperp (skew, nonsingular)."""
+        return self.entries.T @ jmul(self.entries)
+
+
+@dataclass(frozen=True)
+class TangentCoordinates:
+    """Coordinates (W, K) of Z = X J W + J Xperp K with W symmetric."""
+
+    w: np.ndarray
+    k: np.ndarray
+
+
+def orthonormal_complement(x: SymplecticPoint) -> ComplementBasis:
+    """Extend a thin orthogonal factorization of X to a full basis.
+
+    Raises :class:`RankDeficient` when the smallest singular value of X is
+    below 1e-10 times the largest.  For k = n the complement is empty and all
+    downstream formulas degrade to their square-case forms.
+    """
+    e = x.entries
+    sv = np.linalg.svd(e, compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        raise RankDeficient(f"singular value ratio {sv[-1] / sv[0]:.3e}")
+    q, _ = scipy.linalg.qr(e, mode="full")
+    return ComplementBasis(x, np.ascontiguousarray(q[:, e.shape[1]:]))
+
+
+def tangent_coordinates(x: SymplecticPoint, complement: ComplementBasis,
+                        z) -> TangentCoordinates:
+    """Recover (W, K) from a tangent vector; dense solve, test-scale only."""
+    ze = np.asarray(getattr(z, "entries", z), dtype=float)
+    w = sym_part(jtmul(symplectic_inverse(x) @ ze))
+    rhs = complement.entries.T @ ze
+    form = complement.form
+    if form.size == 0:
+        k = np.zeros((0, ze.shape[1]))
+    else:
+        cond = np.linalg.cond(form)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularSystem(f"restricted form condition {cond:.3e}")
+        k = np.linalg.solve(form, rhs)
+    return TangentCoordinates(w, k)
+
+
+def metric_inner(metric: Metric, x: SymplecticPoint,
+                 complement: ComplementBasis | None, z1, z2) -> float:
+    """Inner product of two tangent vectors at X under the chosen metric.
+
+    The canonical-like branch extracts (W, K) coordinates and therefore
+    needs an explicit complement; the optimizer never calls it, evaluating
+    g(grad f, Z) through the gradient duality instead.
+    """
+    z1e = np.asarray(getattr(z1, "entries", z1), dtype=float)
+    z2e = np.asarray(getattr(z2, "entries", z2), dtype=float)
+    if metric.kind is MetricKind.EUCLIDEAN:
+        return float(np.sum(z1e * z2e))
+    if complement is None:
+        complement = orthonormal_complement(x)
+    c1 = tangent_coordinates(x, complement, z1e)
+    c2 = tangent_coordinates(x, complement, z2e)
+    return float(np.sum(c1.w * c2.w) / metric.rho + np.sum(c1.k * c2.k))

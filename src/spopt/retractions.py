@@ -1,8 +1,8 @@
-"""Retractions: Cayley (full and economical), quasi-geodesic, and SR.
+"""Retractions: Cayley, quasi-geodesic, and SR.
 
-All four maps satisfy R_X(0) = X and d/dt R_X(tZ)|_0 = Z.  The economical
-Cayley form needs one 2k-by-2k solve and is the default Cayley; the full form
-solves a 2n-by-2n system and is retained as an oracle and for k close to n.
+All three maps satisfy R_X(0) = X and d/dt R_X(tZ)|_0 = Z.  The Cayley
+retraction is the economical form, with one 2k-by-2k solve; the full form,
+with a 2n-by-2n solve, is the oracle ``spopt.oracles.cayley_full``.
 The quasi-geodesic map is globally defined but lets feasibility drift
 accumulate over many steps; the SR retraction re-factorizes X + Z at every
 call and keeps iterates symplectic to factorization accuracy whenever
@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .core import NumericalFailure, SymplecticPoint, jmul, jtmul, mulj
-from .sr import Breakdown, sgs, spectral_norm_estimate
+from .core import NumericalFailure, SymplecticPoint, jmul, jtmul
+from .sr import Breakdown, sgs
 
 
 class SingularCayley(NumericalFailure):
@@ -26,7 +26,6 @@ class SingularCayley(NumericalFailure):
 
 
 class RetractionKind(enum.Enum):
-    CAYLEY_FULL = "cayley-full"
     CAYLEY_ECONOMICAL = "cayley"
     QUASI_GEODESIC = "quasi-geodesic"
     SR = "sr"
@@ -45,25 +44,6 @@ def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise SingularCayley(f"solve failed (info={info})")
     return x
-
-
-def cayley_full(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
-    """Full-size Cayley transform (I - S J/2)^{-1} (I + S J/2) X.
-
-    S is the canonical projection intermediate built from G_X Z; the solve is
-    2n-by-2n, so this form is the oracle, not the workhorse.
-    """
-    e = x.entries
-    ze = np.asarray(getattr(z, "entries", z), dtype=float)
-    n2 = e.shape[0]
-    gz = ze - 0.5 * e @ jmul(e.T @ jtmul(ze))
-    xj = mulj(e)
-    s = gz @ xj.T + xj @ gz.T
-    half = 0.5 * mulj(s)
-    lhs = np.eye(n2) - half
-    rhs = (np.eye(n2) + half) @ e
-    out = _solve_checked(lhs, rhs)
-    return SymplecticPoint.from_entries(out, check=check)
 
 
 def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
@@ -104,30 +84,19 @@ def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint
     return SymplecticPoint.from_entries(out, check=check)
 
 
-def sr_retract(x: SymplecticPoint, z, check: bool = True,
-               safeguard: bool = False) -> SymplecticPoint:
+def sr_retract(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
     """SR retraction: the symplectic factor of the SR decomposition of X + Z.
 
     Exists whenever ||Z||_2 < 1 and, generically, far beyond; failures raise
-    :class:`Breakdown`.  With ``safeguard`` a power-iteration estimate of
-    ||Z||_2 is computed and Z is rescaled to spectral norm 0.99 when the
-    estimate reaches 1; off by default since the plain map has never been
-    observed to fail along line-search steps.
+    :class:`Breakdown`.
     """
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
-    if safeguard:
-        nrm = spectral_norm_estimate(ze)
-        if nrm >= 1.0:
-            ze = ze * (0.99 / nrm)
-    factors = sgs(x.entries + ze, check=check)
-    return factors.s
+    return sgs(x.entries + ze, check=check).s
 
 
 def retract(kind: RetractionKind, x: SymplecticPoint, z,
             check: bool = True) -> SymplecticPoint:
-    """Dispatch to one of the four retraction implementations."""
-    if kind is RetractionKind.CAYLEY_FULL:
-        return cayley_full(x, z, check=check)
+    """Dispatch to one of the three retraction implementations."""
     if kind is RetractionKind.CAYLEY_ECONOMICAL:
         return cayley_economical(x, z, check=check)
     if kind is RetractionKind.QUASI_GEODESIC:

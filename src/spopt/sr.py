@@ -29,9 +29,9 @@ ill-conditioned or non-factorizable input, the Gram-Schmidt path runs on the
 original columns and alone decides whether to raise :class:`Breakdown`.
 
 Existence for the full matrix is equivalent to all even leading minors of
-the shuffled Gram matrix P A^T J A P^T being nonzero; :func:`even_minor_check`
-evaluates that condition directly and is kept as a small-scale oracle (minor
-evaluation is far more expensive than running the factorization itself).
+the shuffled Gram matrix P A^T J A P^T being nonzero.  The small-scale
+oracles that check this module (that condition, the normalization of R and
+classical-order Gram-Schmidt) live in :mod:`spopt.oracles`.
 """
 
 from __future__ import annotations
@@ -126,39 +126,14 @@ def _j2t(block: np.ndarray) -> np.ndarray:
     return np.concatenate([-block[1:2], block[0:1]], axis=0)
 
 
-def sgs_basic(a: np.ndarray) -> PspsFactors:
-    """Classical-order symplectic Gram-Schmidt in shuffled column order.
-
-    Every coefficient block R_hat[i, j] = J_2^T S_i^T J A_j is computed from
-    the original columns before subtracting.  Kept for oracle comparisons;
-    prefer :func:`sgs_modified`.
-    """
-    a = _check_shape(a)
-    n2, k2 = a.shape
-    k = k2 // 2
-    s_hat = np.empty_like(a)
-    r_hat = np.zeros((k2, k2))
-    for j in range(k):
-        aj = a[:, 2 * j: 2 * j + 2]
-        w = aj.copy()
-        for i in range(j):
-            si = s_hat[:, 2 * i: 2 * i + 2]
-            rij = _j2t(si.T @ jmul(aj))
-            r_hat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = rij
-            w -= si @ rij
-        sj, diag = _desr_pair(w, j)
-        s_hat[:, 2 * j: 2 * j + 2] = sj
-        r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
-    return PspsFactors(s_hat, r_hat)
-
-
 def sgs_modified(a: np.ndarray) -> PspsFactors:
     """Modified-order symplectic Gram-Schmidt in shuffled column order.
 
     As soon as a pair is finalized, all remaining columns are orthogonalized
     against it, so later coefficients are computed from already-reduced
-    columns.  Algebraically identical to :func:`sgs_basic`; numerically the
-    better-behaved variant and the one :func:`sgs` falls back to.
+    columns.  Algebraically identical to :func:`spopt.oracles.sgs_basic`;
+    numerically the better-behaved variant and the one :func:`sgs` falls
+    back to.
     """
     a = _check_shape(a)
     n2, k2 = a.shape
@@ -265,71 +240,6 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     r = shuffle.unconjugate(psps.r_hat)
     point = SymplecticPoint.from_entries(s, check=check)
     return SrFactors(point, r)
-
-
-def even_minor_check(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
-    """Existence oracle: are all even leading minors of P A^T J A P^T nonzero?
-
-    "Nonzero" is judged by the smallest singular value of each leading block
-    relative to ||A^T J A||_2.  Exponential in nothing but still O(k^4) dense
-    work; intended for small test instances only.
-    """
-    a = _check_shape(a)
-    k = a.shape[1] // 2
-    gram = a.T @ jmul(a)
-    b = perfect_shuffle(k).conjugate(gram)
-    scale = np.linalg.norm(gram, 2)
-    if scale == 0.0:
-        return False
-    for j in range(1, k + 1):
-        sub = b[: 2 * j, : 2 * j]
-        smin = np.linalg.svd(sub, compute_uv=False)[-1]
-        if smin <= rel_tol * scale:
-            return False
-    return True
-
-
-def in_normalized_triangular_set(r: np.ndarray, atol: float = 0.0) -> bool:
-    """Check membership of R in the normalized set fixing SR uniqueness.
-
-    Conjugating by the perfect shuffle must give an upper triangular matrix
-    with, per 2x2 diagonal block, zero super-entry, positive first entry, and
-    equal absolute values on the diagonal.
-    """
-    r = np.asarray(r, dtype=float)
-    k = r.shape[0] // 2
-    r_hat = perfect_shuffle(k).conjugate(r)
-    if not np.allclose(r_hat, np.triu(r_hat), atol=atol, rtol=0.0):
-        return False
-    for j in range(k):
-        d1, d2 = r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1]
-        if abs(r_hat[2 * j, 2 * j + 1]) > atol:
-            return False
-        if not d1 > 0.0:
-            return False
-        if abs(abs(d2) - d1) > atol + 1e-15 * d1:
-            return False
-    return True
-
-
-def spectral_norm_estimate(z: np.ndarray, iters: int = 20, tol: float = 1e-6,
-                           seed: int = 0) -> float:
-    """Power-iteration estimate of ||Z||_2 via Z^T Z; cheap, not certified."""
-    z = np.asarray(z, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(z.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(iters):
-        w = z.T @ (z @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * lam:
-            break
-        prev = lam
-    return float(np.sqrt(lam))
 
 
 def _check_shape(a: np.ndarray) -> np.ndarray:

@@ -254,11 +254,11 @@ class TestSymplecticEigenpairs:
     def test_vector_pair_relations(self):
         a, d = spsd_test_matrix(15, 2, seed=8)
         spec = symplectic_eigenpairs(a, 3, seed=9)
-        from spopt.core import jvec
+        from spopt.core import jmul
         for j, (u, v) in enumerate(spec.vector_pairs):
             dj = spec.values[j]
-            assert np.linalg.norm(a @ u - dj * jvec(v)) <= 1e-6 * np.linalg.norm(a, 2)
-            assert np.linalg.norm(a @ v + dj * jvec(u)) <= 1e-6 * np.linalg.norm(a, 2)
+            assert np.linalg.norm(a @ u - dj * jmul(v)) <= 1e-6 * np.linalg.norm(a, 2)
+            assert np.linalg.norm(a @ v + dj * jmul(u)) <= 1e-6 * np.linalg.norm(a, 2)
 
     def test_nonconvergence_warns(self):
         a, _ = spsd_test_matrix(15, 2, seed=8)

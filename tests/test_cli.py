@@ -7,9 +7,10 @@ from spopt import cli
 from spopt.applications import SingularSelection
 from spopt.cli import ConfigError, ExperimentConfig, main, scheme_options
 from spopt.core import FeasibilityError, NumericalFailure, SymplecticPoint
-from spopt.geometry import NotSPD, RankDeficient, SingularSystem
+from spopt.geometry import NotSPD
 from spopt.hamiltonian import GridMismatch, NewtonDivergence
 from spopt.optimizer import LineSearchError
+from spopt.oracles import RankDeficient, SingularSystem
 from spopt.retractions import SingularCayley
 from spopt.sr import Breakdown
 
@@ -45,6 +46,30 @@ class TestArgumentHandling:
         cfg = write_cfg(tmp_path, {"preset": "bogus"})
         rc = main(["target", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("app", ["target", "sympev", "mor"])
+    @pytest.mark.parametrize("solver, message", [
+        pytest.param({"nitr": 10}, "unexpected keyword argument 'nitr'",
+                     id="unknown-key"),
+        pytest.param({"max_backtracks": -1}, "max_backtracks", id="negative-budget"),
+    ])
+    def test_bad_solver_override_exits_2(self, app, solver, message, tmp_path, capsys):
+        # rejected before any cell or full-order simulation runs
+        cfg = write_cfg(tmp_path, {"solver": solver})
+        rc = main([app, "--config", cfg, "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["x", [1]], ids=["string", "list"])
+    def test_non_integer_seed_exits_2(self, seed, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"seed": seed})
+        rc = main(["target", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: seed")
 
     def test_scheme_options_mapping(self):
         opts = scheme_options("SRC", gtol=1e-9)

@@ -10,7 +10,6 @@ from spopt.core import (
     canonical_point,
     jmul,
     jtmul,
-    jvec,
     mulj,
     muljt,
     perfect_shuffle,
@@ -56,7 +55,7 @@ class TestAppliedJ:
         assert np.allclose(mulj(a), a @ j6)
         assert np.allclose(muljt(a), a @ j6.T)
         v = rng.standard_normal(10)
-        assert np.allclose(jvec(v), j10 @ v)
+        assert np.allclose(jmul(v), j10 @ v)
 
 
 class TestPerfectShuffle:

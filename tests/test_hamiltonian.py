@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from spopt.core import jvec, poisson, symplecticity_residual
+from spopt.core import jmul, poisson, symplecticity_residual
 from spopt.hamiltonian import (
     GridMismatch,
     IntegratorOptions,
@@ -59,7 +59,7 @@ class TestModelConsistency:
     def test_rhs_is_j_of_gradient(self, factory, rng):
         sysm = factory()
         x = rng.standard_normal(sysm.dim)
-        assert np.linalg.norm(sysm.rhs(x) - jvec(sysm.grad(x))) <= 1e-12
+        assert np.linalg.norm(sysm.rhs(x) - jmul(sysm.grad(x))) <= 1e-12
 
     @pytest.mark.parametrize("factory", ALL_MODELS)
     def test_hessian_matches_gradient_differences(self, factory, rng):
@@ -157,7 +157,7 @@ class TestSchrodingerModel:
         s = schrodinger_system(24)
         for _ in range(3):
             x = rng.standard_normal(s.dim)
-            assert np.linalg.norm(s.rhs(x) - jvec(s.grad(x))) <= 1e-12
+            assert np.linalg.norm(s.rhs(x) - jmul(s.grad(x))) <= 1e-12
 
     def test_full_scale_parameters(self):
         s = schrodinger_system(1024)
@@ -259,6 +259,11 @@ class TestCrankNicolson:
             IntegratorOptions(0.3, 1.0)  # not integral
         with pytest.raises(ValueError):
             IntegratorOptions(-0.1, 1.0)
+
+    def test_zero_newton_budget_rejected(self):
+        # with no Newton iteration the step residual is never formed
+        with pytest.raises(ValueError, match="newton_maxit"):
+            IntegratorOptions(0.5, 1.0, newton_maxit=0)
 
 
 @pytest.fixture(scope="module")

@@ -252,3 +252,8 @@ class TestMinimize:
             SolverOptions(gamma_min=1.0, gamma_max=0.5)
         with pytest.raises(ValueError):
             SolverOptions(alpha=1.5)
+
+    def test_negative_backtrack_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            SolverOptions(max_backtracks=-1)
+        assert SolverOptions(max_backtracks=0).max_backtracks == 0

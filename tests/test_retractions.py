@@ -1,14 +1,25 @@
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spopt.core import jmul, mulj, symplecticity_residual
+from spopt.applications import random_symplectic_orthogonal
+from spopt.core import (
+    NumericalFailure,
+    SymplecticPoint,
+    canonical_point,
+    jmul,
+    mulj,
+    symplecticity_residual,
+)
+from spopt.oracles import cayley_full
 from spopt.retractions import (
     RetractionKind,
     SingularCayley,
     cayley_economical,
-    cayley_full,
     quasi_geodesic,
     retract,
     sr_retract,
@@ -17,35 +28,91 @@ from spopt.sr import Breakdown
 
 from conftest import random_point, random_tangent, random_tangent_spectral
 
-ALL_KINDS = list(RetractionKind)
+# the solver's retractions through ``retract``, and the full Cayley oracle
+RETRACTIONS = [pytest.param(partial(retract, kind), id=str(kind)) for kind in RetractionKind]
+RETRACTIONS.append(pytest.param(cayley_full, id="cayley_full"))
+RETRACTION_FUNCTIONS = [cayley_full, cayley_economical, quasi_geodesic, sr_retract]
 
 
-def remainder_ratio(kind, x, z, t=1e-3):
+def remainder_ratio(retraction, x, z, t=1e-3):
     def e(tt):
-        r = retract(kind, x, tt * z.entries)
+        r = retraction(x, tt * z.entries)
         return np.linalg.norm(r.entries - x.entries - tt * z.entries)
     return e(t / 2) / e(t)
 
 
 class TestAxioms:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_zero_maps_to_base(self, kind, rng):
+    @pytest.mark.parametrize("retraction", RETRACTIONS)
+    def test_zero_maps_to_base(self, retraction, rng):
         x = random_point(10, 3, rng)
-        r = retract(kind, x, np.zeros_like(x.entries))
+        r = retraction(x, np.zeros_like(x.entries))
         assert np.linalg.norm(r.entries - x.entries) <= 1e-13
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_first_order_remainder(self, kind, rng):
+    @pytest.mark.parametrize("retraction", RETRACTIONS)
+    def test_first_order_remainder(self, retraction, rng):
         x = random_point(10, 3, rng)
         z = random_tangent(x, rng, norm=1.0)
-        assert 0.2 <= remainder_ratio(kind, x, z) <= 0.3
+        assert 0.2 <= remainder_ratio(retraction, x, z) <= 0.3
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_result_feasible(self, kind, rng):
+    @pytest.mark.parametrize("retraction", RETRACTIONS)
+    def test_result_feasible(self, retraction, rng):
         x = random_point(10, 3, rng)
         z = random_tangent(x, rng, norm=0.5)
-        r = retract(kind, x, z.entries)
+        r = retraction(x, z.entries)
         assert symplecticity_residual(r) <= 1e-10
+
+
+@st.composite
+def base_and_tangent(draw):
+    """A point of Sp(2k, 2n), n <= 16 and k <= n (k = n in about half the
+    draws), with a unit tangent there.  The point is an SR step of norm 0.7
+    from the canonical embedding, rotated by a random orthosymplectic matrix:
+    moderately conditioned, with no zero rows."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    embed = canonical_point(n, k)
+    step = sr_retract(embed, random_tangent(embed, rng, norm=0.7).entries)
+    q = random_symplectic_orthogonal(n, seed)
+    x = SymplecticPoint.from_entries(q @ step.entries)
+    return x, random_tangent(x, rng, norm=1.0).entries
+
+
+class TestAxiomProperties:
+    @pytest.mark.parametrize("retraction", RETRACTION_FUNCTIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=base_and_tangent())
+    def test_zero_maps_to_base(self, retraction, case):
+        x, z = case
+        r = retraction(x, np.zeros_like(z))
+        assert np.linalg.norm(r.entries - x.entries) <= 1e-13
+
+    @pytest.mark.parametrize("retraction", RETRACTION_FUNCTIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=base_and_tangent())
+    def test_derivative_at_zero_is_identity(self, retraction, case):
+        x, z = case
+        h = 1e-5
+        d = (retraction(x, h * z).entries - retraction(x, -h * z).entries) / (2 * h)
+        assert np.linalg.norm(d - z) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("retraction", RETRACTION_FUNCTIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=base_and_tangent(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           where=st.tuples(st.floats(0, 1, exclude_max=True),
+                           st.floats(0, 1, exclude_max=True)))
+    def test_non_finite_tangent_raises(self, retraction, case, bad, where):
+        # the quasi-geodesic map, and SR on a NaN, reach the feasibility
+        # check (FeasibilityError); both Cayley forms reject the resolvent's
+        # NaN condition estimate (SingularCayley), and SR reports an infinite
+        # omega as a Breakdown.  No point is ever returned.
+        x, z = case
+        z = z.copy()
+        z[int(where[0] * z.shape[0]), int(where[1] * z.shape[1])] = bad
+        with pytest.raises(NumericalFailure):
+            retraction(x, z, check=True)
 
 
 class TestCayley:
@@ -128,7 +195,7 @@ class TestQuasiGeodesic:
     def test_first_order(self, rng):
         x = random_point(6, 2, rng)
         z = random_tangent(x, rng, norm=1.0)
-        assert 0.2 <= remainder_ratio(RetractionKind.QUASI_GEODESIC, x, z) <= 0.3
+        assert 0.2 <= remainder_ratio(quasi_geodesic, x, z) <= 0.3
 
 
 class TestSrRetraction:
@@ -157,12 +224,6 @@ class TestSrRetraction:
         z = -x.entries  # X + Z = 0
         with pytest.raises(Breakdown):
             sr_retract(x, z, check=False)
-
-    def test_safeguard_rescales(self, rng):
-        x = random_point(6, 2, rng)
-        z = random_tangent_spectral(x, rng, 5.0)
-        r = sr_retract(x, z.entries, safeguard=True)
-        assert symplecticity_residual(r) <= 1e-10
 
 
 class TestFeasibilityDrift:

@@ -14,16 +14,8 @@ from spopt.core import (
     poisson,
     symplecticity_residual,
 )
-from spopt.sr import (
-    Breakdown,
-    desr,
-    even_minor_check,
-    in_normalized_triangular_set,
-    sgs,
-    sgs_basic,
-    sgs_modified,
-    spectral_norm_estimate,
-)
+from spopt.oracles import even_minor_check, in_normalized_triangular_set, sgs_basic
+from spopt.sr import Breakdown, desr, sgs, sgs_modified
 
 from conftest import random_point, random_tangent, random_tangent_spectral
 
@@ -365,13 +357,3 @@ class TestEvenMinorCheck:
         for trial in range(100):
             a = rng.standard_normal((6, 4))
             assert even_minor_check(a) == brute_force_minors_nonzero(a)
-
-
-class TestSpectralNormEstimate:
-    def test_against_svd(self, rng):
-        z = rng.standard_normal((30, 8))
-        est = spectral_norm_estimate(z, iters=200, tol=1e-12)
-        assert np.isclose(est, np.linalg.norm(z, 2), rtol=1e-6)
-
-    def test_zero(self):
-        assert spectral_norm_estimate(np.zeros((6, 2))) == 0.0
