@@ -6,13 +6,15 @@ Cost functions and their Euclidean gradients are defined on all of matrix
 space (smooth extensions), so central finite differences are always a valid
 oracle; the PSD gradient in particular is gated behind that check in the test
 suite before any model-reduction run trusts it.  ``evaluate`` derives each
-gradient from the cost's intermediate (X - W, A X, or the PSD residual).
+gradient from the cost's intermediates (X - W, A X, or the PSD residual and
+X^T J L).  The PSD cost runs on a thin factor L of the snapshots, whose
+width is their numerical rank.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +25,6 @@ from .core import (
     jmul,
     jtmul,
     mulj,
-    muljt,
     skew_part,
     sym_part,
 )
@@ -101,31 +102,46 @@ class PsdProblem:
     """Proper symplectic decomposition cost f(X) = ||A - X X^+ A||_F^2.
 
     Invariant under right-multiplication of X by any symplectic 2k-by-2k
-    matrix, since X X^+ depends only on the symplectic subspace.  J A is
-    formed once, at construction.
+    matrix, since X X^+ depends only on the symplectic subspace.  The cost
+    and its gradient depend on A only through A A^T, so construction replaces
+    the 2n-by-s snapshots by the thin factor L = U_r Sigma_r of one SVD, with
+    r the numerical rank at numpy's ``matrix_rank`` tolerance; L and J L are
+    the only data kept.
     """
 
-    snapshots: np.ndarray
+    snapshots: InitVar[np.ndarray]
     k: int
-    ja: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    jl: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ja", jmul(self.snapshots))
+    def __post_init__(self, snapshots):
+        a = np.asarray(snapshots, dtype=float)
+        u, sv, _ = np.linalg.svd(a, full_matrices=False)
+        tol = sv.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
+        r = int(np.count_nonzero(sv > tol))
+        factor = np.ascontiguousarray(u[:, :r] * sv[:r])
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "jl", jmul(factor))
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.snapshots - x @ (jtmul(x.T @ self.ja))
+    def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E = L - X J^T C with C = X^T J L, returned with C."""
+        c = x.T @ self.jl
+        e = x @ jtmul(c)
+        np.subtract(self.factor, e, out=e)
+        return e, c
 
     def evaluate(self, x: np.ndarray) -> Evaluation:
-        e = self.residual(x)
+        e, c = self.residual(x)
         return Evaluation(float(np.linalg.norm(e) ** 2),
-                          lambda: self._gradient(x, e))
+                          lambda: self._gradient(x, e, c))
 
-    def _gradient(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
-        a = self.snapshots
-        # adjoint of dPi = dX J^T X^T J + X J^T dX^T J applied to -2E
-        t1 = mulj(e @ (a.T @ jtmul(x)))
-        t2 = muljt(jmul(a @ (e.T @ x)))
-        return -2.0 * (t1 + t2)
+    def _gradient(self, x: np.ndarray, e: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # adjoint of dPi = dX J^T X^T J + X J^T dX^T J applied to -2E, with
+        # L^T J^T X = C^T: 2 (J L E^T X - E C^T) J
+        d = self.jl @ (x.T @ e).T
+        d -= e @ c.T
+        d *= 2.0
+        return mulj(d)
 
     def cost(self, x: np.ndarray) -> float:
         return self.evaluate(x).cost

@@ -42,6 +42,7 @@ from .applications import (
 from .core import NumericalFailure, SymplecticPoint
 from .geometry import Metric
 from .hamiltonian import (
+    NONLIN_TREATMENTS,
     IntegratorOptions,
     build_rom,
     crank_nicolson,
@@ -90,6 +91,16 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {sorted(SCHEMES)}")
 
 
+def _number(name: str, value, kind=int):
+    """A numeric config field as an int or a float; any other value (a list,
+    an object, a non-numeric string) is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from exc
+
+
 def scheme_options(name: str, rho: float = 0.5, **overrides) -> SolverOptions:
     """SolverOptions for a named scheme, with per-experiment overrides."""
     retraction, metric_name = SCHEMES[name]
@@ -103,7 +114,7 @@ def scheme_options(name: str, rho: float = 0.5, **overrides) -> SolverOptions:
 def _options_by_scheme(config: ExperimentConfig, solver: dict) -> dict:
     """Options of every selected scheme, built before any cell runs so that a
     bad solver override fails as a config error."""
-    rho = float(config.params.get("rho", 0.5))
+    rho = _number("rho", config.params.get("rho", 0.5), float)
     return {s: scheme_options(s, rho=rho, **solver) for s in config.schemes}
 
 
@@ -189,7 +200,7 @@ def run_target(config: ExperimentConfig) -> dict:
     """Symplectic target runs: per-scheme trace CSV plus a JSON summary."""
     p = config.params
     preset = p.get("preset", "sum")
-    n = int(p.get("n", 200))
+    n = _number("n", p.get("n", 200))
     defaults = {"sum": dict(gtol=1e-12, niter=500),
                 "saddle": dict(gtol=1e-12, niter=2000),
                 "artificial": dict(gtol=1e-10, niter=1000)}
@@ -226,9 +237,9 @@ def run_sympev(config: ExperimentConfig) -> dict:
     preset = p.get("preset", "spsd")
     if preset != "spsd":
         raise ConfigError(f"unknown sympev preset {preset!r}")
-    n = int(p.get("n", 1000 if config.paper_scale else 100))
-    m = int(p.get("m", 2))
-    k = int(p.get("k", 5))
+    n = _number("n", p.get("n", 1000 if config.paper_scale else 100))
+    m = _number("m", p.get("m", 2))
+    k = _number("k", p.get("k", 5))
     solver = dict(gtol=1e-12, niter=5000, gamma_max=1.0)
     solver.update(p.get("solver", {}))
     options = _options_by_scheme(config, solver)
@@ -311,27 +322,42 @@ def run_mor(config: ExperimentConfig) -> dict:
     setup = _mor_defaults(model, config.paper_scale)
     setup.update({key: p[key] for key in
                   ("n", "t_final", "h_t", "snapshots", "k_values") if key in p})
+    n = _number("n", setup["n"])
+    h_t = _number("h_t", setup["h_t"], float)
+    t_final = _number("t_final", setup["t_final"], float)
+    n_snapshots = _number("snapshots", setup["snapshots"])
+    if not isinstance(setup["k_values"], list):
+        raise ConfigError(f"k_values must be a list, got {setup['k_values']!r}")
+    k_values = [_number("k_values entry", k) for k in setup["k_values"]]
     nonlin = p.get("nonlin", "exact" if model in ("wave",) else "psd-deim")
     deim_variants = p.get("deim_variants")
+    if deim_variants is not None and not (
+            isinstance(deim_variants, list)
+            and all(isinstance(v, str) for v in deim_variants)):
+        raise ConfigError(f"deim_variants must be a list of strings, got {deim_variants!r}")
+    variants = deim_variants or [nonlin]
+    for var in variants:
+        if var not in NONLIN_TREATMENTS:
+            raise ConfigError(f"unknown nonlinearity treatment {var!r}; "
+                              f"choose from {NONLIN_TREATMENTS}")
     solver = dict(gamma0=1e-8, gtol=1e-12, niter=1000)
     solver.update(p.get("solver", {}))
     options = _options_by_scheme(config, solver)
 
-    system = _build_model(model, int(setup["n"]), config.seed)
-    iopts = IntegratorOptions(float(setup["h_t"]), float(setup["t_final"]))
+    system = _build_model(model, n, config.seed)
+    iopts = IntegratorOptions(h_t, t_final)
     fom = crank_nicolson(system, system.x0, iopts)
-    snaps = extract_snapshots(fom, int(setup["snapshots"]))
+    snaps = extract_snapshots(fom, n_snapshots)
 
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
     cases = []
-    for k in setup["k_values"]:
-        variants = deim_variants if deim_variants else [nonlin]
+    for k in k_values:
         for var in variants:
-            cases.append((int(k), "CotLift", None, var))
+            cases.append((k, "CotLift", None, var))
             for scheme in config.schemes:
-                cases.append((int(k), scheme, scheme, var))
+                cases.append((k, scheme, scheme, var))
 
     def cell(case):
         k, label, scheme, var = case

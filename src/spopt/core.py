@@ -67,6 +67,15 @@ def muljt(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[:, m:], -a[:, :m]], axis=1)
 
 
+def nonfinite_note(*arrays) -> str:
+    """" (non-finite input)" when any array holds a NaN or an infinity, else "".
+
+    For error messages: only a path that is already raising calls it, so a
+    successful computation pays nothing for the check.
+    """
+    return "" if all(np.isfinite(a).all() for a in arrays) else " (non-finite input)"
+
+
 def skew_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a.T)
 

@@ -43,8 +43,11 @@ __all__ = [
     "crank_nicolson", "extract_snapshots", "state_seeded_cotangent_lift",
     "restore_state_containment", "build_rom", "relative_errors", "ErrorReport",
     "save_trajectory", "load_trajectory", "trajectory_to_csv",
-    "save_snapshots", "load_snapshots", "snapshots_to_csv",
+    "save_snapshots", "load_snapshots", "snapshots_to_csv", "NONLIN_TREATMENTS",
 ]
+
+#: Treatments of the nonlinear term that ``build_rom`` accepts.
+NONLIN_TREATMENTS = ("exact", "psd-deim", "structure-preserving")
 
 
 class NewtonDivergence(NumericalFailure):
@@ -579,7 +582,7 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         raise ValueError(f"need at least k={k} snapshots, got {snapshots.shape[1]}")
     if reduction not in ("cotlift", "optimized"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    if nonlin not in ("exact", "psd-deim", "structure-preserving"):
+    if nonlin not in NONLIN_TREATMENTS:
         raise ValueError(f"unknown nonlinearity treatment {nonlin!r}")
     if system.is_linear and nonlin != "exact":
         raise ValueError(f"{system.name} is linear; no term to interpolate")

@@ -114,7 +114,7 @@ def cayley_full(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
     half = 0.5 * mulj(s)
     lhs = np.eye(n2) - half
     rhs = (np.eye(n2) + half) @ e
-    out = _solve_checked(lhs, rhs)
+    out = _solve_checked(lhs, rhs, (e, ze))
     return SymplecticPoint.from_entries(out, check=check)
 
 

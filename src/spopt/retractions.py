@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .core import NumericalFailure, SymplecticPoint, jmul, jtmul
+from .core import NumericalFailure, SymplecticPoint, jmul, jtmul, nonfinite_note
 from .sr import Breakdown, sgs
 
 
@@ -31,18 +31,22 @@ class RetractionKind(enum.Enum):
     SR = "sr"
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # LU solve with a 1-norm condition estimate; cond > 1e14 counts as singular
+def _solve_checked(a: np.ndarray, b: np.ndarray, operands) -> np.ndarray:
+    # LU solve with a 1-norm condition estimate; cond > 1e14 counts as singular.
+    # A failure message says so when one of the retraction's ``operands`` (the
+    # X and Z that a and b are built from) is non-finite.
     lu, piv, info = lapack.dgetrf(a)
     if info != 0:
-        raise SingularCayley(f"LU factorization failed (info={info})")
+        raise SingularCayley(f"LU factorization failed (info={info})"
+                             + nonfinite_note(*operands))
     anorm = np.linalg.norm(a, 1)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < 1e-14:
-        raise SingularCayley(f"condition estimate {1.0 / max(rcond, 1e-300):.3e}")
+        raise SingularCayley(f"condition estimate {1.0 / max(rcond, 1e-300):.3e}"
+                             + nonfinite_note(*operands))
     x, info = lapack.dgetrs(lu, piv, b)
     if info != 0:
-        raise SingularCayley(f"solve failed (info={info})")
+        raise SingularCayley(f"solve failed (info={info})" + nonfinite_note(*operands))
     return x
 
 
@@ -60,7 +64,7 @@ def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPo
              - 0.5 * jtmul(e.T @ jmul(ze))
              + np.eye(k2))
     # (H + 2X) inner^{-1} via a transposed solve
-    out = -e + _solve_checked(inner.T, (h + 2.0 * e).T).T
+    out = -e + _solve_checked(inner.T, (h + 2.0 * e).T, (e, ze)).T
     return SymplecticPoint.from_entries(out, check=check)
 
 

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .core import Dims, NumericalFailure, SymplecticPoint, jmul, perfect_shuffle
+from .core import (Dims, NumericalFailure, SymplecticPoint, jmul, nonfinite_note,
+                   perfect_shuffle)
 
 #: Relative threshold on |omega| below which a column pair counts as isotropic.
 DEFAULT_BREAKDOWN_TOL = 1e-14
@@ -50,11 +51,11 @@ DEFAULT_BREAKDOWN_TOL = 1e-14
 class Breakdown(NumericalFailure):
     """No SR decomposition: an isotropic column pair was encountered."""
 
-    def __init__(self, pair_index: int, omega: float):
+    def __init__(self, pair_index: int, omega: float, note: str = ""):
         self.pair_index = pair_index
         self.omega = omega
         super().__init__(
-            f"isotropic column pair {pair_index}: |a1^T J a2| = {abs(omega):.3e}"
+            f"isotropic column pair {pair_index}: |a1^T J a2| = {abs(omega):.3e}{note}"
         )
 
 
@@ -227,7 +228,8 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     Raises
     ------
     Breakdown
-        When some reduced column pair is numerically isotropic.
+        When some reduced column pair is numerically isotropic; the message
+        says so when A has non-finite entries.
     """
     a = _check_shape(a)
     d = Dims(a.shape[0] // 2, a.shape[1] // 2)
@@ -235,7 +237,10 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     b = shuffle.shuffle_cols(a)
     psps = _sgs_gram(b)
     if psps is None:
-        psps = sgs_modified(b)
+        try:
+            psps = sgs_modified(b)
+        except Breakdown as exc:
+            raise Breakdown(exc.pair_index, exc.omega, nonfinite_note(a)) from None
     s = shuffle.unshuffle_cols(psps.s_hat)
     r = shuffle.unconjugate(psps.r_hat)
     point = SymplecticPoint.from_entries(s, check=check)

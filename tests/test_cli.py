@@ -26,6 +26,10 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(p)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the full-order model ran before the config was checked")
+
+
 class TestArgumentHandling:
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["target", "--config", str(tmp_path / "nope.json"),
@@ -70,6 +74,41 @@ class TestArgumentHandling:
         rc = main(["target", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: seed")
+
+    @pytest.mark.parametrize("app, params, message", [
+        ("target", {"preset": "artificial", "n": [1]}, "n must be an integer"),
+        ("sympev", {"k": "five"}, "k must be an integer"),
+        ("sympev", {"rho": {"value": 0.5}}, "rho must be a number"),
+        ("mor", {"h_t": [0.01]}, "h_t must be a number"),
+        ("mor", {"snapshots": None}, "snapshots must be an integer"),
+        ("mor", {"k_values": 10}, "k_values must be a list"),
+        ("mor", {"k_values": [[4]]}, "k_values entry must be an integer"),
+    ])
+    def test_non_numeric_field_exits_2(self, app, params, message, tmp_path,
+                                       monkeypatch, capsys):
+        # rejected before any cell or full-order simulation runs
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        cfg = write_cfg(tmp_path, params)
+        rc = main([app, "--config", cfg, "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("variants, message", [
+        ("psd-deim", "deim_variants must be a list of strings"),
+        (["psd-deim", 3], "deim_variants must be a list of strings"),
+        (["psd-deim", "bogus"], "unknown nonlinearity treatment 'bogus'"),
+    ])
+    def test_bad_deim_variants_exit_2_before_fom(self, variants, message, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        cfg = write_cfg(tmp_path, {"model": "vlasov", "n": 16,
+                                   "deim_variants": variants})
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
 
     def test_scheme_options_mapping(self):
         opts = scheme_options("SRC", gtol=1e-9)

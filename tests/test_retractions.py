@@ -19,6 +19,7 @@ from spopt.oracles import cayley_full
 from spopt.retractions import (
     RetractionKind,
     SingularCayley,
+    _solve_checked,
     cayley_economical,
     quasi_geodesic,
     retract,
@@ -107,12 +108,42 @@ class TestAxiomProperties:
         # the quasi-geodesic map, and SR on a NaN, reach the feasibility
         # check (FeasibilityError); both Cayley forms reject the resolvent's
         # NaN condition estimate (SingularCayley), and SR reports an infinite
-        # omega as a Breakdown.  No point is ever returned.
+        # omega as a Breakdown; those two messages name the non-finite
+        # input.  No point is ever returned.
         x, z = case
         z = z.copy()
         z[int(where[0] * z.shape[0]), int(where[1] * z.shape[1])] = bad
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure) as info:
             retraction(x, z, check=True)
+        if isinstance(info.value, (Breakdown, SingularCayley)):
+            assert str(info.value).endswith(" (non-finite input)")
+
+
+class TestNonFiniteMessages:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("retraction, bad, error", [
+        (sr_retract, np.inf, Breakdown),
+        (sr_retract, -np.inf, Breakdown),
+        (cayley_economical, np.inf, SingularCayley),
+        (cayley_economical, np.nan, SingularCayley),
+        (cayley_full, np.nan, SingularCayley),
+    ])
+    def test_message_names_non_finite_input(self, retraction, bad, error):
+        rng = np.random.default_rng(3)
+        x = random_point(4, 2, rng)
+        z = random_tangent(x, rng).entries.copy()
+        z[1, 2] = bad
+        with pytest.raises(error, match=r" \(non-finite input\)$"):
+            retraction(x, z)
+
+    def test_finite_failures_carry_no_note(self):
+        x = canonical_point(3, 1)
+        with pytest.raises(Breakdown) as info:
+            sr_retract(x, -x.entries, check=False)  # X + Z = 0
+        assert "non-finite" not in str(info.value)
+        with pytest.raises(SingularCayley) as info:
+            _solve_checked(np.zeros((2, 2)), np.ones((2, 1)), (np.ones((2, 2)),))
+        assert "non-finite" not in str(info.value)
 
 
 class TestCayley:
