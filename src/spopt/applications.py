@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +38,7 @@ __all__ = [
     "sum_gate",
     "gauss_transform", "random_symplectic_orthogonal", "spsd_test_matrix",
     "williamson_small", "williamson_spsd", "symplectic_eigenpairs",
-    "cotangent_lift", "deim_select", "deim_reduced_rhs",
+    "cotangent_lift", "deim_select", "deim_reduced_rhs", "exact_reduced_rhs",
     "random_symplectic_point", "SingularSelection",
 ]
 
@@ -427,63 +428,100 @@ def deim_select(v: np.ndarray) -> np.ndarray:
 class DeimOperator:
     """Reduced gradient-of-Hamiltonian map with an interpolated nonlinearity.
 
-    Precomputes U^T M U and the oblique projection factor
-    B = U^T V (P^T V)^{-1} offline.  ``grad_h`` must evaluate components of
-    the nonlinear gradient at given indices: grad_h(indices, x_full).  The
-    selected components are evaluated at :meth:`state`, which is nonzero
-    only on the rows ``support`` they read, so one evaluation costs
-    O(|support| k) instead of O(n k).
+    For a sitewise nonlinearity h = sum_i V(q_i, p_i, i) (see
+    ``hamiltonian.Nonlinearity``), component j of grad h reads only the pair
+    (q_i, p_i) of its site i = j mod n.  Offline the operator keeps
+    U^T M U, the oblique projection factor B = U^T V (P^T V)^{-1} and the
+    two m x 2k maps from xt to (q_i, p_i) at the sites of the m selected
+    components, stacked in ``sample``.  Online, ``__call__`` evaluates the
+    slope on those m pairs and :meth:`jacobian` the curvature, so neither
+    costs O(n).
     """
 
-    reduced_mass: np.ndarray
+    reduced_mass: np.ndarray     # U^T M U
     oblique: np.ndarray          # B, 2k x m
-    basis: np.ndarray            # U entries
-    indices: np.ndarray
-    grad_h: object
-    variant: str
-    support: np.ndarray          # state rows feeding the selected components
-    support_map: np.ndarray      # xt -> state at those rows: U[support], or
-                                 # (V^T P)^{-1} V^T U for the SP variant
+    indices: np.ndarray          # selected components j
+    sites: np.ndarray            # j mod n
+    on_q: np.ndarray             # j < n
+    sample: np.ndarray           # 2m x 2k: xt -> (q, p) at the sites
+    slope: Callable
+    curvature: Callable
+    dim: int                     # 2n
+
+    def _pairs(self, xt: np.ndarray):
+        qp = self.sample @ xt
+        m = self.sites.size
+        return qp[:m], qp[m:]
 
     def state(self, xt: np.ndarray) -> np.ndarray:
-        """Full-length state the nonlinearity is evaluated at for ``xt``."""
-        full = np.zeros(self.basis.shape[0])
-        full[self.support] = self.support_map @ xt
+        """Full-length state holding the selected entries of the sampled state.
+
+        For the structure-preserving variant this is the sparse state
+        P (V^T P)^{-1} V^T U xt at which the nonlinearity is evaluated.
+        """
+        q, p = self._pairs(xt)
+        full = np.zeros(self.dim)
+        full[self.indices] = np.where(self.on_q, q, p)
         return full
 
     def __call__(self, xt: np.ndarray) -> np.ndarray:
-        nonlinear = self.grad_h(self.indices, self.state(xt))
-        return self.reduced_mass @ xt + self.oblique @ nonlinear
+        q, p = self._pairs(xt)
+        v_q, v_p = self.slope(q, p, self.sites)
+        return self.reduced_mass @ xt + self.oblique @ np.where(self.on_q, v_q, v_p)
+
+    def jacobian(self, xt: np.ndarray) -> np.ndarray:
+        """U^T M U + B (a R_q + b R_p), the row scalings from one curvature call.
+
+        R_q, R_p are the two halves of ``sample``; a, b are the derivatives of
+        each selected component by the q and the p of its site.
+        """
+        q, p = self._pairs(xt)
+        v_qq, v_qp, v_pp = self.curvature(q, p, self.sites)
+        m = self.sites.size
+        a = np.where(self.on_q, v_qq, v_qp)[:, None]
+        b = np.where(self.on_q, v_qp, v_pp)[:, None]
+        return self.reduced_mass + self.oblique @ (a * self.sample[:m] + b * self.sample[m:])
 
 
-def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, grad_h,
-                     variant: str = "psd-deim", *, stencil) -> DeimOperator:
+def _sampled_operator(ue, m, oblique, indices, state_map, nonlin) -> DeimOperator:
+    # state_map (2n x 2k) sends xt to the state the nonlinearity reads
+    n = ue.shape[0] // 2
+    sites = indices % n
+    sample = np.concatenate([state_map[sites], state_map[sites + n]])
+    return DeimOperator(np.asarray(ue.T @ (m @ ue)), oblique, indices, sites,
+                        indices < n, sample, nonlin.slope, nonlin.curvature,
+                        2 * n)
+
+
+def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, nonlin,
+                     variant: str = "psd-deim") -> DeimOperator:
     """Assemble the reduced nonlinear gradient map for a ROM.
 
     variant "psd-deim":            U^T M U xt + B gradh(U xt) at the indices;
     variant "structure-preserving": the nonlinearity is evaluated at the
     sparse state P (V^T P)^{-1} V^T U xt instead, which keeps the reduced
-    model Hamiltonian at the price of approximation quality.
+    model Hamiltonian at the price of approximation quality.  A site's
+    partner entry that was not selected reads as zero there.
 
-    ``stencil`` maps an index array to the union of state entries those
-    components read; it turns the online "psd-deim" evaluation into a
-    stencil-support product.
+    ``nonlin`` supplies the per-site ``slope`` and ``curvature``.
     """
     if variant not in ("psd-deim", "structure-preserving"):
         raise ValueError(f"unknown variant {variant!r}")
     ue = np.asarray(getattr(u, "entries", u), dtype=float)
     indices = np.asarray(indices, dtype=int)
-    reduced_mass = ue.T @ (m @ ue)
     vp = v[indices]  # P^T V, m x m
     try:
         oblique = np.linalg.solve(vp.T, (ue.T @ v).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSelection("P^T V is singular") from exc
+    state_map = ue
     if variant == "structure-preserving":
-        support = indices
-        support_map = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
-    else:
-        support = np.unique(np.asarray(stencil(indices), dtype=int))
-        support_map = ue[support]
-    return DeimOperator(np.asarray(reduced_mass), oblique, ue, indices,
-                        grad_h, variant, support, support_map)
+        state_map = np.zeros_like(ue)
+        state_map[indices] = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
+    return _sampled_operator(ue, m, oblique, indices, state_map, nonlin)
+
+
+def exact_reduced_rhs(u, m, nonlin) -> DeimOperator:
+    """U^T grad H(U xt) as the interpolation at every component (P = V = I)."""
+    ue = np.asarray(getattr(u, "entries", u), dtype=float)
+    return _sampled_operator(ue, m, ue.T, np.arange(ue.shape[0]), ue, nonlin)

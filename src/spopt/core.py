@@ -131,12 +131,13 @@ def tangency_residual(x, z) -> float:
     return float(np.linalg.norm(m - m.T))
 
 
-def _check_residual(kind: str, residual: float, tol: float) -> None:
+def _check_residual(kind: str, residual: float, tol: float, *operands) -> None:
     # Warn above tol, hard-error above 1e3*tol: iterative schemes are allowed
     # to drift a little, garbage input is not.  Written so that a NaN residual
-    # (non-finite entries) fails the test too.
+    # (non-finite entries) fails the test too; the message then says so.
     if not residual <= 1e3 * tol:
-        raise FeasibilityError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}")
+        raise FeasibilityError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}"
+                               + nonfinite_note(*operands))
     if residual > tol:
         warnings.warn(
             f"{kind} residual {residual:.3e} above tolerance {tol:.1e}",
@@ -161,7 +162,7 @@ class SymplecticPoint:
         d = _dims_of(e)
         if check:
             _check_residual("symplecticity", symplecticity_residual(e),
-                            DEFAULT_FEAS_TOL)
+                            DEFAULT_FEAS_TOL, e)
         return cls(d, e)
 
     @property
@@ -188,7 +189,7 @@ class TangentVector:
             raise ValueError(f"shape mismatch: {e.shape} vs {base.entries.shape}")
         if check:
             _check_residual("tangency", tangency_residual(base.entries, e),
-                            DEFAULT_TAN_TOL)
+                            DEFAULT_TAN_TOL, base.entries, e)
         return cls(base, e)
 
     def norm(self) -> float:

@@ -9,8 +9,9 @@ particle-in-cell discretization of a 1D Vlasov equation with sampled initial
 data.  Every nonlinearity is a sum of per-site energies V(q_i, p_i), so each
 gradient component reads at most two state entries, which the DEIM machinery
 exploits.  A model supplies only V and its first two derivatives as a
-:class:`Nonlinearity`; the gradient, its single components, the Hessian and
-its rows, and the DEIM stencil are derived there.
+:class:`Nonlinearity`.  The Hessian couples each q_i with its p_i only, so
+M + Hess h lives on a pattern fixed once per system, and a Newton update
+writes only the numbers of its matrices.
 
 The reduced models keep the Hamiltonian form xtdot = J_{2k} grad Ht(xt).
 Reduced bases contain the initial state exactly by construction (and are
@@ -20,9 +21,11 @@ the constant Hamiltonian offset H(x(t)) - Ht(xt(t)) at integrator roundoff.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,7 +34,7 @@ from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
 from .applications import (DeimOperator, PsdProblem, _block_diag_lift,
-                           deim_reduced_rhs, deim_select)
+                           deim_reduced_rhs, deim_select, exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
@@ -66,23 +69,19 @@ class Nonlinearity:
     evaluated elementwise on arrays of site values q, p with ``i`` the
     matching site indices (an index array, or ``slice(None)`` for all sites):
     ``potential`` returns V, ``slope`` (V_q, V_p) and ``curvature``
-    (V_qq, V_qp, V_pp).  A derivative that vanishes may be the scalar 0.0;
-    ``reads_p`` is False when V depends on q alone.
+    (V_qq, V_qp, V_pp).  A derivative that vanishes may be the scalar 0.0.
 
-    Everything else is derived here.  Component j of grad h reads only the
-    pair (q_i, p_i) of its site i = j mod n, so ``gradient_at(indices, x)``
-    may be given states that are zero outside ``stencil(indices)``;
-    ``jacobian_rows`` returns the matching Hessian rows as CSR.
+    The energy and the gradient are derived here.  Component j of grad h is
+    V_q or V_p of site i = j mod n and reads only (q_i, p_i), so the Hessian
+    is the 2 x 2 block (V_qq, V_qp; V_qp, V_pp) of each site, placed by
+    :meth:`HamiltonianSystem.grad_jacobian`, and the DEIM operators of
+    ``applications`` call ``slope`` and ``curvature`` on the selected sites.
     """
 
     n: int
     potential: Callable
     slope: Callable
     curvature: Callable
-    reads_p: bool = True
-
-    def _sites(self, indices: np.ndarray):
-        return indices < self.n, indices % self.n
 
     def value(self, x: np.ndarray) -> float:
         n = self.n
@@ -94,37 +93,13 @@ class Nonlinearity:
         g[:n], g[n:] = self.slope(x[:n], x[n:], slice(None))
         return g
 
-    def gradient_at(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        on_q, site = self._sites(indices)
-        v_q, v_p = self.slope(x[site], x[site + self.n], site)
-        return np.where(on_q, v_q, v_p)
 
-    def jacobian_rows(self, indices: np.ndarray, x: np.ndarray) -> sp.csr_matrix:
-        # row j holds d(grad_j h)/d(q_i, p_i) at columns (i, i + n)
-        n, m = self.n, indices.size
-        on_q, site = self._sites(indices)
-        v_qq, v_qp, v_pp = self.curvature(x[site], x[site + n], site)
-        data = np.empty((m, 2))
-        data[:, 0] = np.where(on_q, v_qq, v_qp)
-        data[:, 1] = np.where(on_q, v_qp, v_pp)
-        # int32 index arrays spare the CSR constructor a downcasting copy
-        cols = np.empty((m, 2), dtype=np.int32)
-        cols[:, 0] = site
-        cols[:, 1] = site + n
-        indptr = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
-        rows = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, 2 * n))
-        rows.eliminate_zeros()
-        return rows
-
-    def hessian(self, x: np.ndarray) -> sp.csr_matrix:
-        return self.jacobian_rows(np.arange(2 * self.n), x)
-
-    def stencil(self, indices: np.ndarray) -> np.ndarray:
-        """State entries read by the gradient components at ``indices``."""
-        if not self.reads_p:
-            return indices[indices < self.n]
-        _, site = self._sites(indices)
-        return np.concatenate([site, site + self.n])
+def _entry_positions(mat: sp.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Positions in ``mat.data`` of the entries (rows, cols) of its canonical
+    (sorted, duplicate-free) pattern."""
+    dim = mat.shape[0]
+    keys = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr)) * dim + mat.indices
+    return np.searchsorted(keys, cols * dim + rows)
 
 
 @dataclass(frozen=True)
@@ -161,10 +136,32 @@ class HamiltonianSystem:
     def rhs(self, x: np.ndarray) -> np.ndarray:
         return jmul(self.grad(x))
 
+    @cached_property
+    def _hessian_pattern(self):
+        """M on the CSC pattern of M + Hess h, which adds each site's 2 x 2
+        block, and the 4 x n positions of (i,i), (i,i+n), (i+n,i), (i+n,i+n)."""
+        site = np.arange(self.n)
+        rows = np.concatenate([site, site, site + self.n, site + self.n])
+        cols = np.concatenate([site, site + self.n, site, site + self.n])
+        coo = self.mass.tocoo()
+        pattern = sp.csc_matrix(
+            (np.concatenate([coo.data, np.zeros(rows.size)]),
+             (np.concatenate([coo.row, rows]), np.concatenate([coo.col, cols]))),
+            shape=(self.dim, self.dim))
+        return pattern, _entry_positions(pattern, rows, cols).reshape(4, self.n)
+
     def grad_jacobian(self, x: np.ndarray):
+        """M + Hess h(x); for a nonlinear system as CSC on a fixed pattern,
+        filled from one ``curvature`` call over all sites."""
         if self.nonlin is None:
             return self.mass
-        return self.mass + self.nonlin.hessian(x)
+        n = self.n
+        pattern, blocks = self._hessian_pattern
+        v_qq, v_qp, v_pp = self.nonlin.curvature(x[:n], x[n:], slice(None))
+        data = pattern.data.copy()
+        for pos, v in zip(blocks, (v_qq, v_qp, v_qp, v_pp)):
+            data[pos] += v
+        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 @dataclass(frozen=True)
@@ -200,13 +197,66 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-def _jmul_matrix(mat):
-    """J @ mat for a square sparse or dense matrix with an even size."""
-    n = mat.shape[0] // 2
-    if sp.issparse(mat):
-        mat = mat.tocsr()
-        return sp.vstack([mat[n:], -mat[:n]], format="csr")
-    return np.vstack([mat[n:], -mat[:n]])
+class _ShiftedJ:
+    """I + t J G for a sparse G, on a CSC pattern built once for G's pattern.
+
+    Each call gathers G's data onto the pattern with the signs of J, so a
+    Newton update assembles no sparse structure.  The values and the pattern
+    equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps an
+    entry; an entry of G that is exactly zero stays stored here.
+    """
+
+    def __init__(self, g: sp.csc_matrix, t: float):
+        dim = g.shape[0]
+        n = dim // 2
+        self.indptr, self.indices = g.indptr, g.indices
+        rows = g.indices
+        cols = np.repeat(np.arange(dim), np.diff(g.indptr))
+        # row r of G becomes row r - n of J G if r >= n, else row r + n negated
+        moved = (rows + n) % dim
+        diag = np.arange(dim)
+        mat = sp.csc_matrix((np.zeros(g.nnz + dim),
+                             (np.concatenate([moved, diag]), np.concatenate([cols, diag]))),
+                            shape=g.shape)
+        target = _entry_positions(mat, moved, cols)
+        # entries fed by I alone gather an arbitrary element with weight 0
+        self.gather = np.zeros(mat.nnz, dtype=np.intp)
+        self.gather[target] = np.arange(g.nnz)
+        self.scale = np.zeros(mat.nnz)
+        self.scale[target] = np.where(rows >= n, t, -t)
+        self.diag = _entry_positions(mat, diag, diag)
+        self.matrix = mat
+
+    def fits(self, g: sp.csc_matrix) -> bool:
+        same = lambda a, b: a is b or np.array_equal(a, b)
+        return same(g.indptr, self.indptr) and same(g.indices, self.indices)
+
+    def __call__(self, g: sp.csc_matrix) -> sp.csc_matrix:
+        """The matrix for G's data; it is overwritten by the next call."""
+        data = self.matrix.data
+        np.multiply(self.scale, g.data[self.gather], out=data)
+        data[self.diag] += 1.0
+        return self.matrix
+
+
+def _canonical_csc(g) -> sp.csc_matrix:
+    # duplicate entries of G would share one slot of the gather
+    g = g.tocsc()
+    return g if g.has_canonical_format else g.tocoo().tocsc()
+
+
+def _sparse_lu(a: sp.csc_matrix, where: str):
+    try:
+        return splu(a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
+
+
+def _dense_solve(a: np.ndarray, b: np.ndarray, where: str) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
 
 
 def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajectory:
@@ -215,13 +265,17 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     Linear systems reduce to one prefactored solve per step and conserve the
     quadratic energy exactly up to roundoff.  Nonlinear steps run a Newton
     iteration on the step residual with the analytic Jacobian
-    I - (h/2) J (M + Hess h) until the residual norm is at most 1e-10;
-    exceeding the budget of ``newton_maxit`` iterations raises
-    :class:`NewtonDivergence`.
+    I - (h/2) J (M + Hess h), calling ``system.grad_jacobian`` once per
+    update, until the residual norm is at most 1e-10.  A sparse Jacobian is
+    gathered onto a Newton-matrix pattern built once and kept while the
+    Jacobian's pattern does not change; a dense one is scaled in place.
+    Exceeding the budget of ``newton_maxit`` iterations, a non-finite
+    residual or a singular Newton matrix raises :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
     dim = system.dim
     h = opts.h_t
+    c = 0.5 * h
     steps = opts.steps
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((dim, steps + 1))
@@ -229,37 +283,50 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     x = x0.copy()
 
     if system.is_linear:
-        jm = _jmul_matrix(system.grad_jacobian(x0))
-        if sp.issparse(jm):
-            lhs = splu((sp.eye(dim, format="csc") - 0.5 * h * jm).tocsc())
-            rhs_mat = (sp.eye(dim, format="csr") + 0.5 * h * jm).tocsr()
-            solve = lhs.solve
+        g = system.grad_jacobian(x0)
+        if sp.issparse(g):
+            g = _canonical_csc(g)
+            solve = _sparse_lu(_ShiftedJ(g, -c)(g), "linear step").solve
+            rhs_mat = _ShiftedJ(g, c)(g).tocsr()
         else:
             import scipy.linalg as sla
-            lu = sla.lu_factor(np.eye(dim) - 0.5 * h * jm)
-            rhs_mat = np.eye(dim) + 0.5 * h * jm
+            jg = jmul(np.asarray(g))
+            eye = np.eye(dim)
+            lu = sla.lu_factor(eye - c * jg)
+            rhs_mat = eye + c * jg
             solve = lambda b: sla.lu_solve(lu, b)
         for m in range(steps):
             x = solve(rhs_mat @ x)
             states[:, m + 1] = x
         if not np.all(np.isfinite(x)):
-            raise NewtonDivergence("linear step produced non-finite states")
+            first = int(np.argmin(np.isfinite(states).all(axis=0)))
+            raise NewtonDivergence(
+                f"step {first - 1}: linear step produced a non-finite state"
+                if first else "initial state is non-finite")
     else:
+        shifted = None
         for m in range(steps):
             fx = jmul(system.grad(x))
             y = x + h * fx
             converged = False
             for _ in range(opts.newton_maxit):
-                res = y - x - 0.5 * h * (fx + jmul(system.grad(y)))
-                if np.linalg.norm(res) <= 1e-10:
+                res = y - x - c * (fx + jmul(system.grad(y)))
+                norm = np.linalg.norm(res)
+                if norm <= 1e-10:
                     converged = True
                     break
-                jac = _jmul_matrix(system.grad_jacobian(y))
-                if sp.issparse(jac):
-                    a = (sp.eye(dim, format="csc") - 0.5 * h * jac).tocsc()
-                    y = y - splu(a).solve(res)
+                if not math.isfinite(norm):
+                    raise NewtonDivergence(f"step {m}: non-finite Newton residual norm {norm}")
+                g = system.grad_jacobian(y)
+                if sp.issparse(g):
+                    g = _canonical_csc(g)
+                    if shifted is None or not shifted.fits(g):
+                        shifted = _ShiftedJ(g, -c)
+                    y = y - _sparse_lu(shifted(g), f"step {m}").solve(res)
                 else:
-                    y = y - np.linalg.solve(np.eye(dim) - 0.5 * h * jac, res)
+                    a = -c * jmul(g)
+                    a.flat[::dim + 1] += 1.0
+                    y = y - _dense_solve(a, res, f"step {m}")
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {np.linalg.norm(res):.3e} after "
@@ -346,8 +413,7 @@ def sine_gordon_system(n: int, a: float = 0.0, b: float = 50.0, v: float = 0.2,
         n,
         potential=lambda q, p, i: 1.0 - np.cos(q) - force[i] * q + offset[i],
         slope=lambda q, p, i: (np.sin(q) - force[i], 0.0),
-        curvature=lambda q, p, i: (np.cos(q), 0.0, 0.0),
-        reads_p=False)
+        curvature=lambda q, p, i: (np.cos(q), 0.0, 0.0))
     return HamiltonianSystem("sine-gordon", n, mass, x0, nl,
                              meta=dict(a=a, b=b, v=v, xi0=xi0, h_xi=h_xi, xi=xi,
                                        phi_a=phi_a, phi_b=phi_b))
@@ -443,8 +509,7 @@ def vlasov_system(n: int, seed: int = 0,
         n,
         potential=lambda q, p, i: (3.0 / four_pi) * np.sin(four_pi * q),
         slope=lambda q, p, i: (3.0 * np.cos(four_pi * q), 0.0),
-        curvature=lambda q, p, i: (-3.0 * four_pi * np.sin(four_pi * q), 0.0, 0.0),
-        reads_p=False)
+        curvature=lambda q, p, i: (-3.0 * four_pi * np.sin(four_pi * q), 0.0, 0.0))
     return HamiltonianSystem("vlasov", n, mass, x0, nl,
                              meta=dict(seed=seed, params=params))
 
@@ -503,14 +568,18 @@ def restore_state_containment(u: SymplecticPoint, x0: np.ndarray) -> SymplecticP
 
 @dataclass
 class ReducedSystem:
-    """Hamiltonian reduced model xtdot = J_{2k} grad Ht(xt), xt0 = U^+ x0."""
+    """Hamiltonian reduced model xtdot = J_{2k} grad Ht(xt), xt0 = U^+ x0.
+
+    A nonlinear model's reduced gradient and its Jacobian come from ``deim``;
+    the "exact" variant's operator samples every component, so B = U^T.
+    """
 
     basis: SymplecticPoint
     full: HamiltonianSystem
     variant: str  # "exact" | "psd-deim" | "structure-preserving"
     x0_reduced: np.ndarray
     reduced_mass: np.ndarray
-    deim: DeimOperator | None = None
+    deim: DeimOperator | None = None  # None for a linear model
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -528,9 +597,6 @@ class ReducedSystem:
     def grad(self, xt: np.ndarray) -> np.ndarray:
         if self.full.nonlin is None:
             return self.reduced_mass @ xt
-        if self.variant == "exact":
-            u = self.basis.entries
-            return u.T @ self.full.grad(u @ xt)
         return self.deim(xt)
 
     def rhs(self, xt: np.ndarray) -> np.ndarray:
@@ -539,16 +605,7 @@ class ReducedSystem:
     def grad_jacobian(self, xt: np.ndarray) -> np.ndarray:
         if self.full.nonlin is None:
             return self.reduced_mass
-        u = self.basis.entries
-        nl = self.full.nonlin
-        if self.variant == "exact":
-            return self.reduced_mass + u.T @ (nl.hessian(u @ xt) @ u)
-        if self.variant == "psd-deim":
-            rows = nl.jacobian_rows(self.deim.indices, u @ xt)
-            return self.reduced_mass + self.deim.oblique @ (rows @ u)
-        rows = nl.jacobian_rows(self.deim.indices, self.deim.state(xt))
-        rows_sel = rows.tocsc()[:, self.deim.indices].toarray()
-        return self.reduced_mass + self.deim.oblique @ (rows_sel @ self.deim.support_map)
+        return self.deim.jacobian(xt)
 
     def reduced_hamiltonian(self, xt: np.ndarray) -> float:
         if self.variant == "structure-preserving":
@@ -606,7 +663,9 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
     reduced_mass = u.entries.T @ (system.mass @ u.entries)
 
     deim_op = None
-    if nonlin != "exact":
+    if nonlin == "exact" and not system.is_linear:
+        deim_op = exact_reduced_rhs(u, system.mass, system.nonlin)
+    elif nonlin != "exact":
         grads = np.column_stack([system.nonlin.gradient(snapshots[:, j])
                                  for j in range(snapshots.shape[1])])
         basis_full, sv, _ = np.linalg.svd(grads, full_matrices=False)
@@ -616,9 +675,8 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         m = max(1, min(int(round(2.5 * k)), rank))
         v = basis_full[:, :m]
         indices = deim_select(v)
-        deim_op = deim_reduced_rhs(u, system.mass, v, indices,
-                                   system.nonlin.gradient_at, variant=nonlin,
-                                   stencil=system.nonlin.stencil)
+        deim_op = deim_reduced_rhs(u, system.mass, v, indices, system.nonlin,
+                                   variant=nonlin)
         diagnostics["deim_modes"] = m
         diagnostics["deim_indices"] = indices
 

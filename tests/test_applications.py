@@ -31,6 +31,7 @@ from spopt import hamiltonian
 from spopt.geometry import NotSPD
 from spopt.hamiltonian import (
     IntegratorOptions,
+    Nonlinearity,
     build_rom,
     crank_nicolson,
     extract_snapshots,
@@ -535,12 +536,15 @@ class TestDeim:
         m = m + m.T
         v = np.linalg.qr(rng.standard_normal((20, 5)))[0]
         idx = deim_select(v)
-        zero = lambda indices, x: np.zeros(indices.size)
+        zero = Nonlinearity(10, potential=lambda q, p, i: 0.0 * q,
+                            slope=lambda q, p, i: (0.0, 0.0),
+                            curvature=lambda q, p, i: (0.0, 0.0, 0.0))
         xt = rng.standard_normal(4)
         expected = u.entries.T @ (m @ (u.entries @ xt))
         for variant in ("psd-deim", "structure-preserving"):
-            op = deim_reduced_rhs(u, m, v, idx, zero, variant, stencil=lambda idx: idx)
+            op = deim_reduced_rhs(u, m, v, idx, zero, variant)
             assert np.allclose(op(xt), expected, atol=1e-12)
+            assert np.allclose(op.jacobian(xt), u.entries.T @ m @ u.entries, atol=1e-12)
 
     def test_square_orthogonal_basis_exact(self, rng):
         # with a full orthogonal basis the oblique projector is the identity
@@ -550,10 +554,11 @@ class TestDeim:
         v = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
         idx = deim_select(v)
 
-        def grad_h(indices, x):
-            return np.sin(x[indices])
-
-        op = deim_reduced_rhs(u, m, v, idx, grad_h, "psd-deim", stencil=lambda idx: idx)
+        # grad h = sin(x) componentwise
+        sines = Nonlinearity(n, potential=lambda q, p, i: -np.cos(q) - np.cos(p),
+                             slope=lambda q, p, i: (np.sin(q), np.sin(p)),
+                             curvature=lambda q, p, i: (np.cos(q), 0.0, np.cos(p)))
+        op = deim_reduced_rhs(u, m, v, idx, sines, "psd-deim")
         xt = rng.standard_normal(4)
         full = u.entries @ xt
         assert np.allclose(op(xt), u.entries.T @ np.sin(full), atol=1e-10)

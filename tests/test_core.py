@@ -195,11 +195,11 @@ class TestConstruction:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, bad):
-        with pytest.raises(FeasibilityError):
+        with pytest.raises(FeasibilityError, match=r" \(non-finite input\)$"):
             SymplecticPoint.from_entries(np.full((4, 2), bad))
         e = canonical_point(5, 2).entries.copy()
         e[3, 1] = bad
-        with pytest.raises(FeasibilityError):
+        with pytest.raises(FeasibilityError, match=r" \(non-finite input\)$"):
             SymplecticPoint.from_entries(e)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -208,7 +208,7 @@ class TestConstruction:
         x = canonical_point(5, 2)
         z = mulj(x.entries) @ np.eye(4)  # tangent before the bad entry
         z[7, 2] = bad
-        with pytest.raises(FeasibilityError):
+        with pytest.raises(FeasibilityError, match=r" \(non-finite input\)$"):
             TangentVector.from_entries(x, z)
-        with pytest.raises(FeasibilityError):
+        with pytest.raises(FeasibilityError, match=r" \(non-finite input\)$"):
             TangentVector.from_entries(x, np.full(x.entries.shape, bad))

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from spopt import hamiltonian
+from spopt.applications import deim_reduced_rhs, random_symplectic_point
 from spopt.core import jmul, poisson, symplecticity_residual
 from spopt.hamiltonian import (
     GridMismatch,
+    HamiltonianSystem,
     IntegratorOptions,
     NewtonDivergence,
     Trajectory,
@@ -76,15 +79,17 @@ class TestModelConsistency:
 
     @pytest.mark.parametrize("factory", ALL_MODELS)
     def test_componentwise_evaluators_agree(self, factory, rng):
+        # a DEIM operator on the identity basis samples single components of
+        # grad h and single rows of Hess h
         sysm = factory()
         if sysm.nonlin is None:
             return
         x = rng.standard_normal(sysm.dim)
-        idx = rng.integers(0, sysm.dim, size=9)
-        assert np.allclose(sysm.nonlin.gradient_at(idx, x),
-                           sysm.nonlin.gradient(x)[idx], atol=1e-13)
-        rows = sysm.nonlin.jacobian_rows(idx, x).toarray()
-        assert np.allclose(rows, sysm.nonlin.hessian(x).toarray()[idx], atol=1e-13)
+        idx = rng.choice(sysm.dim, size=9, replace=False)
+        op = sampled_at(sysm, idx)
+        assert np.allclose(op(x)[idx], sysm.nonlin.gradient(x)[idx], atol=1e-13)
+        hess = (sysm.grad_jacobian(x) - sysm.mass).toarray()
+        assert np.allclose(op.jacobian(x)[idx], hess[idx], atol=1e-13)
 
 
 class TestWaveModel:
@@ -253,6 +258,46 @@ class TestCrankNicolson:
         v = vlasov_system(8, seed=1)
         with pytest.raises(NewtonDivergence):
             crank_nicolson(v, v.x0, IntegratorOptions(0.5, 1.0, newton_maxit=1))
+
+    @pytest.mark.parametrize("factory", [lambda: vlasov_system(16),
+                                         lambda: sine_gordon_system(16)])
+    def test_non_finite_state_raises_newton_divergence(self, factory):
+        sysm = factory()
+        x0 = sysm.x0.copy()
+        x0[3] = np.nan
+        with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
+            crank_nicolson(sysm, x0, IntegratorOptions(1e-3, 0.01))
+
+    def test_overflowing_state_fails_without_newton_updates(self):
+        sysm = vlasov_system(16)
+        no_update = ReferenceSystem(sysm, lambda model, x: pytest.fail("Newton update"))
+        with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
+            crank_nicolson(no_update, 1e300 * sysm.x0, IntegratorOptions(1e-3, 0.01))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_singular_newton_matrix_raises_newton_divergence(self, sparse):
+        # grad H(x) = x, and a Jacobian G with I - (h/2) J G = diag(0, 1)
+        h = 0.5
+        g = np.array([[0.0, 0.0], [2.0 / h, 0.0]])
+        sysm = SimpleNamespace(dim=2, is_linear=False, grad=lambda x: x,
+                               grad_jacobian=lambda x: sp.csc_matrix(g) if sparse else g)
+        with pytest.raises(NewtonDivergence, match="step 0: singular"):
+            crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
+
+    def test_linear_non_finite_state_names_its_step(self):
+        # H = (p^2 - q^2)/2 grows like e^t, so a huge start overflows after
+        # a few dozen steps; the message names the step that overflowed
+        sysm = HamiltonianSystem("saddle", 1, sp.diags([-1.0, 1.0], format="csr"),
+                                 np.array([1e300, 1e300]))
+        with pytest.raises(NewtonDivergence, match=r"step \d+: linear") as info:
+            crank_nicolson(sysm, sysm.x0, IntegratorOptions(0.5, 50.0))
+        step = int(info.value.args[0].split(":")[0].split()[1])
+        ok = crank_nicolson(sysm, sysm.x0, IntegratorOptions(0.5, 0.5 * step))
+        assert np.isfinite(ok.states).all()
+        nan_x0 = sysm.x0.copy()
+        nan_x0[0] = np.nan
+        with pytest.raises(NewtonDivergence, match="initial state is non-finite"):
+            crank_nicolson(sysm, nan_x0, IntegratorOptions(0.5, 1.0))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -449,6 +494,108 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
+# Test-scale references: the sparse assembly the Newton and DEIM Jacobians
+# were built by before they moved to fixed patterns and site rows.
+
+
+def sampled_at(sysm, idx):
+    """DEIM operator sampling the components ``idx`` of grad h, V = I[:, idx].
+
+    On the identity basis component j of ``op(x)`` is the interpolated
+    gradient component itself, so ``op(x)[idx]`` and ``op.jacobian(x)[idx]``
+    are grad h and Hess h rows at idx.
+    """
+    eye = np.eye(sysm.dim)
+    zero_mass = sp.csr_matrix((sysm.dim, sysm.dim))
+    return deim_reduced_rhs(eye, zero_mass, eye[:, idx], np.asarray(idx), sysm.nonlin)
+
+
+def reference_rows(nonlin, indices, x):
+    """Hessian rows at ``indices`` as CSR, exact zeros eliminated."""
+    n, m = nonlin.n, indices.size
+    on_q, site = indices < n, indices % n
+    v_qq, v_qp, v_pp = nonlin.curvature(x[site], x[site + n], site)
+    data = np.empty((m, 2))
+    data[:, 0] = np.where(on_q, v_qq, v_qp)
+    data[:, 1] = np.where(on_q, v_qp, v_pp)
+    cols = np.column_stack([site, site + n])
+    rows = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 2 * m + 1, 2)),
+                         shape=(m, 2 * n))
+    rows.eliminate_zeros()
+    return rows
+
+
+def reference_jacobian(sysm, x):
+    """M + Hess h assembled by sparse addition."""
+    return sysm.mass + reference_rows(sysm.nonlin, np.arange(sysm.dim), x)
+
+
+def reference_newton_matrix(g, h):
+    """(I - (h/2) J G).tocsc() by sparse construction."""
+    n = g.shape[0] // 2
+    g = sp.csr_matrix(g)
+    jg = sp.vstack([g[n:], -g[:n]], format="csr")
+    return (sp.eye(g.shape[0], format="csc") - 0.5 * h * jg).tocsc()
+
+
+def reference_deim_jacobian(rom, xt):
+    """The reduced Jacobian from sparse Hessian rows at the interpolated state."""
+    op, u, nl = rom.deim, rom.basis.entries, rom.full.nonlin
+    if rom.variant == "psd-deim":
+        return rom.reduced_mass + op.oblique @ (reference_rows(nl, op.indices, u @ xt) @ u)
+    # structure-preserving: columns of the selected entries times the map
+    # xt -> state at those entries, probed column by column
+    w = np.column_stack([op.state(e)[op.indices] for e in np.eye(rom.dim)])
+    rows = reference_rows(nl, op.indices, op.state(xt)).tocsc()[:, op.indices].toarray()
+    return rom.reduced_mass + op.oblique @ (rows @ w)
+
+
+class ReferenceSystem:
+    """A model whose Jacobian is the sparse-addition reference, CSR with
+    exact zeros eliminated, so its pattern can change from call to call."""
+
+    def __init__(self, model, jacobian=reference_jacobian):
+        self.model, self.jacobian = model, jacobian
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def grad_jacobian(self, x):
+        return self.jacobian(self.model, x)
+
+
+def capture_newton(monkeypatch, system, x0, opts):
+    """Run Crank-Nicolson; return the Jacobian arguments and the matrices
+    handed to SuperLU, in call order."""
+    states, matrices = [], []
+    real_splu = hamiltonian.splu
+
+    def spy(a):
+        matrices.append(a.copy())
+        return real_splu(a)
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(system, name)
+
+        def grad_jacobian(self, x):
+            states.append(x.copy())
+            return system.grad_jacobian(x)
+
+    monkeypatch.setattr(hamiltonian, "splu", spy)
+    traj = hamiltonian.crank_nicolson(Recording(), x0, opts)
+    return traj, states, matrices
+
+
+def assert_same_newton_matrix(a, ref):
+    """Equal values bit for bit; equal patterns where ``a`` stores no zero."""
+    assert a.has_sorted_indices and ref.has_sorted_indices
+    assert np.array_equal(a.toarray(), ref.toarray())
+    if np.all(a.data != 0.0):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, attr), getattr(ref, attr))
+
+
 # Per-model closures as each model wrote them before ``Nonlinearity`` derived
 # them from one per-site description; the derived maps must reproduce them.
 
@@ -489,11 +636,8 @@ def reference_sine_gordon(n, meta):
         data = np.cos(x[cols])
         return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
 
-    def stencil(indices):
-        return indices[indices < n]
-
     return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
-                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+                           hessian=hessian, jacobian_rows=jacobian_rows)
 
 
 def reference_schrodinger(n, meta):
@@ -534,12 +678,8 @@ def reference_schrodinger(n, meta):
         data = np.column_stack([diag_q, diag_p]).ravel()
         return sp.csr_matrix((data, (rows, cols)), shape=(indices.size, 2 * n))
 
-    def stencil(indices):
-        site = np.where(indices < n, indices, indices - n)
-        return np.concatenate([site, site + n])
-
     return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
-                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+                           hessian=hessian, jacobian_rows=jacobian_rows)
 
 
 def reference_vlasov(n, meta):
@@ -576,11 +716,8 @@ def reference_vlasov(n, meta):
         return sp.csr_matrix((dfield(x[cols]), (rows, cols)),
                              shape=(indices.size, 2 * n))
 
-    def stencil(indices):
-        return indices[indices < n]
-
     return SimpleNamespace(value=value, gradient=gradient, gradient_at=gradient_at,
-                           hessian=hessian, jacobian_rows=jacobian_rows, stencil=stencil)
+                           hessian=hessian, jacobian_rows=jacobian_rows)
 
 
 REFERENCE_MODELS = {
@@ -607,29 +744,24 @@ class TestNonlinearity:
         sysm = factory(n)
         new, ref = sysm.nonlin, reference(n, sysm.meta)
         idx = rng.choice(sysm.dim, size=min(sysm.dim, 7), replace=False)
-        u = rng.standard_normal((sysm.dim, 4))
+        op = sampled_at(sysm, idx)
         for x in self.states(sysm.dim, rng):
             assert np.array_equal(new.gradient(x), ref.gradient(x))
-            assert np.array_equal(new.gradient_at(idx, x), ref.gradient_at(idx, x))
-            rows, ref_rows = new.jacobian_rows(idx, x), ref.jacobian_rows(idx, x)
-            assert np.array_equal(rows.toarray(), ref_rows.toarray())
-            assert np.array_equal(rows @ u, ref_rows @ u)
-            hess, ref_hess = new.hessian(x), ref.hessian(x)
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(hess, attr), getattr(ref_hess, attr))
-            total, ref_total = sysm.mass + hess, sysm.mass + ref_hess
+            assert np.array_equal(op(x)[idx], ref.gradient_at(idx, x))
+            assert np.array_equal(op.jacobian(x)[idx],
+                                  ref.jacobian_rows(idx, x).toarray())
+            total, ref_total = sysm.grad_jacobian(x), sysm.mass + ref.hessian(x)
             assert np.array_equal(total.toarray(), ref_total.toarray())
             assert np.isclose(new.value(x), ref.value(x), rtol=value_rtol, atol=0.0)
-        assert np.array_equal(new.stencil(idx), ref.stencil(idx))
-
-    def test_reads_p_only_for_schrodinger(self):
-        assert schrodinger_system(8).nonlin.reads_p
-        assert not sine_gordon_system(8).nonlin.reads_p
-        assert not vlasov_system(8).nonlin.reads_p
 
     def test_pipeline_bit_identical_to_reference(self):
+        # the fixed-pattern Newton matrix against per-update sparse assembly
+        # of the closures' Hessian: the same full-order trajectory bit for bit
         sysm = vlasov_system(48, seed=3)
-        ref_sysm = dataclasses.replace(sysm, nonlin=reference_vlasov(48, sysm.meta))
+        closures = reference_vlasov(48, sysm.meta)
+        ref_sysm = ReferenceSystem(
+            dataclasses.replace(sysm, nonlin=closures),
+            jacobian=lambda model, x: model.mass + closures.hessian(x))
         opts = IntegratorOptions(1e-3, 0.1)
         traj = crank_nicolson(sysm, sysm.x0, opts)
         ref_traj = crank_nicolson(ref_sysm, ref_sysm.x0, opts)
@@ -637,9 +769,142 @@ class TestNonlinearity:
         snaps = extract_snapshots(traj, 60)
         for variant in ("exact", "psd-deim", "structure-preserving"):
             rom = build_rom(sysm, snaps, 4, nonlin=variant)
-            ref_rom = build_rom(ref_sysm, snaps, 4, nonlin=variant)
             rt = crank_nicolson(rom, rom.x0_reduced, opts)
-            ref_rt = crank_nicolson(ref_rom, ref_rom.x0_reduced, opts)
-            assert np.array_equal(rt.states, ref_rt.states), variant
-            assert (relative_errors(traj, rom, rt).re_h
-                    == relative_errors(ref_traj, ref_rom, ref_rt).re_h)
+            ref_rt = crank_nicolson(ReferenceSystem(rom, reference_rom_jacobian),
+                                    rom.x0_reduced, opts)
+            assert np.allclose(rt.states, ref_rt.states, rtol=0.0, atol=1e-13), variant
+            assert np.isclose(relative_errors(traj, rom, rt).re_h,
+                              relative_errors(traj, rom, ref_rt).re_h, rtol=1e-9)
+
+
+def reference_rom_jacobian(rom, xt):
+    if rom.variant == "exact":
+        u = rom.basis.entries
+        rows = reference_rows(rom.full.nonlin, np.arange(rom.full.dim), u @ xt)
+        return rom.reduced_mass + u.T @ (rows @ u)
+    return reference_deim_jacobian(rom, xt)
+
+
+FOUR_MODELS = {
+    "wave": lambda: wave_system(12),
+    "sine-gordon": lambda: sine_gordon_system(12),
+    "schrodinger": lambda: schrodinger_system(12),
+    "vlasov": lambda: vlasov_system(12, seed=4),
+}
+
+
+class TestNewtonMatrix:
+    """What SuperLU factors equals the sparse-construction reference."""
+
+    @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
+    def test_matches_reference_at_random_states(self, model, monkeypatch, rng):
+        sysm = FOUR_MODELS[model]()
+        x0 = 0.5 * rng.standard_normal(sysm.dim)
+        opts = IntegratorOptions(1e-2, 5e-2)
+        _, states, matrices = capture_newton(monkeypatch, sysm, x0, opts)
+        assert len(matrices) == len(states) >= 1
+        for y, a in zip(states, matrices):
+            g = sysm.mass if sysm.is_linear else reference_jacobian(sysm, y)
+            ref = reference_newton_matrix(g, opts.h_t)
+            assert_same_newton_matrix(a, ref)
+            assert a.nnz == ref.nnz
+
+    def test_zero_curvature_state(self, monkeypatch, rng):
+        # Vlasov particles resting at q = 0 keep q = 0 in the first Newton
+        # iterate, where V_qq = -12 pi sin(0) is exactly zero
+        sysm = vlasov_system(10, seed=2)
+        x0 = sysm.x0.copy()
+        x0[[1, 4, 10 + 1, 10 + 4]] = 0.0
+        opts = IntegratorOptions(1e-3, 3e-3)
+        _, states, matrices = capture_newton(monkeypatch, sysm, x0, opts)
+        y, a = states[0], matrices[0]
+        assert y[1] == y[4] == 0.0
+        ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
+        assert_same_newton_matrix(a, ref)
+        assert a.nnz == ref.nnz + 2  # the two zero curvatures stay stored
+        for y, a in zip(states[1:], matrices[1:]):
+            ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
+            assert_same_newton_matrix(a, ref)
+
+    def test_trajectories_match_reference_assembly(self):
+        for model in ("sine-gordon", "schrodinger", "vlasov"):
+            sysm = FOUR_MODELS[model]()
+            opts = IntegratorOptions(1e-2, 0.2)
+            traj = crank_nicolson(sysm, sysm.x0, opts)
+            ref = crank_nicolson(ReferenceSystem(sysm), sysm.x0, opts)
+            assert np.array_equal(traj.states, ref.states), model
+
+    def test_pattern_change_between_calls(self, monkeypatch):
+        # every other Jacobian carries an extra stored zero at (0, 5): the
+        # Newton pattern changes, so its gather must be rebuilt each time
+        sysm = schrodinger_system(8)
+        calls = []
+
+        def alternating(model, x):
+            g = model.grad_jacobian(x).tocoo()
+            calls.append(None)
+            if len(calls) % 2:
+                return g.tocsc()
+            return sp.csc_matrix((np.append(g.data, 0.0),
+                                  (np.append(g.row, 0), np.append(g.col, 5))),
+                                 shape=g.shape)
+
+        opts = IntegratorOptions(1e-2, 0.1)
+        traj, states, matrices = capture_newton(
+            monkeypatch, ReferenceSystem(sysm, alternating), sysm.x0, opts)
+        assert len({a.nnz for a in matrices}) == 2
+        for y, a in zip(states, matrices):
+            ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
+            assert np.array_equal(a.toarray(), ref.toarray())
+        plain = crank_nicolson(sysm, sysm.x0, opts)
+        assert np.allclose(traj.states, plain.states, rtol=0.0, atol=1e-13)
+
+
+def _site_pairs_case(model):
+    """A reduced basis, a DEIM basis and a hand-picked selection on n = 8.
+
+    Site 2 has both entries selected, sites 5 and 6 one entry each, so the
+    structure-preserving state has a zero partner entry at those sites.
+    """
+    sysm = {"vlasov": lambda: vlasov_system(8, seed=6),
+            "schrodinger": lambda: schrodinger_system(8)}[model]()
+    rng = np.random.default_rng(21)
+    u = random_symplectic_point(8, 3, seed=21).entries
+    v = np.linalg.qr(rng.standard_normal((16, 4)))[0]
+    idx = np.array([2, 8 + 2, 5, 8 + 6])
+    return sysm, u, v, idx
+
+
+class TestDeimJacobian:
+    @pytest.mark.parametrize("variant", ["psd-deim", "structure-preserving"])
+    @pytest.mark.parametrize("model", ["vlasov", "schrodinger"])
+    def test_matches_row_formula_and_differences(self, model, variant):
+        sysm, u, v, idx = _site_pairs_case(model)
+        op = deim_reduced_rhs(u, sysm.mass, v, idx, sysm.nonlin, variant)
+        rom = hamiltonian.ReducedSystem(
+            SimpleNamespace(entries=u), sysm, variant, np.zeros(6),
+            u.T @ (sysm.mass @ u), op)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            xt = rng.standard_normal(6)
+            jac = op.jacobian(xt)
+            ref = reference_deim_jacobian(rom, xt)
+            assert np.allclose(jac, ref, rtol=0.0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+            h = 1e-6
+            for i in range(6):
+                e = np.zeros(6)
+                e[i] = h
+                col = (op(xt + e) - op(xt - e)) / (2 * h)
+                assert np.linalg.norm(col - jac[:, i]) <= 1e-6 * max(1.0, np.linalg.norm(col))
+
+    def test_structure_preserving_reads_zero_partners(self):
+        sysm, u, v, idx = _site_pairs_case("schrodinger")
+        op = deim_reduced_rhs(u, sysm.mass, v, idx, sysm.nonlin, "structure-preserving")
+        xt = np.random.default_rng(4).standard_normal(6)
+        state = op.state(xt)
+        assert np.count_nonzero(state) == 4
+        assert state[8 + 5] == 0.0 and state[6] == 0.0
+        # sites 5 and 6 are evaluated at (q_5, 0) and (0, p_6)
+        g = sysm.nonlin.gradient(state)
+        expected = u.T @ (sysm.mass @ (u @ xt)) + u.T @ (v @ np.linalg.solve(v[idx], g[idx]))
+        assert np.allclose(op(xt), expected, rtol=1e-12, atol=0.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spopt.applications import random_symplectic_orthogonal
 from spopt.core import (
+    FeasibilityError,
     NumericalFailure,
     SymplecticPoint,
     canonical_point,
@@ -127,6 +128,9 @@ class TestNonFiniteMessages:
         (cayley_economical, np.inf, SingularCayley),
         (cayley_economical, np.nan, SingularCayley),
         (cayley_full, np.nan, SingularCayley),
+        (sr_retract, np.nan, FeasibilityError),
+        (quasi_geodesic, np.inf, FeasibilityError),
+        (quasi_geodesic, np.nan, FeasibilityError),
     ])
     def test_message_names_non_finite_input(self, retraction, bad, error):
         rng = np.random.default_rng(3)
