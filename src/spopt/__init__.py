@@ -44,6 +44,7 @@ from .optimizer import (
 from .oracles import (
     ComplementBasis,
     TangentCoordinates,
+    canonical_gradient_qr,
     cayley_full,
     even_minor_check,
     in_normalized_triangular_set,

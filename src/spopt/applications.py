@@ -89,7 +89,7 @@ class TraceProblem:
 
     def evaluate(self, x: np.ndarray) -> Evaluation:
         ax = self.a @ x
-        return Evaluation(float(np.sum(x * ax)), lambda: 2.0 * ax)
+        return Evaluation(float(np.vdot(x, ax)), lambda: 2.0 * ax)
 
     def cost(self, x: np.ndarray) -> float:
         return self.evaluate(x).cost

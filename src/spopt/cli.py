@@ -12,9 +12,11 @@ E = Euclidean): CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE.
 
 Independent (scheme, case) cells are dispatched to a thread pool bounded by
 the SPOPT_THREADS environment variable; each cell is seed-isolated and its
-files are written atomically.  With a fixed (config, seed) the numerical
-columns of every CSV are bit-identical across runs; wall-clock columns
-(time_s, a.a.f.) are the only nondeterministic fields.
+files are written atomically.  A cell that raises a numerical failure is
+recorded under "failures" in summary.json, the other cells' results are
+kept, and the run exits with code 3.  With a fixed (config, seed) the
+numerical columns of every CSV are bit-identical across runs; wall-clock
+columns (time_s, a.a.f.) are the only nondeterministic fields.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -128,10 +130,29 @@ def _pool_size() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _map_cells(cell, items) -> list:
-    """Run independent cells on the worker pool; results keep input order."""
+#: Errors that end a computation as a numerical failure (exit code 3).
+NUMERICAL_ERRORS = (NumericalFailure, np.linalg.LinAlgError)
+
+
+def _map_cells(cell, items, label=str) -> tuple[list, dict]:
+    """Run independent cells on the worker pool.
+
+    Returns the results of the cells that finished, in input order, and
+    ``{label(item): message}`` for every cell that raised a numerical
+    failure; such a cell does not discard the results of the others.
+    """
+    def guarded(item):
+        try:
+            return cell(item), None
+        except NUMERICAL_ERRORS as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+
     with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        return list(pool.map(cell, items))
+        outcomes = list(pool.map(guarded, items))
+    results = [result for result, error in outcomes if error is None]
+    failures = {label(item): error for item, (_, error) in zip(items, outcomes)
+                if error is not None}
+    return results, failures
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -219,10 +240,11 @@ def run_target(config: ExperimentConfig) -> dict:
         write_trace_csv(out / f"target_{preset}_{scheme}_trace.csv", result)
         return scheme, _result_summary(result)
 
-    results = dict(_map_cells(cell, config.schemes))
+    pairs, failures = _map_cells(cell, config.schemes)
+    results = dict(pairs)
 
     summary = {"application": "target", "preset": preset, "seed": config.seed,
-               "solver": solver, "schemes": results}
+               "solver": solver, "schemes": results, "failures": failures}
     _dump_summary(out, summary)
     return summary
 
@@ -261,12 +283,14 @@ def run_sympev(config: ExperimentConfig) -> dict:
         info["diagonalizer_orthogonality"] = spectrum.diagonalizer_orthogonality
         return scheme, info
 
-    results = dict(_map_cells(cell, config.schemes))
+    pairs, failures = _map_cells(cell, config.schemes)
+    results = dict(pairs)
 
     timing = {s: results[s]["time_per_step_s"] for s in results}
     summary = {"application": "sympev", "preset": preset, "seed": config.seed,
                "n": n, "m": m, "k": k, "true_values": truth.tolist(),
-               "solver": solver, "schemes": results, "time_per_step": timing}
+               "solver": solver, "schemes": results, "time_per_step": timing,
+               "failures": failures}
     _dump_summary(out, summary)
     return summary
 
@@ -380,7 +404,8 @@ def run_mor(config: ExperimentConfig) -> dict:
         }
         return row
 
-    rows = _map_cells(cell, cases)
+    rows, failures = _map_cells(cell, cases,
+                                label=lambda case: f"k={case[0]} {case[1]} {case[3]}")
 
     # one accelerating factor per (k, variant) group: FOM time over the mean
     # ROM simulation time across the reduction methods of that group
@@ -389,8 +414,10 @@ def run_mor(config: ExperimentConfig) -> dict:
                  if r["k"] == row["k"] and r["nonlin"] == row["nonlin"]]
         mean_t = float(np.mean(group))
         row["aaf"] = fom.wall_time / mean_t if mean_t > 0 else float("inf")
-    mean_rom_time = float(np.mean([r["rom_time_s"] for r in rows]))
-    aaf = fom.wall_time / mean_rom_time if mean_rom_time > 0 else float("inf")
+    aaf = None  # no ROM finished
+    if rows:
+        mean_rom_time = float(np.mean([r["rom_time_s"] for r in rows]))
+        aaf = fom.wall_time / mean_rom_time if mean_rom_time > 0 else float("inf")
 
     lines = ["model,k,scheme,nonlin,re_x,re_h,aaf,cost_cotlift,cost_final"]
     for r in rows:
@@ -405,6 +432,7 @@ def run_mor(config: ExperimentConfig) -> dict:
         "setup": {key: setup[key] for key in setup},
         "nonlin": nonlin, "deim_variants": deim_variants,
         "fom_time_s": fom.wall_time, "aaf": aaf, "rows": rows,
+        "failures": failures,
     }
     _dump_summary(out, summary)
     return summary
@@ -476,7 +504,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         summary = RUNNERS[config.application](config)
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         # checked first: a feasibility blow-up is also a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -494,7 +522,9 @@ def main(argv=None) -> int:
     for row in summary.get("rows", []):
         print(f"  k={row['k']} {row['scheme']} {row['nonlin']}: "
               f"re_x={row['re_x']:.6e} re_h={row['re_h']:.3e} aaf={row['aaf']:.3g}")
-    return 0
+    for label, error in summary["failures"].items():
+        print(f"numerical failure: {label}: {error}", file=sys.stderr)
+    return 3 if summary["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -116,8 +116,15 @@ def _dims_of(entries: np.ndarray) -> Dims:
 def symplecticity_residual(x) -> float:
     """Feasibility violation ||X^T J_{2n} X - J_{2k}||_F of a 2n-by-2k matrix."""
     e = np.asarray(getattr(x, "entries", x), dtype=float)
-    d = _dims_of(e)
-    return float(np.linalg.norm(e.T @ jmul(e) - poisson(d.k)))
+    k = _dims_of(e).k
+    m = e.T @ jmul(e)
+    # subtract J_{2k} in place: on the row-major flat view, its +1 entries
+    # (i, k + i) sit at k + i (2k + 1) and its -1 entries (k + i, i) at
+    # 2k^2 + i (2k + 1), for i < k
+    flat = m.reshape(-1)
+    flat[k:2 * k * k:2 * k + 1] -= 1.0
+    flat[2 * k * k::2 * k + 1] += 1.0
+    return float(np.linalg.norm(m))
 
 
 def tangency_residual(x, z) -> float:

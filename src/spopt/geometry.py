@@ -15,11 +15,14 @@ composes the operators
     G_X = I - (1/2) X J X^T J^T          (projection)
     H_X = (rho/2) X X^T + J Xperp Xperp^T J^T   (gradient)
 
-applied as chains of 2n-by-2k products; Xperp Xperp^T is applied through the
-orthogonal projector I - Q Q^T with Q a thin orthonormal basis of range(X),
-so no 2n-by-2n matrix and no explicit complement is ever formed.  The
-explicit complement, the (W, K) coordinate extraction and the metric inner
-products built on it are test-scale oracles in :mod:`spopt.oracles`.
+applied as chains of 2n-by-2k products; Xperp Xperp^T is applied as the
+orthogonal projector v - X (X^T X)^{-1} X^T v through a Cholesky factor of
+the 2k-by-2k X^T X, so no 2n-by-2n matrix, no orthonormal basis and no
+explicit complement is ever formed.  Every 2k-by-2k factorization is one
+direct LAPACK call; a failed one raises :class:`NotSPD`.  The explicit
+complement, the (W, K) coordinate extraction, the metric inner products
+built on it and the thin-QR form of the canonical gradient are test-scale
+oracles in :mod:`spopt.oracles`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     NumericalFailure,
@@ -35,9 +39,7 @@ from .core import (
     TangentVector,
     jmul,
     jtmul,
-    mulj,
     skew_part,
-    sym_part,
 )
 
 
@@ -73,15 +75,17 @@ class Metric:
 def solve_skew_lyapunov(p: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve P Omega + Omega P = C for skew C and SPD P.
 
-    Symmetric eigendecomposition of P followed by elementwise division by
-    eigenvalue sums; the result is re-skew-symmetrized.  Unconditionally
-    stable for SPD P at O(k^3) cost.
+    Symmetric eigendecomposition of P (LAPACK ``dsyevd`` on its lower
+    triangle) followed by elementwise division by eigenvalue sums; the result
+    is re-skew-symmetrized.  Unconditionally stable for SPD P at O(k^3) cost.
+    Raises :class:`NotSPD` when the eigensolver fails or the smallest
+    eigenvalue is not positive, which includes a NaN in P.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
-    lam, u = np.linalg.eigh(sym_part(p))
-    if lam[0] <= 0.0:
-        raise NotSPD(f"smallest eigenvalue {lam[0]:.3e}")
+    lam, u, info = lapack.dsyevd(p, lower=1)
+    if info != 0 or not lam.min() > 0.0:
+        raise NotSPD(f"smallest eigenvalue {lam.min():.3e} (dsyevd info={info})")
     ct = u.T @ c @ u
     omega = u @ (ct / (lam[:, None] + lam[None, :])) @ u.T
     return skew_part(omega)
@@ -90,20 +94,26 @@ def solve_skew_lyapunov(p: np.ndarray, c: np.ndarray) -> np.ndarray:
 def euclidean_normal_coefficient(x: SymplecticPoint, y: np.ndarray) -> np.ndarray:
     """The skew Omega with P_e^perp(Y) = J X Omega, from the Lyapunov equation."""
     e = x.entries
-    c = 2.0 * skew_part(e.T @ jtmul(y))
-    return solve_skew_lyapunov(e.T @ e, c)
+    m = jmul(e).T @ y  # X^T J^T Y
+    return solve_skew_lyapunov(e.T @ e, m - m.T)
 
 
-def _apply_gx(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+# The canonical-metric helpers below take jx = J X besides X; products with
+# X J are rewritten through J X and 2k-by-2k swaps (X^T J^T Y = (J X)^T Y,
+# X J M = X (J M)), so J X is the only 2n-by-2k block swap they form.
+
+
+def _apply_gx(e: np.ndarray, jx: np.ndarray, y: np.ndarray) -> np.ndarray:
     # G_X y = y - (1/2) X J_{2k} X^T J_{2n}^T y
-    return y - 0.5 * e @ jmul(e.T @ jtmul(y))
+    return y - e @ jmul(0.5 * (jx.T @ y))
 
 
-def _sxy_times_jx(e: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    # S J X with S = gy (XJ)^T + XJ gy^T, using only tall-skinny products
-    xj = mulj(e)
-    jx = jmul(e)
-    return gy @ (xj.T @ jx) + xj @ (gy.T @ jx)
+def _sxy_times_jx(e: np.ndarray, jx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    # S J X with S = gy (XJ)^T + XJ gy^T, using only tall-skinny products:
+    # (XJ)^T J X = J^T (X^T J X) and XJ gy^T J X = X J (gy^T J X)
+    out = gy @ jtmul(e.T @ jx)
+    out += e @ jmul(gy.T @ jx)
+    return out
 
 
 def project_tangent(metric: Metric, x: SymplecticPoint, y) -> TangentVector:
@@ -118,7 +128,8 @@ def project_tangent(metric: Metric, x: SymplecticPoint, y) -> TangentVector:
         omega = euclidean_normal_coefficient(x, ye)
         z = ye - jmul(e @ omega)
     else:
-        z = _sxy_times_jx(e, _apply_gx(e, ye))
+        jx = jmul(e)
+        z = _sxy_times_jx(e, jx, _apply_gx(e, jx, ye))
     return TangentVector(x, z)
 
 
@@ -128,15 +139,24 @@ def riemannian_gradient(metric: Metric, x: SymplecticPoint,
 
     Defined by g(grad f(X), Z) = tr(egrad^T Z) for all tangent Z.  Euclidean:
     the Euclidean projection egrad - J X Omega.  Canonical: S_{X,egrad} J X
-    with H_X in place of G_X, applying Xperp Xperp^T = I - Q Q^T through a
-    thin QR of X.
+    with H_X in place of G_X, where J Xperp Xperp^T J^T egrad = egrad -
+    J X (X^T X)^{-1} X^T J^T egrad is applied through the Cholesky factor of
+    X^T X (``dpotrf``/``dpotrs``).  Its error grows like cond(X)^2 eps, against
+    cond(X) eps for the thin-QR form :func:`spopt.oracles.canonical_gradient_qr`.
+    Raises :class:`NotSPD` when X^T X is not numerically positive definite.
     """
     if metric.kind is MetricKind.EUCLIDEAN:
         return project_tangent(metric, x, egrad)
     e = x.entries
     g = np.asarray(egrad, dtype=float)
-    v = jtmul(g)
-    q, _ = np.linalg.qr(e)
-    proj = v - q @ (q.T @ v)
-    hg = 0.5 * metric.rho * e @ (e.T @ g) + jmul(proj)
-    return TangentVector(x, _sxy_times_jx(e, hg))
+    jx = jmul(e)
+    chol, info = lapack.dpotrf(e.T @ e)
+    # a NaN passes dpotrf with info = 0 but reaches the factor's diagonal
+    if info != 0 or not np.isfinite(chol.trace()):
+        raise NotSPD(f"X^T X is not positive definite (dpotrf info={info})")
+    coef, _ = lapack.dpotrs(chol, jx.T @ g)  # (X^T X)^{-1} X^T J^T egrad
+    # H_X egrad = (rho/2) X X^T egrad + egrad - J X coef
+    hg = e @ ((0.5 * metric.rho) * (e.T @ g))
+    hg += g
+    hg -= jx @ coef
+    return TangentVector(x, _sxy_times_jx(e, jx, hg))

@@ -21,6 +21,7 @@ the constant Hamiltonian offset H(x(t)) - Ht(xt(t)) at integrator roundoff.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 import time
@@ -161,7 +162,11 @@ class HamiltonianSystem:
         data = pattern.data.copy()
         for pos, v in zip(blocks, (v_qq, v_qp, v_qp, v_pp)):
             data[pos] += v
-        return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        # a shallow copy shares the pattern's index arrays and canonical-format
+        # flags, so the constructor's re-check of those arrays never runs
+        g = copy.copy(pattern)
+        g.data = data
+        return g
 
 
 @dataclass(frozen=True)

@@ -150,10 +150,10 @@ def bb_trial_step(i: int, w_prev: np.ndarray, y_prev: np.ndarray,
     """
     if i < 1:
         raise ValueError("the BB step needs at least one completed iteration")
-    wy = abs(float(np.sum(w_prev * y_prev)))
-    yy = float(np.sum(y_prev * y_prev))
+    wy = abs(float(np.vdot(w_prev, y_prev)))
+    yy = float(np.vdot(y_prev, y_prev))
     if i % 2 == 1:
-        gamma = float(np.sum(w_prev * w_prev)) / wy if wy > 0.0 else gamma_min
+        gamma = float(np.vdot(w_prev, w_prev)) / wy if wy > 0.0 else gamma_min
     else:
         gamma = wy / yy if yy > 0.0 else gamma_min
     if not np.isfinite(gamma):
@@ -176,7 +176,7 @@ def nonmonotone_search(problem: Objective, retraction: RetractionKind,
     rejections.
     """
     if slope is None:
-        slope = float(np.sum(problem.evaluate(x.entries).gradient() * z))
+        slope = float(np.vdot(problem.evaluate(x.entries).gradient(), z))
     for ell in range(max_backtracks + 1):
         tau = gamma * delta**ell
         try:
@@ -229,7 +229,7 @@ def minimize(problem: Objective, x0: SymplecticPoint,
                                   opts.gamma_min, opts.gamma_max)
         else:
             gamma = min(max(opts.gamma0, opts.gamma_min), opts.gamma_max)
-        slope = -float(np.sum(egrad * grad.entries))
+        slope = -float(np.vdot(egrad, grad.entries))
         try:
             step = nonmonotone_search(problem, opts.retraction, x, z, gamma, c,
                                       opts.beta, opts.delta, opts.max_backtracks,

@@ -1,8 +1,9 @@
 """Test-scale oracles: dense reference forms the fast kernels are checked
 against on small instances (SR existence and normalization, classical-order
-Gram-Schmidt, the full Cayley transform, and the (W, K) tangent coordinates
-with the metrics evaluated through them).  Only the package ``__init__``
-imports this module; the solver path never does.
+Gram-Schmidt, the full Cayley transform, the thin-QR canonical gradient, and
+the (W, K) tangent coordinates with the metrics evaluated through them).
+Only the package ``__init__`` imports this module; the solver path never
+does.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import (NumericalFailure, SymplecticPoint, jmul, jtmul, mulj,
-                   perfect_shuffle, sym_part, symplectic_inverse)
-from .geometry import Metric, MetricKind
-from .retractions import _solve_checked
+from .core import (NumericalFailure, SymplecticPoint, TangentVector, jmul, jtmul,
+                   mulj, perfect_shuffle, sym_part, symplectic_inverse)
+from .geometry import Metric, MetricKind, _sxy_times_jx
+from .retractions import _inverse_checked
 from .sr import PspsFactors, _check_shape, _desr_pair, _j2t
 
 
@@ -114,8 +115,26 @@ def cayley_full(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
     half = 0.5 * mulj(s)
     lhs = np.eye(n2) - half
     rhs = (np.eye(n2) + half) @ e
-    out = _solve_checked(lhs, rhs, (e, ze))
+    out = _inverse_checked(lhs, (e, ze)) @ rhs
     return SymplecticPoint.from_entries(out, check=check)
+
+
+def canonical_gradient_qr(metric: Metric, x: SymplecticPoint,
+                          egrad: np.ndarray) -> TangentVector:
+    """Canonical-like Riemannian gradient with Xperp Xperp^T = I - Q Q^T from
+    a thin QR of X.
+
+    The reference for the Cholesky form in
+    :func:`spopt.geometry.riemannian_gradient`: the same operator H_X, with
+    the orthogonal projector applied to cond(X) eps instead of cond(X)^2 eps.
+    """
+    e = x.entries
+    g = np.asarray(egrad, dtype=float)
+    v = jtmul(g)
+    q, _ = np.linalg.qr(e)
+    proj = v - q @ (q.T @ v)
+    hg = 0.5 * metric.rho * e @ (e.T @ g) + jmul(proj)
+    return TangentVector(x, _sxy_times_jx(e, jmul(e), hg))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Retractions: Cayley, quasi-geodesic, and SR.
 
 All three maps satisfy R_X(0) = X and d/dt R_X(tZ)|_0 = Z.  The Cayley
-retraction is the economical form, with one 2k-by-2k solve; the full form,
-with a 2n-by-2n solve, is the oracle ``spopt.oracles.cayley_full``.
+retraction is the economical form, with one 2k-by-2k LAPACK inverse; the
+full form, with a 2n-by-2n one, is the oracle ``spopt.oracles.cayley_full``.
 The quasi-geodesic map is globally defined but lets feasibility drift
 accumulate over many steps; the SR retraction re-factorizes X + Z at every
 call and keeps iterates symplectic to factorization accuracy whenever
@@ -31,40 +31,43 @@ class RetractionKind(enum.Enum):
     SR = "sr"
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray, operands) -> np.ndarray:
-    # LU solve with a 1-norm condition estimate; cond > 1e14 counts as singular.
-    # A failure message says so when one of the retraction's ``operands`` (the
-    # X and Z that a and b are built from) is non-finite.
+def _inverse_checked(a: np.ndarray, operands) -> np.ndarray:
+    # LU inverse with a 1-norm condition estimate; cond > 1e14 counts as
+    # singular.  A failure message says so when one of the retraction's
+    # ``operands`` (the X and Z that a is built from) is non-finite.
+    anorm = lapack.dlange("1", a)
     lu, piv, info = lapack.dgetrf(a)
     if info != 0:
         raise SingularCayley(f"LU factorization failed (info={info})"
                              + nonfinite_note(*operands))
-    anorm = np.linalg.norm(a, 1)
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < 1e-14:
         raise SingularCayley(f"condition estimate {1.0 / max(rcond, 1e-300):.3e}"
                              + nonfinite_note(*operands))
-    x, info = lapack.dgetrs(lu, piv, b)
+    inv, info = lapack.dgetri(lu, piv, overwrite_lu=True)
     if info != 0:
-        raise SingularCayley(f"solve failed (info={info})" + nonfinite_note(*operands))
-    return x
+        raise SingularCayley(f"inversion failed (info={info})" + nonfinite_note(*operands))
+    return inv
 
 
 def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
-    """Cayley retraction through a 2k-by-2k solve.
+    """Cayley retraction through a 2k-by-2k inverse.
 
     R = -X + (H + 2X) (J^T H^T J H / 4 - J^T X^T J Z / 2 + I)^{-1} with
-    H = Z - X J^T X^T J Z.
+    H = Z - X J^T X^T J Z.  The 2k-by-2k matrix is inverted by LAPACK
+    (``dgetrf``, ``dgecon``, ``dgetri``) and applied with one GEMM; a
+    condition estimate above 1e14 raises :class:`SingularCayley`.
     """
     e = x.entries
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
     k2 = e.shape[1]
-    h = ze - e @ jtmul(e.T @ jmul(ze))
-    inner = (0.25 * jtmul(h.T @ jmul(h))
-             - 0.5 * jtmul(e.T @ jmul(ze))
-             + np.eye(k2))
-    # (H + 2X) inner^{-1} via a transposed solve
-    out = -e + _solve_checked(inner.T, (h + 2.0 * e).T, (e, ze)).T
+    jtw = jtmul(e.T @ jmul(ze))  # J^T X^T J Z
+    h = ze - e @ jtw
+    inner = 0.25 * jtmul(h.T @ jmul(h)) - 0.5 * jtw
+    inner.flat[::k2 + 1] += 1.0
+    h += 2.0 * e
+    out = h @ _inverse_checked(inner, (e, ze))
+    out -= e
     return SymplecticPoint.from_entries(out, check=check)
 
 
@@ -72,17 +75,19 @@ def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint
     """Quasi-geodesic retraction; globally defined.
 
     [X, Z] expm([[-JW, J Z^T J Z], [I, -JW]]) [I; 0] expm(JW) with
-    W = X^T J Z.  The exponentials act on 4k-by-4k and 2k-by-2k blocks.
+    W = X^T J Z.  The exponentials act on 4k-by-4k and 2k-by-2k blocks; the
+    4k-by-4k exponent is filled in place.
     """
     e = x.entries
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
     k2 = e.shape[1]
-    w = e.T @ jmul(ze)
-    jw = jmul(w)
-    block = np.block([
-        [-jw, jmul(ze.T @ jmul(ze))],
-        [np.eye(k2), -jw],
-    ])
+    jz = jmul(ze)
+    jw = jmul(e.T @ jz)
+    block = np.zeros((2 * k2, 2 * k2))
+    np.negative(jw, out=block[:k2, :k2])
+    block[:k2, k2:] = jmul(ze.T @ jz)
+    block[k2:, :k2].flat[::k2 + 1] = 1.0
+    block[k2:, k2:] = block[:k2, :k2]
     left = np.column_stack([e, ze]) @ scipy.linalg.expm(block)[:, :k2]
     out = left @ scipy.linalg.expm(jw)
     return SymplecticPoint.from_entries(out, check=check)

@@ -15,7 +15,9 @@ normalization makes the factors unique.
   second pass re-factors S^T J S, which is close to J_hat, and R_hat is the
   product of the two triangular factors.  Without row interchanges the LU of
   J_hat^T G is unique and equals (J_hat^T R_hat^T J_hat) R_hat, so this path
-  computes the same factors as Gram-Schmidt.
+  computes the same factors as Gram-Schmidt.  The per-k index helpers (the
+  shuffle, the no-interchange pivot vector, the triangle mask) are built
+  once and cached.
 * The Gram-Schmidt path, :func:`sgs_modified`, processes two columns at a
   time.  A pair (a1, a2) with omega = a1^T J a2 != 0 is rescaled into a
   symplectic pair; omega == 0 means the pair spans an isotropic subspace and
@@ -28,6 +30,9 @@ stays close to symplectic and the Gram stays close to J_hat.  Otherwise, on
 ill-conditioned or non-factorizable input, the Gram-Schmidt path runs on the
 original columns and alone decides whether to raise :class:`Breakdown`.
 
+The SR retraction reads only S, so :class:`SrFactors` keeps the shuffled
+triangular factors and forms R = P^T R_hat P on first access.
+
 Existence for the full matrix is equivalent to all even leading minors of
 the shuffled Gram matrix P A^T J A P^T being nonzero.  The small-scale
 oracles that check this module (that condition, the normalization of R and
@@ -36,13 +41,16 @@ classical-order Gram-Schmidt) live in :mod:`spopt.oracles`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .core import (Dims, NumericalFailure, SymplecticPoint, jmul, nonfinite_note,
-                   perfect_shuffle)
+from .core import (NumericalFailure, PerfectShuffle, SymplecticPoint, jmul,
+                   nonfinite_note, perfect_shuffle)
 
 #: Relative threshold on |omega| below which a column pair counts as isotropic.
 DEFAULT_BREAKDOWN_TOL = 1e-14
@@ -89,10 +97,22 @@ class PspsFactors:
 
 @dataclass(frozen=True)
 class SrFactors:
-    """Factors A = S R with S symplectic and R in the normalized triangular set."""
+    """Factors A = S R with S symplectic and R in the normalized triangular set.
+
+    ``r_hat_factors`` are the shuffled-order triangular factors whose product
+    is R_hat = P R P^T: two on the Gram path, one on the Gram-Schmidt path.
+    R itself is formed on first access; the SR retraction never reads it.
+    """
 
     s: SymplecticPoint
-    r: np.ndarray
+    r_hat_factors: tuple[np.ndarray, ...]
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        r_hat = self.r_hat_factors[0]
+        for factor in self.r_hat_factors[1:]:
+            r_hat = r_hat @ factor
+        return _layout(r_hat.shape[0] // 2).shuffle.unconjugate(r_hat)
 
 
 def desr(a: np.ndarray) -> DesrFactors:
@@ -154,26 +174,51 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
     return PspsFactors(s_hat, r_hat)
 
 
-def _gram_pass(b: np.ndarray, overwrite_b: bool) -> PspsFactors | None:
+class _Layout(NamedTuple):
+    """Index helpers of one k, built once: the shuffle, the column order of
+    B = A P^T, the pivot vector of a 2k-by-2k LU without row interchanges,
+    and the mask of the strictly lower triangle of a 2k-by-2k matrix."""
+
+    shuffle: PerfectShuffle
+    to_shuffled: np.ndarray
+    no_interchange: np.ndarray
+    strictly_lower: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(k: int) -> _Layout:
+    shuffle = perfect_shuffle(k)
+    return _Layout(shuffle, shuffle.inverse, np.arange(2 * k, dtype=np.int32),
+                   np.tri(2 * k, k=-1, dtype=bool))
+
+
+def _gram_pass(b: np.ndarray) -> PspsFactors | None:
     """One Gram pass: B = S_hat R_hat from the unpivoted LU of J_hat^T B^T J B.
 
     With G = B^T J B = R_hat^T J_hat R_hat, H = J_hat^T G factors as
     (J_hat^T R_hat^T J_hat) R_hat: lower times upper triangular, the lower
     factor's diagonal being D = diag(r22, r11, ...).  LAPACK returns U =
-    D R_hat, with omega_j = U[2j, 2j].  Returns None when partial pivoting
-    interchanged rows (the LU is then not that one) or a pivot is zero or
-    non-finite.
+    D R_hat, with omega_j = U[2j, 2j]; R_hat is scaled out of the LU array
+    in place.  Returns None when partial pivoting interchanged rows (the LU
+    is then not that one) or a pivot is zero or non-finite.  S_hat overwrites
+    B when B is column-major.
     """
     n = b.shape[0] // 2
     k2 = b.shape[1]
+    layout = _layout(k2 // 2)
     m = b[:n].T @ b[n:]  # G = m - m^T exactly skew
     h = np.empty((k2, k2), order="F")
     h[0::2] = m.T[1::2] - m[1::2]
     h[1::2] = m[0::2] - m.T[0::2]
     lu, piv, info = lapack.dgetrf(h, overwrite_a=True)
-    if info != 0 or (piv != np.arange(k2)).any():
+    if info != 0 or (piv != layout.no_interchange).any():
         return None
-    omega = lu.diagonal()[0::2]
+    # column-major view of the Fortran-ordered LU: flat[i + j k2] = lu[i, j];
+    # with step 2(k2 + 1), offsets 0, k2 + 1 and k2 select the entries
+    # (2j, 2j), (2j+1, 2j+1) and (2j, 2j+1) of the 2x2 diagonal blocks
+    flat = lu.ravel(order="F")
+    step = 2 * (k2 + 1)
+    omega = flat[::step]
     r11 = np.sqrt(np.abs(omega))
     if not (r11.min() > 0.0 and r11.max() < np.inf):
         return None
@@ -181,17 +226,19 @@ def _gram_pass(b: np.ndarray, overwrite_b: bool) -> PspsFactors | None:
     d = np.empty(k2)
     d[0::2] = r22
     d[1::2] = r11
-    r_hat = np.triu(lu) / d[:, None]
-    lead = np.arange(0, k2, 2)
-    r_hat[lead, lead + 1] = 0.0
-    r_hat[lead, lead] = r11
-    r_hat[lead + 1, lead + 1] = r22
-    s_hat = blas.dtrsm(1.0, r_hat, b, side=1, overwrite_b=overwrite_b)
-    return PspsFactors(s_hat, r_hat)
+    lu /= d[:, None]
+    lu[layout.strictly_lower] = 0.0
+    flat[::step] = r11
+    flat[k2 + 1::step] = r22
+    flat[k2::step] = 0.0
+    s_hat = blas.dtrsm(1.0, lu, b, side=1, overwrite_b=True)
+    return PspsFactors(s_hat, lu)
 
 
-def _sgs_gram(b: np.ndarray) -> PspsFactors | None:
-    """Two Gram passes in shuffled column order, or None to fall back.
+def _sgs_gram(b: np.ndarray):
+    """Two Gram passes in shuffled column order: (S_hat, (R_hat_2, R_hat_1))
+    with R_hat = R_hat_2 R_hat_1, or None to fall back.  Overwrites a
+    column-major B.
 
     The second pass re-factors S_1^T J S_1, close to J_hat, and recovers the
     accuracy one pass loses to the conditioning of G.  Besides the pivot
@@ -199,16 +246,16 @@ def _sgs_gram(b: np.ndarray) -> PspsFactors | None:
     the :func:`desr` test |omega| <= tol ||w_p|| ||w_q||, which through
     s = w / r11 reads ||s_p|| ||s_q|| tol >= 1.
     """
-    first = _gram_pass(b, overwrite_b=False)
+    first = _gram_pass(b)
     if first is None:
         return None
     norms = np.sqrt(np.einsum("ij,ij->j", first.s_hat, first.s_hat))
     if (norms[0::2] * norms[1::2] * DEFAULT_BREAKDOWN_TOL >= 1.0).any():
         return None
-    second = _gram_pass(first.s_hat, overwrite_b=True)
+    second = _gram_pass(first.s_hat)
     if second is None:
         return None
-    return PspsFactors(second.s_hat, second.r_hat @ first.r_hat)
+    return second.s_hat, (second.r_hat, first.r_hat)
 
 
 def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
@@ -218,7 +265,8 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     and one triangular solve each) when their LU needs no row interchange
     and every pivot is finite, nonzero and not isotropic; otherwise by
     :func:`sgs_modified`.  The module docstring gives the details.  Both
-    paths compute the unique normalized factors.
+    paths compute the unique normalized factors.  R is formed only when
+    :attr:`SrFactors.r` is read.
 
     Parameters
     ----------
@@ -232,19 +280,20 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
         says so when A has non-finite entries.
     """
     a = _check_shape(a)
-    d = Dims(a.shape[0] // 2, a.shape[1] // 2)
-    shuffle = perfect_shuffle(d.k)
-    b = shuffle.shuffle_cols(a)
-    psps = _sgs_gram(b)
-    if psps is None:
+    layout = _layout(a.shape[1] // 2)
+    # B = A P^T, column-major (as a column gather already returns it) so that
+    # the triangular solves overwrite it
+    gram = _sgs_gram(np.asfortranarray(a[:, layout.to_shuffled]))
+    if gram is None:
         try:
-            psps = sgs_modified(b)
+            psps = sgs_modified(a[:, layout.to_shuffled])
         except Breakdown as exc:
             raise Breakdown(exc.pair_index, exc.omega, nonfinite_note(a)) from None
-    s = shuffle.unshuffle_cols(psps.s_hat)
-    r = shuffle.unconjugate(psps.r_hat)
-    point = SymplecticPoint.from_entries(s, check=check)
-    return SrFactors(point, r)
+        gram = psps.s_hat, (psps.r_hat,)
+    s_hat, r_hat_factors = gram
+    point = SymplecticPoint.from_entries(layout.shuffle.unshuffle_cols(s_hat),
+                                         check=check)
+    return SrFactors(point, r_hat_factors)
 
 
 def _check_shape(a: np.ndarray) -> np.ndarray:

@@ -319,7 +319,7 @@ def ref_target(w, x):
 
 
 def ref_trace(a, x):
-    return float(np.sum(x * (a @ x))), 2.0 * (a @ x)
+    return float(np.vdot(x, a @ x)), 2.0 * (a @ x)
 
 
 def ref_psd(l, x):

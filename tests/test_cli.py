@@ -11,7 +11,7 @@ from spopt.geometry import NotSPD
 from spopt.hamiltonian import GridMismatch, NewtonDivergence
 from spopt.optimizer import LineSearchError
 from spopt.oracles import RankDeficient, SingularSystem
-from spopt.retractions import SingularCayley
+from spopt.retractions import RetractionKind, SingularCayley
 from spopt.sr import Breakdown
 
 
@@ -244,6 +244,59 @@ class TestNumericalFailureExit:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert message in err
+
+    @pytest.mark.filterwarnings("ignore:trace minimization ended")
+    @pytest.mark.parametrize("app", ["target", "sympev"])
+    def test_failed_cell_keeps_other_cells(self, app, tmp_path, monkeypatch, capsys):
+        # QGeoE raises inside its cell; SRE, run on the same pool, must keep
+        # its trace file and summary entry, and the run must exit 3
+        real = cli.minimize if app == "target" else cli.symplectic_eigenpairs
+        target = "minimize" if app == "target" else "symplectic_eigenpairs"
+
+        def qgeo_fails(*args, **kwargs):
+            options = args[2] if app == "target" else kwargs["solver_options"]
+            if options.retraction is RetractionKind.QUASI_GEODESIC:
+                raise SingularCayley("condition estimate 1.000e+16")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, target, qgeo_fails)
+        cfg = write_cfg(tmp_path, {"n": 20, "solver": {"niter": 20}}
+                        if app == "sympev" else {"solver": {"niter": 20}})
+        out = tmp_path / "o"
+        rc = main([app, "--config", cfg, "--schemes", "QGeoE,SRE", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: QGeoE: SingularCayley: condition estimate" in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == {
+            "QGeoE": "SingularCayley: condition estimate 1.000e+16"}
+        assert list(summary["schemes"]) == ["SRE"]
+        assert summary["schemes"]["SRE"]["iterations"] >= 1
+        preset = "sum" if app == "target" else "spsd"
+        assert (out / f"{app}_{preset}_SRE_trace.csv").exists()
+        assert not (out / f"{app}_{preset}_QGeoE_trace.csv").exists()
+
+    def test_mor_failed_cell_keeps_other_rows(self, tmp_path, monkeypatch, capsys):
+        real = cli.build_rom
+
+        def optimized_fails(*args, **kwargs):
+            if kwargs.get("reduction") == "optimized":
+                raise NotSPD("smallest eigenvalue -1.000e-03")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_rom", optimized_fails)
+        cfg = write_cfg(tmp_path, {
+            "model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
+            "snapshots": 20, "k_values": [4],
+        })
+        out = tmp_path / "o"
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure: k=4 SRE exact: NotSPD" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["failures"]) == ["k=4 SRE exact"]
+        assert [row["scheme"] for row in summary["rows"]] == ["CotLift"]
+        assert summary["aaf"] > 0
 
     def test_taxonomy(self):
         for cls in (Breakdown, SingularCayley, SingularSelection, NotSPD,

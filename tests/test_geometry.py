@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from spopt.applications import random_symplectic_orthogonal
 from spopt.core import (
+    SymplecticPoint,
     canonical_point,
     jmul,
     mulj,
@@ -20,6 +22,7 @@ from spopt.geometry import (
 )
 from spopt.oracles import (
     RankDeficient,
+    canonical_gradient_qr,
     metric_inner,
     orthonormal_complement,
     tangent_coordinates,
@@ -124,6 +127,58 @@ class TestSkewLyapunov:
         c = skew_part(rng.standard_normal((4, 4)))
         with pytest.raises(NotSPD):
             solve_skew_lyapunov(-np.eye(4), c)
+
+    @pytest.mark.parametrize("where", [None, (0, 0), (1, 2)])
+    def test_nan_coefficient_raises_not_spd(self, where):
+        # dsyevd fails on an all-NaN P and returns a NaN eigenvalue for a
+        # single NaN; both are NotSPD, never a bare LinAlgError
+        p = np.eye(4) if where else np.full((4, 4), np.nan)
+        if where:
+            p[where] = p[where[::-1]] = np.nan
+        with pytest.raises(NotSPD):
+            solve_skew_lyapunov(p, np.zeros((4, 4)))
+
+
+def conditioned_point(n, k, cond, seed):
+    """Orthosymplectic columns times the symplectic diag(d, 1/d), d from
+    sqrt(cond) down to 1: singular values d and 1/d, so cond(X) = cond."""
+    q = random_symplectic_orthogonal(n, seed)
+    d = np.geomspace(np.sqrt(cond), 1.0, k)
+    np.random.default_rng(seed).shuffle(d)
+    cols = np.r_[0:k, n:n + k]
+    return SymplecticPoint.from_entries(q[:, cols] * np.concatenate([d, 1.0 / d]))
+
+
+class TestCanonicalGradient:
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (6, 6), (10, 3), (40, 5)])
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+    def test_matches_qr_oracle(self, n, k, cond):
+        # the Cholesky projector is accurate to cond(X)^2 eps, and the map
+        # from it to the gradient has norm at most 2 ||X||_2^2
+        x = conditioned_point(n, k, cond, seed=n + k)
+        assert np.linalg.cond(x.entries) <= 1.01 * cond
+        g = np.random.default_rng(n * k).standard_normal(x.entries.shape)
+        fast = riemannian_gradient(CANON, x, g).entries
+        ref = canonical_gradient_qr(CANON, x, g).entries
+        bound = (100 * np.linalg.cond(x.entries) ** 2 * np.finfo(float).eps
+                 * np.linalg.norm(x.entries, 2) ** 2 * np.linalg.norm(g))
+        assert np.linalg.norm(fast - ref) <= bound
+
+    def test_rank_deficient_point_raises_not_spd(self):
+        e = canonical_point(4, 2).entries.copy()
+        e[:, 1] = 0.0
+        x = SymplecticPoint(canonical_point(4, 2).dims, e)
+        with pytest.raises(NotSPD):
+            riemannian_gradient(CANON, x, np.ones_like(e))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("metric", [EUCLID, CANON])
+    def test_non_finite_point_raises_not_spd(self, metric):
+        e = canonical_point(4, 2).entries.copy()
+        e[1, 0] = np.nan
+        x = SymplecticPoint(canonical_point(4, 2).dims, e)
+        with pytest.raises(NotSPD):
+            riemannian_gradient(metric, x, np.ones_like(e))
 
 
 class TestProjection:

@@ -20,7 +20,7 @@ from spopt.oracles import cayley_full
 from spopt.retractions import (
     RetractionKind,
     SingularCayley,
-    _solve_checked,
+    _inverse_checked,
     cayley_economical,
     quasi_geodesic,
     retract,
@@ -146,11 +146,27 @@ class TestNonFiniteMessages:
             sr_retract(x, -x.entries, check=False)  # X + Z = 0
         assert "non-finite" not in str(info.value)
         with pytest.raises(SingularCayley) as info:
-            _solve_checked(np.zeros((2, 2)), np.ones((2, 1)), (np.ones((2, 2)),))
+            _inverse_checked(np.zeros((2, 2)), (np.ones((2, 2)),))
         assert "non-finite" not in str(info.value)
 
 
 class TestCayley:
+    @settings(max_examples=80, deadline=None)
+    @given(case=base_and_tangent(), norm=st.floats(0.0, 0.5))
+    def test_inverse_route_matches_full_form(self, case, norm):
+        x, z = case
+        rf = cayley_full(x, norm * z)
+        re = cayley_economical(x, norm * z)
+        assert np.linalg.norm(rf.entries - re.entries) <= 1e-10 * np.linalg.norm(x.entries)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_singular_cayley(self, bad):
+        a = np.eye(4)
+        a[2, 1] = bad
+        with pytest.raises(SingularCayley):
+            _inverse_checked(a, (a,))
+
     def test_equivalence_of_forms(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)

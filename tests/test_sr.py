@@ -311,9 +311,20 @@ class TestGramPath:
         a[:, 1] = unit(2 * n, 2)
         a[:, 3] = unit(2 * n, n + 2)
         b = perfect_shuffle(2).shuffle_cols(a)
-        assert sr._gram_pass(b, overwrite_b=False) is not None
+        assert sr._gram_pass(b) is not None
         with pytest.raises(Breakdown):
             sgs(a)
+
+    def test_lazy_r_equals_eager_product(self):
+        # R = P^T (R_hat_2 R_hat_1) P, formed on first read of ``r``
+        a = unit_ball_step(30, 6, seed=5, norm2=0.9)
+        shuffle = perfect_shuffle(6)
+        first = sr._gram_pass(shuffle.shuffle_cols(a))
+        second = sr._gram_pass(first.s_hat.copy())
+        f = sgs(a)
+        assert np.array_equal(f.s.entries, shuffle.unshuffle_cols(second.s_hat))
+        assert np.array_equal(f.r, shuffle.unconjugate(second.r_hat @ first.r_hat))
+        assert f.r is f.r
 
     def test_deterministic_bitwise(self):
         a = unit_ball_step(30, 6, seed=5, norm2=0.9)
