@@ -267,9 +267,11 @@ def williamson_spsd(m: np.ndarray, null_tol: float = NULL_TOL,
     """Williamson form extended to SPSD matrices with a symplectic null space.
 
     Eigenvectors below ``null_tol`` relative to max(largest eigenvalue,
-    ``scale_hint``) are treated as the null space; they are symplectically
-    normalized by an SR factorization, the problem is deflated to the
-    J-orthogonal complement, and the SPD Williamson form is applied there.
+    ``scale_hint``) are treated as the null space, whose odd count moves to
+    the neighbouring even count with the wider eigenvalue gap.  They are
+    symplectically normalized by an SR factorization, the problem is deflated
+    to the J-orthogonal complement, and the SPD Williamson form is applied
+    there.
     The reported values are read back from the diagonal of S^T M S, so
     near-zero values reflect the actual residuals rather than being forced to
     zero.  ``scale_hint`` guards the case of a numerically zero input, where
@@ -278,15 +280,20 @@ def williamson_spsd(m: np.ndarray, null_tol: float = NULL_TOL,
     m = sym_part(np.asarray(m, dtype=float))
     lam, u = np.linalg.eigh(m)
     scale = max(float(lam[-1]), float(scale_hint), 0.0)
-    null = lam <= null_tol * scale
-    m_null = int(null.sum())
+    m_null = int(np.sum(lam <= null_tol * scale))
+    if m_null % 2:
+        # an odd count splits a pair: cut where the eigenvalue ratio is larger,
+        # eigenvalues floored at roundoff and bounded by the floor and the scale
+        eps = np.finfo(float).eps * scale
+        edges = np.concatenate([[eps], np.maximum(lam, eps), [scale]])
+        up = edges[m_null + 2] / edges[m_null + 1]
+        m_null += 1 if up > edges[m_null] / edges[m_null - 1] else -1
+    null = np.arange(lam.size) < m_null
     if m_null == 0:
         s, d = williamson_small(m)
     elif m_null == m.shape[0]:
         s = sgs(u).s.entries
     else:
-        if m_null % 2:
-            raise NotSPD(f"odd-dimensional numerical null space ({m_null})")
         s0 = sgs(u[:, null]).s.entries
         basis = scipy.linalg.null_space(s0.T @ jmul(np.eye(m.shape[0])))
         s1 = sgs(basis).s.entries
@@ -317,11 +324,6 @@ class SymplecticSpectrum:
     residuals: np.ndarray
     diagonalizer_orthogonality: float
     solver_result: SolverResult
-
-    @property
-    def vector_pairs(self):
-        return [(self.u_vectors[:, j], self.v_vectors[:, j])
-                for j in range(self.values.size)]
 
 
 def symplectic_eigenpairs(a: np.ndarray, k: int,
@@ -483,17 +485,16 @@ class DeimOperator:
         return self.reduced_mass + self.oblique @ (a * self.sample[:m] + b * self.sample[m:])
 
 
-def _sampled_operator(ue, m, oblique, indices, state_map, nonlin) -> DeimOperator:
+def _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin):
     # state_map (2n x 2k) sends xt to the state the nonlinearity reads
     n = ue.shape[0] // 2
     sites = indices % n
     sample = np.concatenate([state_map[sites], state_map[sites + n]])
-    return DeimOperator(np.asarray(ue.T @ (m @ ue)), oblique, indices, sites,
-                        indices < n, sample, nonlin.slope, nonlin.curvature,
-                        2 * n)
+    return DeimOperator(reduced_mass, oblique, indices, sites, indices < n,
+                        sample, nonlin.slope, nonlin.curvature, 2 * n)
 
 
-def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, nonlin,
+def deim_reduced_rhs(u, reduced_mass, v: np.ndarray, indices: np.ndarray, nonlin,
                      variant: str = "psd-deim") -> DeimOperator:
     """Assemble the reduced nonlinear gradient map for a ROM.
 
@@ -503,7 +504,8 @@ def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, nonlin,
     model Hamiltonian at the price of approximation quality.  A site's
     partner entry that was not selected reads as zero there.
 
-    ``nonlin`` supplies the per-site ``slope`` and ``curvature``.
+    ``reduced_mass`` is U^T M U; ``nonlin`` supplies the per-site ``slope``
+    and ``curvature``.
     """
     if variant not in ("psd-deim", "structure-preserving"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -518,10 +520,10 @@ def deim_reduced_rhs(u, m, v: np.ndarray, indices: np.ndarray, nonlin,
     if variant == "structure-preserving":
         state_map = np.zeros_like(ue)
         state_map[indices] = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
-    return _sampled_operator(ue, m, oblique, indices, state_map, nonlin)
+    return _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin)
 
 
-def exact_reduced_rhs(u, m, nonlin) -> DeimOperator:
+def exact_reduced_rhs(u, reduced_mass, nonlin) -> DeimOperator:
     """U^T grad H(U xt) as the interpolation at every component (P = V = I)."""
     ue = np.asarray(getattr(u, "entries", u), dtype=float)
-    return _sampled_operator(ue, m, ue.T, np.arange(ue.shape[0]), ue, nonlin)
+    return _sampled_operator(ue, reduced_mass, ue.T, np.arange(ue.shape[0]), ue, nonlin)

@@ -97,14 +97,6 @@ class Dims:
         if self.k > self.n:
             raise ValueError(f"k={self.k} exceeds n={self.n}")
 
-    @property
-    def rows(self) -> int:
-        return 2 * self.n
-
-    @property
-    def cols(self) -> int:
-        return 2 * self.k
-
 
 def _dims_of(entries: np.ndarray) -> Dims:
     rows, cols = entries.shape

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,8 +45,7 @@ __all__ = [
     "sample_vlasov_ic", "VlasovParams", "sine_gordon_exact",
     "crank_nicolson", "extract_snapshots", "state_seeded_cotangent_lift",
     "restore_state_containment", "build_rom", "relative_errors", "ErrorReport",
-    "save_trajectory", "load_trajectory", "trajectory_to_csv",
-    "save_snapshots", "load_snapshots", "snapshots_to_csv", "NONLIN_TREATMENTS",
+    "NONLIN_TREATMENTS",
 ]
 
 #: Treatments of the nonlinear term that ``build_rom`` accepts.
@@ -665,11 +663,11 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         diagnostics["cost_trace"] = opt_result.trace.costs()
 
     xt0 = symplectic_inverse(u) @ system.x0
-    reduced_mass = u.entries.T @ (system.mass @ u.entries)
+    reduced_mass = np.asarray(u.entries.T @ (system.mass @ u.entries))
 
     deim_op = None
     if nonlin == "exact" and not system.is_linear:
-        deim_op = exact_reduced_rhs(u, system.mass, system.nonlin)
+        deim_op = exact_reduced_rhs(u, reduced_mass, system.nonlin)
     elif nonlin != "exact":
         grads = np.column_stack([system.nonlin.gradient(snapshots[:, j])
                                  for j in range(snapshots.shape[1])])
@@ -680,13 +678,12 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         m = max(1, min(int(round(2.5 * k)), rank))
         v = basis_full[:, :m]
         indices = deim_select(v)
-        deim_op = deim_reduced_rhs(u, system.mass, v, indices, system.nonlin,
+        deim_op = deim_reduced_rhs(u, reduced_mass, v, indices, system.nonlin,
                                    variant=nonlin)
         diagnostics["deim_modes"] = m
         diagnostics["deim_indices"] = indices
 
-    return ReducedSystem(u, system, nonlin if not system.is_linear else "exact",
-                         xt0, np.asarray(reduced_mass), deim_op, diagnostics)
+    return ReducedSystem(u, system, nonlin, xt0, reduced_mass, deim_op, diagnostics)
 
 
 @dataclass
@@ -728,56 +725,3 @@ def relative_errors(full: Trajectory, rom: ReducedSystem,
     pw_state = np.sqrt(diff2) / mean_norm
     pw_energy = np.abs(h_full - h_rom) / abs(h_full[0])
     return ErrorReport(re_x, re_h, full.times, pw_state, pw_energy)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"SPTRJ1\x00\x00"
-
-
-def save_trajectory(path, traj: Trajectory) -> None:
-    """Flat binary format: magic, dim, steps, h_t header, column-major doubles."""
-    states = np.asarray(traj.states, dtype=float)
-    dim, cols = states.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqd", dim, cols - 1, traj.h_t))
-        fh.write(np.asfortranarray(states).tobytes(order="F"))
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path} is not a trajectory file")
-        dim, steps, h_t = struct.unpack("<qqd", fh.read(24))
-        payload = np.frombuffer(fh.read(), dtype=float)
-    states = payload.reshape((dim, steps + 1), order="F")
-    return Trajectory(h_t * np.arange(steps + 1), states.copy(), 0.0)
-
-
-def trajectory_to_csv(path, traj: Trajectory) -> None:
-    """Plain CSV (time, state components) for small cases."""
-    dim = traj.states.shape[0]
-    header = "t," + ",".join(f"x{i}" for i in range(dim))
-    table = np.column_stack([traj.times, traj.states.T])
-    np.savetxt(path, table, delimiter=",", header=header, comments="",
-               fmt="%.17g")
-
-
-def save_snapshots(path, matrix: np.ndarray) -> None:
-    """Snapshot matrices share the trajectory format, with unit column spacing
-    standing in for the time step."""
-    save_trajectory(path, Trajectory(np.arange(matrix.shape[1], dtype=float),
-                                     np.asarray(matrix, dtype=float), 0.0))
-
-
-def load_snapshots(path) -> np.ndarray:
-    return load_trajectory(path).states
-
-
-def snapshots_to_csv(path, matrix: np.ndarray) -> None:
-    cols = matrix.shape[1]
-    header = ",".join(f"s{i}" for i in range(cols))
-    np.savetxt(path, np.asarray(matrix), delimiter=",", header=header,
-               comments="", fmt="%.17g")

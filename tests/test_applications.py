@@ -242,6 +242,39 @@ class TestWilliamson:
         off = s.T @ m @ s - np.diag(np.concatenate([d, d]))
         assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(m, 2)
 
+    @pytest.mark.parametrize("fourth", [2e-7, 5e-8])
+    def test_odd_null_count_moves_to_wider_gap(self, fourth):
+        # a 4-dimensional null space with one eigenvalue just above
+        # NULL_TOL * scale = 1e-7 (2e-7) or just below it (5e-8): three
+        # eigenvalues fall below the cut, and the gap above the fourth is
+        # the wider one, so both instances give the same two null pairs
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((10, 10)))[0]
+        lam = np.array([1e-18, 2e-18, 3e-18, fourth, 3, 4, 5, 6, 7, 10])
+        m = (q * lam) @ q.T
+        s, d = williamson_spsd(m)
+        j = poisson(5)
+        assert np.linalg.norm(s.T @ j @ s - j) <= 1e-8
+        assert np.all(d[:2] <= 1e-6)
+        assert np.allclose(d[2:], [1.63, 3.35, 6.69], rtol=1e-2)
+        # the null block is normalized, not diagonalized, so the eigenvalue
+        # it absorbed stays off the diagonal at its own size
+        off = s.T @ m @ s - np.diag(np.concatenate([d, d]))
+        assert np.linalg.norm(off) <= 1e-6 * np.linalg.norm(m, 2)
+
+    def test_lone_small_eigenvalue_stays_out_of_null_space(self):
+        # one eigenvalue below NULL_TOL * scale but far above roundoff: the
+        # gap below it (to the roundoff floor) is the wider one, so the count
+        # drops to zero and the SPD form applies
+        q = np.linalg.qr(np.random.default_rng(4).standard_normal((10, 10)))[0]
+        m = (q * np.array([1e-9, 2, 3, 4, 5, 6, 7, 8, 9, 10])) @ q.T
+        s, d = williamson_spsd(m)
+        j = poisson(5)
+        # ||S||_2^2 is about 8e4 on this ill-conditioned instance
+        assert np.linalg.norm(s.T @ j @ s - j) <= 1e-10 * np.linalg.norm(s, 2) ** 2
+        assert 0.0 < d[0] < 1e-3
+        off = s.T @ m @ s - np.diag(np.concatenate([d, d]))
+        assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(m, 2)
+
 
 class TestSymplecticEigenpairs:
     def test_identity_matrix(self):
@@ -265,8 +298,7 @@ class TestSymplecticEigenpairs:
         a, d = spsd_test_matrix(15, 2, seed=8)
         spec = symplectic_eigenpairs(a, 3, seed=9)
         from spopt.core import jmul
-        for j, (u, v) in enumerate(spec.vector_pairs):
-            dj = spec.values[j]
+        for dj, u, v in zip(spec.values, spec.u_vectors.T, spec.v_vectors.T):
             assert np.linalg.norm(a @ u - dj * jmul(v)) <= 1e-6 * np.linalg.norm(a, 2)
             assert np.linalg.norm(a @ v + dj * jmul(u)) <= 1e-6 * np.linalg.norm(a, 2)
 
@@ -542,7 +574,7 @@ class TestDeim:
         xt = rng.standard_normal(4)
         expected = u.entries.T @ (m @ (u.entries @ xt))
         for variant in ("psd-deim", "structure-preserving"):
-            op = deim_reduced_rhs(u, m, v, idx, zero, variant)
+            op = deim_reduced_rhs(u, u.entries.T @ m @ u.entries, v, idx, zero, variant)
             assert np.allclose(op(xt), expected, atol=1e-12)
             assert np.allclose(op.jacobian(xt), u.entries.T @ m @ u.entries, atol=1e-12)
 
@@ -550,7 +582,7 @@ class TestDeim:
         # with a full orthogonal basis the oblique projector is the identity
         n = 5
         u = random_point(n, 2, rng)
-        m = np.eye(2 * n) * 0.0
+        reduced_mass = np.zeros((4, 4))
         v = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
         idx = deim_select(v)
 
@@ -558,7 +590,7 @@ class TestDeim:
         sines = Nonlinearity(n, potential=lambda q, p, i: -np.cos(q) - np.cos(p),
                              slope=lambda q, p, i: (np.sin(q), np.sin(p)),
                              curvature=lambda q, p, i: (np.cos(q), 0.0, np.cos(p)))
-        op = deim_reduced_rhs(u, m, v, idx, sines, "psd-deim")
+        op = deim_reduced_rhs(u, reduced_mass, v, idx, sines, "psd-deim")
         xt = rng.standard_normal(4)
         full = u.entries @ xt
         assert np.allclose(op(xt), u.entries.T @ np.sin(full), atol=1e-10)

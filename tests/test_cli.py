@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ class TestMorRuns:
             assert f"re_h={info['re_h']:.3e}" in row
             assert "aaf=" in row
 
+    def test_roms_simulated_on_main_thread(self, tmp_path, monkeypatch):
+        # rom_time_s and aaf time the ROM simulations, so none may run on a
+        # pool thread beside other cells
+        real = cli.crank_nicolson
+        threads = []
+
+        def recording(model, *args):
+            threads.append((type(model).__name__, threading.current_thread()))
+            return real(model, *args)
+
+        monkeypatch.setattr(cli, "crank_nicolson", recording)
+        monkeypatch.setenv("SPOPT_THREADS", "2")
+        cfg = write_cfg(tmp_path, {
+            "model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
+            "snapshots": 20, "k_values": [4], "solver": {"niter": 20},
+        })
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE,SRC",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        roms = [thread for name, thread in threads if name == "ReducedSystem"]
+        assert len(roms) == 3  # CotLift, SRE, SRC
+        assert all(thread is threading.main_thread() for thread in roms)
+
     def test_vlasov_deim_variants(self, tmp_path):
         out = tmp_path / "morv"
         cfg = write_cfg(tmp_path, {
@@ -297,6 +321,29 @@ class TestNumericalFailureExit:
         assert list(summary["failures"]) == ["k=4 SRE exact"]
         assert [row["scheme"] for row in summary["rows"]] == ["CotLift"]
         assert summary["aaf"] > 0
+
+    def test_mor_failed_simulation_keeps_other_rows(self, tmp_path, monkeypatch, capsys):
+        # a failure after the pool, in the serial simulation, is recorded
+        # under the same label as one raised while building
+        real = cli.relative_errors
+
+        def optimized_fails(full, rom, rom_traj):
+            if "cost_restored" in rom.diagnostics:
+                raise NewtonDivergence("step 3: non-finite Newton residual norm nan")
+            return real(full, rom, rom_traj)
+
+        monkeypatch.setattr(cli, "relative_errors", optimized_fails)
+        cfg = write_cfg(tmp_path, {
+            "model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
+            "snapshots": 20, "k_values": [4], "solver": {"niter": 20},
+        })
+        out = tmp_path / "o"
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure: k=4 SRE exact: NewtonDivergence" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["failures"]) == ["k=4 SRE exact"]
+        assert [row["scheme"] for row in summary["rows"]] == ["CotLift"]
 
     def test_taxonomy(self):
         for cls in (Breakdown, SingularCayley, SingularSelection, NotSPD,

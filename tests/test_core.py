@@ -161,8 +161,6 @@ class TestDims:
             Dims(2, 3)
         with pytest.raises(ValueError):
             Dims(0, 0)
-        d = Dims(5, 2)
-        assert (d.rows, d.cols) == (10, 4)
 
 
 class TestConstruction:

@@ -1,6 +1,4 @@
 import dataclasses
-import os
-import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,16 +18,13 @@ from spopt.hamiltonian import (
     build_rom,
     crank_nicolson,
     extract_snapshots,
-    load_trajectory,
     relative_errors,
     restore_state_containment,
     sample_vlasov_ic,
-    save_trajectory,
     schrodinger_system,
     sine_gordon_exact,
     sine_gordon_system,
     state_seeded_cotangent_lift,
-    trajectory_to_csv,
     vlasov_system,
     wave_system,
 )
@@ -454,45 +449,6 @@ class TestRelativeErrors:
             relative_errors(traj, rom, rt)
 
 
-class TestSerialization:
-    def test_binary_round_trip(self, wave_setup):
-        _, _, traj, _ = wave_setup
-        with tempfile.TemporaryDirectory() as td:
-            path = os.path.join(td, "traj.bin")
-            save_trajectory(path, traj)
-            back = load_trajectory(path)
-            assert np.array_equal(back.states, traj.states)
-            assert np.allclose(back.times, traj.times)
-
-    def test_rejects_garbage(self):
-        with tempfile.TemporaryDirectory() as td:
-            path = os.path.join(td, "bad.bin")
-            with open(path, "wb") as fh:
-                fh.write(b"not a trajectory")
-            with pytest.raises(ValueError):
-                load_trajectory(path)
-
-    def test_csv_export(self):
-        traj = Trajectory(np.array([0.0, 0.1]), np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0)
-        with tempfile.TemporaryDirectory() as td:
-            path = os.path.join(td, "t.csv")
-            trajectory_to_csv(path, traj)
-            rows = open(path).read().strip().splitlines()
-            assert rows[0] == "t,x0,x1"
-            assert len(rows) == 3
-
-    def test_snapshot_round_trip(self, rng, wave_setup):
-        from spopt.hamiltonian import load_snapshots, save_snapshots, snapshots_to_csv
-        _, _, _, snaps = wave_setup
-        with tempfile.TemporaryDirectory() as td:
-            path = os.path.join(td, "snaps.bin")
-            save_snapshots(path, snaps)
-            assert np.array_equal(load_snapshots(path), snaps)
-            csv = os.path.join(td, "snaps.csv")
-            snapshots_to_csv(csv, snaps[:4, :3])
-            assert open(csv).readline().strip() == "s0,s1,s2"
-
-
 # ---------------------------------------------------------------------------
 # Test-scale references: the sparse assembly the Newton and DEIM Jacobians
 # were built by before they moved to fixed patterns and site rows.
@@ -506,7 +462,7 @@ def sampled_at(sysm, idx):
     are grad h and Hess h rows at idx.
     """
     eye = np.eye(sysm.dim)
-    zero_mass = sp.csr_matrix((sysm.dim, sysm.dim))
+    zero_mass = np.zeros((sysm.dim, sysm.dim))
     return deim_reduced_rhs(eye, zero_mass, eye[:, idx], np.asarray(idx), sysm.nonlin)
 
 
@@ -880,10 +836,10 @@ class TestDeimJacobian:
     @pytest.mark.parametrize("model", ["vlasov", "schrodinger"])
     def test_matches_row_formula_and_differences(self, model, variant):
         sysm, u, v, idx = _site_pairs_case(model)
-        op = deim_reduced_rhs(u, sysm.mass, v, idx, sysm.nonlin, variant)
+        op = deim_reduced_rhs(u, u.T @ (sysm.mass @ u), v, idx, sysm.nonlin, variant)
         rom = hamiltonian.ReducedSystem(
             SimpleNamespace(entries=u), sysm, variant, np.zeros(6),
-            u.T @ (sysm.mass @ u), op)
+            op.reduced_mass, op)
         rng = np.random.default_rng(3)
         for _ in range(3):
             xt = rng.standard_normal(6)
@@ -899,7 +855,8 @@ class TestDeimJacobian:
 
     def test_structure_preserving_reads_zero_partners(self):
         sysm, u, v, idx = _site_pairs_case("schrodinger")
-        op = deim_reduced_rhs(u, sysm.mass, v, idx, sysm.nonlin, "structure-preserving")
+        op = deim_reduced_rhs(u, u.T @ (sysm.mass @ u), v, idx, sysm.nonlin,
+                              "structure-preserving")
         xt = np.random.default_rng(4).standard_normal(6)
         state = op.state(xt)
         assert np.count_nonzero(state) == 4

@@ -1,4 +1,5 @@
-"""The test-scale oracles stay out of the modules the solver imports.
+"""The test-scale oracles stay out of the modules the solver imports, and
+every name a module exports through ``__all__`` exists.
 
 Only the package ``__init__`` may import ``spopt.oracles`` (to re-export
 its names); every other module of ``src/spopt`` is scanned for an import of
@@ -7,6 +8,7 @@ it in any form (``from .oracles import ...``, ``from . import oracles``,
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spopt"
@@ -38,3 +40,13 @@ def test_only_the_package_init_imports_oracles():
     offenders = [p.name for p in modules
                  if p.name != "__init__.py" and "spopt.oracles" in imported_names(p)]
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    modules = [importlib.import_module(f"spopt.{p.stem}") for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"] + [importlib.import_module("spopt")]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert len(exporting) >= 2
+    stale = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__
+             if not hasattr(mod, name)]
+    assert stale == []
