@@ -400,6 +400,7 @@ def run_mor(config: ExperimentConfig) -> dict:
             "model": model, "k": k, "scheme": label, "nonlin": var,
             "re_x": report.re_x, "re_h": report.re_h,
             "rom_time_s": rom_traj.wall_time,
+            "newton_updates": rom_traj.newton_updates,
             "cost_cotlift": rom.diagnostics["cost_cotlift"],
             "cost_final": rom.diagnostics.get("cost_restored",
                                               rom.diagnostics["cost_cotlift"]),
@@ -438,7 +439,8 @@ def run_mor(config: ExperimentConfig) -> dict:
         "application": "mor", "model": model, "seed": config.seed,
         "setup": {key: setup[key] for key in setup},
         "nonlin": nonlin, "deim_variants": deim_variants,
-        "fom_time_s": fom.wall_time, "aaf": aaf, "rows": rows,
+        "fom_time_s": fom.wall_time, "fom_newton_updates": fom.newton_updates,
+        "aaf": aaf, "rows": rows,
         "failures": failures,
     }
     _dump_summary(out, summary)

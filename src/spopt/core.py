@@ -61,12 +61,6 @@ def mulj(a: np.ndarray) -> np.ndarray:
     return np.concatenate([-a[:, m:], a[:, :m]], axis=1)
 
 
-def muljt(a: np.ndarray) -> np.ndarray:
-    """a @ J^T without forming J."""
-    m = a.shape[1] // 2
-    return np.concatenate([a[:, m:], -a[:, :m]], axis=1)
-
-
 def nonfinite_note(*arrays) -> str:
     """" (non-finite input)" when any array holds a NaN or an infinity, else "".
 

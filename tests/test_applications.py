@@ -23,7 +23,6 @@ from spopt.core import (
     jmul,
     jtmul,
     mulj,
-    muljt,
     poisson,
     symplecticity_residual,
 )
@@ -367,7 +366,7 @@ def ref_psd_raw(a, x):
     e = a - x @ (jtmul(x.T @ jmul(a)))
     f = float(np.linalg.norm(e) ** 2)
     t1 = mulj(e @ (a.T @ jtmul(x)))
-    t2 = muljt(jmul(a @ (e.T @ x)))
+    t2 = -mulj(jmul(a @ (e.T @ x)))
     return f, -2.0 * (t1 + t2)
 
 

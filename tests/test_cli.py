@@ -191,6 +191,9 @@ class TestMorRuns:
         assert table[0] == "model,k,scheme,nonlin,re_x,re_h,aaf,cost_cotlift,cost_final"
         assert len(table) == 1 + 2  # CotLift + SRE
         assert summary["aaf"] > 0
+        # the wave model is linear: no Newton iteration anywhere
+        assert summary["fom_newton_updates"] == 0
+        assert [info["newton_updates"] for info in summary["rows"]] == [0, 0]
         series = (out / "mor_wave_k4_CotLift_exact_series.csv").read_text()
         assert series.splitlines()[0] == "t,state_err,energy_err"
         printed = capsys.readouterr().out.splitlines()
@@ -236,6 +239,10 @@ class TestMorRuns:
         assert rc == 0
         rows = (out / "mor_vlasov_results.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 4  # 2 variants x (CotLift + SRE)
+        # at least one Newton update per step, on the FOM and on every ROM
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fom_newton_updates"] >= 100
+        assert all(info["newton_updates"] >= 100 for info in summary["rows"])
 
 
 def _singular_selection():

@@ -11,7 +11,6 @@ from spopt.core import (
     jmul,
     jtmul,
     mulj,
-    muljt,
     perfect_shuffle,
     poisson,
     symplectic_inverse,
@@ -53,7 +52,6 @@ class TestAppliedJ:
         assert np.allclose(jmul(a), j10 @ a)
         assert np.allclose(jtmul(a), j10.T @ a)
         assert np.allclose(mulj(a), a @ j6)
-        assert np.allclose(muljt(a), a @ j6.T)
         v = rng.standard_normal(10)
         assert np.allclose(jmul(v), j10 @ v)
 

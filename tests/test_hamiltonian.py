@@ -223,6 +223,7 @@ class TestCrankNicolson:
     def test_linear_wave_energy_drift(self):
         w = wave_system(100)
         traj = crank_nicolson(w, w.x0, IntegratorOptions(0.01, 25.0))
+        assert traj.newton_updates == 0
         h0 = w.hamiltonian(w.x0)
         hs = np.array([w.hamiltonian(traj.states[:, j])
                        for j in range(0, traj.states.shape[1], 100)])
@@ -293,6 +294,34 @@ class TestCrankNicolson:
         nan_x0[0] = np.nan
         with pytest.raises(NewtonDivergence, match="initial state is non-finite"):
             crank_nicolson(sysm, nan_x0, IntegratorOptions(0.5, 1.0))
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_model_protocol_call_counts(self, reduced):
+        # the integrator reads a model only through these four names, and
+        # perfbench counts Newton updates by the grad_jacobian calls
+        sysm = vlasov_system(16, seed=1)
+        opts = IntegratorOptions(1e-2, 0.2)
+        model, x0 = sysm, sysm.x0
+        if reduced:
+            snaps = extract_snapshots(crank_nicolson(sysm, x0, opts), 21)
+            model = build_rom(sysm, snaps, 4, nonlin="psd-deim")
+            x0 = model.x0_reduced
+        calls = {"grad": 0, "grad_jacobian": 0}
+
+        def counted(name):
+            def call(x):
+                calls[name] += 1
+                return getattr(model, name)(x)
+            return call
+
+        bare = SimpleNamespace(dim=model.dim, is_linear=model.is_linear,
+                               grad=counted("grad"),
+                               grad_jacobian=counted("grad_jacobian"))
+        traj = crank_nicolson(bare, x0, opts)
+        assert calls["grad_jacobian"] == traj.newton_updates >= opts.steps
+        # the converged iterate's gradient starts the next step
+        assert calls["grad"] == opts.steps + traj.newton_updates + 1
+        assert np.array_equal(traj.states, crank_nicolson(model, x0, opts).states)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -518,6 +547,37 @@ class ReferenceSystem:
 
     def grad_jacobian(self, x):
         return self.jacobian(self.model, x)
+
+
+def reference_crank_nicolson(system, x0, opts):
+    """Nonlinear Crank-Nicolson as written before the converged gradient was
+    carried into the next step: two ``grad`` calls per step plus one per
+    update, ``np.linalg.solve`` for a dense Newton matrix."""
+    h, c, dim = opts.h_t, 0.5 * opts.h_t, system.dim
+    states = np.empty((dim, opts.steps + 1))
+    states[:, 0] = x = np.asarray(x0, dtype=float)
+    shifted = None
+    for m in range(opts.steps):
+        fx = jmul(system.grad(x))
+        y = x + h * fx
+        for _ in range(opts.newton_maxit):
+            res = y - x - c * (fx + jmul(system.grad(y)))
+            if np.linalg.norm(res) <= 1e-10:
+                break
+            g = system.grad_jacobian(y)
+            if sp.issparse(g):
+                g = hamiltonian._canonical_csc(g)
+                if shifted is None or not shifted.fits(g):
+                    shifted = hamiltonian._ShiftedJ(g, -c)
+                y = y - hamiltonian.splu(shifted(g)).solve(res)
+            else:
+                a = -c * jmul(g)
+                a.flat[::dim + 1] += 1.0
+                y = y - np.linalg.solve(a, res)
+        else:
+            raise AssertionError(f"reference: step {m} did not converge")
+        states[:, m + 1] = x = y
+    return states
 
 
 def capture_newton(monkeypatch, system, x0, opts):
@@ -789,6 +849,20 @@ class TestNewtonMatrix:
             traj = crank_nicolson(sysm, sysm.x0, opts)
             ref = crank_nicolson(ReferenceSystem(sysm), sysm.x0, opts)
             assert np.array_equal(traj.states, ref.states), model
+
+    @pytest.mark.parametrize("model", ["sine-gordon", "schrodinger", "vlasov"])
+    def test_trajectories_bit_identical_to_reference_loop(self, model):
+        # the full model and its three ROM variants, each state bit for bit
+        sysm = FOUR_MODELS[model]()
+        opts = IntegratorOptions(1e-2, 0.3)
+        traj = crank_nicolson(sysm, sysm.x0, opts)
+        assert np.array_equal(traj.states, reference_crank_nicolson(sysm, sysm.x0, opts))
+        snaps = extract_snapshots(traj, 31)
+        for variant in ("exact", "psd-deim", "structure-preserving"):
+            rom = build_rom(sysm, snaps, 4, nonlin=variant)
+            rt = crank_nicolson(rom, rom.x0_reduced, opts)
+            ref = reference_crank_nicolson(rom, rom.x0_reduced, opts)
+            assert np.array_equal(rt.states, ref), variant
 
     def test_pattern_change_between_calls(self, monkeypatch):
         # every other Jacobian carries an extra stored zero at (0, 5): the
