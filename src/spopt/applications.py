@@ -98,6 +98,14 @@ class TraceProblem:
         return self.evaluate(x).gradient()
 
 
+def _psd_residual(x: np.ndarray, a: np.ndarray, ja: np.ndarray):
+    """PSD residual E = A - X J^T C with C = X^T J A, returned with C."""
+    c = x.T @ ja
+    e = x @ jtmul(c)
+    np.subtract(a, e, out=e)
+    return e, c
+
+
 @dataclass(frozen=True)
 class PsdProblem:
     """Proper symplectic decomposition cost f(X) = ||A - X X^+ A||_F^2.
@@ -126,10 +134,7 @@ class PsdProblem:
 
     def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E = L - X J^T C with C = X^T J L, returned with C."""
-        c = x.T @ self.jl
-        e = x @ jtmul(c)
-        np.subtract(self.factor, e, out=e)
-        return e, c
+        return _psd_residual(x, self.factor, self.jl)
 
     def evaluate(self, x: np.ndarray) -> Evaluation:
         e, c = self.residual(x)

@@ -34,7 +34,7 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
-from .applications import (DeimOperator, PsdProblem, _block_diag_lift,
+from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _psd_residual,
                            deim_reduced_rhs, deim_select, exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
@@ -94,12 +94,15 @@ class Nonlinearity:
         return g
 
 
-def _entry_positions(mat: sp.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _entry_positions(mat: sp.csc_matrix, rows: np.ndarray, cols: np.ndarray):
     """Positions in ``mat.data`` of the entries (rows, cols) of its canonical
-    (sorted, duplicate-free) pattern."""
+    (sorted, duplicate-free) pattern, or None if it lacks any of them."""
     dim = mat.shape[0]
     keys = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr)) * dim + mat.indices
-    return np.searchsorted(keys, cols * dim + rows)
+    wanted = cols * dim + rows
+    pos = np.searchsorted(keys, wanted)
+    found = not np.any(pos == keys.size) and np.array_equal(keys[pos], wanted)
+    return pos if found else None
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,10 @@ class _ShiftedJ:
     Newton update assembles no sparse structure.  The values and the pattern
     equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps an
     entry; an entry of G that is exactly zero stays stored here.
+
+    :meth:`solve` factors it by SuperLU unless G is site-local, storing all
+    four entries of each site i and none coupling two sites (Vlasov): then
+    I + t J G is n uncoupled 2 x 2 blocks, solved by Cramer's rule.
     """
 
     def __init__(self, g: sp.csc_matrix, t: float):
@@ -217,6 +224,12 @@ class _ShiftedJ:
         self.indptr, self.indices = g.indptr, g.indices
         rows = g.indices
         cols = np.repeat(np.arange(dim), np.diff(g.indptr))
+        local = np.array_equal(rows % n, cols % n)
+        q, p = np.arange(n), np.arange(n) + n
+        # G.data positions of g_qp, g_pq, g_pp, g_qq; factors to a_pp - 1, a_qq - 1, a_qp, a_pq
+        pos = _entry_positions(g, np.r_[q, p, p, q], np.r_[p, q, p, q]) if local else None
+        self.sites = None if pos is None else pos.reshape(4, n)
+        self.site_scale = np.array([[-t], [t], [t], [-t]])
         # row r of G becomes row r - n of J G if r >= n, else row r + n negated
         moved = (rows + n) % dim
         diag = np.arange(dim)
@@ -242,6 +255,24 @@ class _ShiftedJ:
         np.multiply(self.scale, g.data[self.gather], out=data)
         data[self.diag] += 1.0
         return self.matrix
+
+    def blocks(self, g: sp.csc_matrix) -> np.ndarray:
+        """Rows a_pp, a_qq, a_qp, a_pq of the site blocks [[a_qq, a_qp], [a_pq, a_pp]]."""
+        a = g.data[self.sites] * self.site_scale
+        a[:2] += 1.0
+        return a
+
+    def solve(self, g: sp.csc_matrix, res: np.ndarray, where: str) -> np.ndarray:
+        """(I + t J G)^{-1} res, by site blocks or SuperLU (see the class)."""
+        if self.sites is None:
+            return _sparse_lu(self(g), where).solve(res)
+        a = self.blocks(g)
+        det = a[0] * a[1] - a[2] * a[3]
+        if not det.all():  # a NaN passes, and ends as a non-finite residual
+            site = np.flatnonzero(det == 0.0)[0]
+            raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
+        r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = a[:2] r - a[2:] (r_p; r_q)
+        return ((a[:2] * r - a[2:] * r[::-1]) / det).ravel()
 
 
 def _canonical_csc(g) -> sp.csc_matrix:
@@ -280,11 +311,12 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     steps + updates + 1 ``system.grad`` calls.  A model is read only
     through ``dim``, ``is_linear``, ``grad`` and ``grad_jacobian``.
 
-    A sparse Jacobian is gathered onto a Newton-matrix pattern built once
-    and kept while the Jacobian's pattern does not change; a dense one is
-    scaled in place and solved by one LAPACK call.  Exceeding the budget of
-    ``newton_maxit`` iterations, a non-finite residual or a singular Newton
-    matrix raises :class:`NewtonDivergence`.
+    A sparse Jacobian's Newton matrix is set up once per Jacobian pattern:
+    uncoupled sites (Vlasov particles) give n 2 x 2 blocks solved by Cramer's
+    rule, coupled ones (sine-Gordon, Schroedinger) a fixed CSC pattern
+    factored by SuperLU.  A dense one is solved by one LAPACK call.
+    Exceeding the budget of ``newton_maxit`` iterations, a non-finite
+    residual or a singular Newton matrix raises :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
     dim = system.dim
@@ -343,7 +375,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                     g = _canonical_csc(g)
                     if shifted is None or not shifted.fits(g):
                         shifted = _ShiftedJ(g, -c)
-                    y = y - _sparse_lu(shifted(g), f"step {m}").solve(res)
+                    y = y - shifted.solve(g, res, f"step {m}")
                 else:
                     a = jmul(g)
                     a *= -c
@@ -667,10 +699,11 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         raise ValueError(f"{system.name} is linear; no term to interpolate")
 
     u = state_seeded_cotangent_lift(snapshots, k, system.x0)
-    prob = PsdProblem(snapshots, k)
-    diagnostics = {"cost_cotlift": prob.cost(u.entries)}
+    e, _ = _psd_residual(u.entries, snapshots, jmul(snapshots))
+    diagnostics = {"cost_cotlift": float(np.linalg.norm(e) ** 2)}
 
     if reduction == "optimized":
+        prob = PsdProblem(snapshots, k)
         opts = solver_options or SolverOptions(gamma0=1e-8, gtol=1e-12, niter=1000)
         opt_result = minimize(prob, u, opts)
         u = opt_result.x_final

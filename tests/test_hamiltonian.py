@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spopt import hamiltonian
 from spopt.applications import deim_reduced_rhs, random_symplectic_point
@@ -603,6 +605,37 @@ def capture_newton(monkeypatch, system, x0, opts):
     return traj, states, matrices
 
 
+def capture_site_blocks(monkeypatch, system, x0, opts):
+    """Run Crank-Nicolson on a model with site-local Jacobians; return the
+    Jacobian arguments and the site blocks each Newton solve read, in call
+    order.  SuperLU must not be reached."""
+    blocks = []
+    real_blocks = hamiltonian._ShiftedJ.blocks
+
+    def spy(self, g):
+        out = real_blocks(self, g)
+        blocks.append(tuple(b.copy() for b in out))
+        return out
+
+    monkeypatch.setattr(hamiltonian._ShiftedJ, "blocks", spy)
+    _, states, matrices = capture_newton(monkeypatch, system, x0, opts)
+    assert not matrices
+    return states, blocks
+
+
+def assert_same_site_blocks(blocks, ref):
+    """The rows a_pp, a_qq, a_qp, a_pq of the site blocks equal the entries
+    of the reference Newton matrix bit for bit, and it has no other entry."""
+    dense = ref.toarray()
+    n = dense.shape[0] // 2
+    q, p = np.arange(n), np.arange(n) + n
+    rest = dense.copy()
+    for b, (r, c) in zip(blocks, [(p, p), (q, q), (q, p), (p, q)]):
+        assert np.array_equal(b, dense[r, c])
+        rest[r, c] = 0.0
+    assert not rest.any()
+
+
 def assert_same_newton_matrix(a, ref):
     """Equal values bit for bit; equal patterns where ``a`` stores no zero."""
     assert a.has_sorted_indices and ref.has_sorted_indices
@@ -810,13 +843,21 @@ FOUR_MODELS = {
 
 
 class TestNewtonMatrix:
-    """What SuperLU factors equals the sparse-construction reference."""
+    """What SuperLU factors, or the site blocks that replace it, equals the
+    sparse-construction reference."""
 
     @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
     def test_matches_reference_at_random_states(self, model, monkeypatch, rng):
         sysm = FOUR_MODELS[model]()
         x0 = 0.5 * rng.standard_normal(sysm.dim)
         opts = IntegratorOptions(1e-2, 5e-2)
+        if model == "vlasov":  # M = diag(0, I): uncoupled particles
+            states, blocks = capture_site_blocks(monkeypatch, sysm, x0, opts)
+            assert len(blocks) == len(states) >= 1
+            for y, b in zip(states, blocks):
+                ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
+                assert_same_site_blocks(b, ref)
+            return
         _, states, matrices = capture_newton(monkeypatch, sysm, x0, opts)
         assert len(matrices) == len(states) >= 1
         for y, a in zip(states, matrices):
@@ -832,15 +873,13 @@ class TestNewtonMatrix:
         x0 = sysm.x0.copy()
         x0[[1, 4, 10 + 1, 10 + 4]] = 0.0
         opts = IntegratorOptions(1e-3, 3e-3)
-        _, states, matrices = capture_newton(monkeypatch, sysm, x0, opts)
-        y, a = states[0], matrices[0]
-        assert y[1] == y[4] == 0.0
-        ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
-        assert_same_newton_matrix(a, ref)
-        assert a.nnz == ref.nnz + 2  # the two zero curvatures stay stored
-        for y, a in zip(states[1:], matrices[1:]):
+        states, blocks = capture_site_blocks(monkeypatch, sysm, x0, opts)
+        assert states[0][1] == states[0][4] == 0.0
+        # the two zero curvatures stay stored, so the site path holds
+        assert not blocks[0][3][[1, 4]].any()
+        for y, b in zip(states, blocks):
             ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
-            assert_same_newton_matrix(a, ref)
+            assert_same_site_blocks(b, ref)
 
     def test_trajectories_match_reference_assembly(self):
         for model in ("sine-gordon", "schrodinger", "vlasov"):
@@ -888,6 +927,102 @@ class TestNewtonMatrix:
             assert np.array_equal(a.toarray(), ref.toarray())
         plain = crank_nicolson(sysm, sysm.x0, opts)
         assert np.allclose(traj.states, plain.states, rtol=0.0, atol=1e-13)
+
+
+def site_local(blocks, n):
+    """CSC G storing all four entries (g_qq, g_pq, g_qp, g_pp) of each site,
+    zeros included."""
+    q, p = np.arange(n), np.arange(n) + n
+    rows = np.concatenate([q, p, q, p])
+    cols = np.concatenate([q, q, p, p])
+    return sp.csc_matrix((np.concatenate(blocks), (rows, cols)), shape=(2 * n, 2 * n))
+
+
+@st.composite
+def site_local_systems(draw):
+    """Site-local G with entries of mixed scale (exact zeros included), a
+    step h = 2^-j, and a residual.  A site drawn as "pivot" has g_pq = 1/c,
+    so its block's (1,1) entry 1 - c g_pq is exactly 0 and its determinant
+    c^2 g_pp g_qq is not."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = 0.5 * 2.0 ** -draw(st.integers(0, 12))
+    g = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-4, 4, (4, n))
+    g[rng.random((4, n)) < 0.2] = 0.0
+    pivot = rng.random(n) < 0.3
+    g[1, pivot] = 1.0 / c
+    g[0, pivot] = np.where(g[0, pivot] == 0.0, 1.0, g[0, pivot])
+    g[3, pivot] = np.where(g[3, pivot] == 0.0, -1.0, g[3, pivot])
+    return site_local(g, n), c, rng.standard_normal(2 * n)
+
+
+class TestSiteSolve:
+    """Newton matrices of site-local Jacobians: 2 x 2 blocks by Cramer's rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=site_local_systems())
+    def test_matches_dense_solve(self, case):
+        g, c, res = case
+        shifted = hamiltonian._ShiftedJ(g, -c)
+        assert shifted.sites is not None
+        a = np.eye(g.shape[0]) - c * jmul(g.toarray())
+        cond = np.linalg.cond(a)
+        assume(np.isfinite(cond) and cond < 1e12)
+        ref = np.linalg.solve(a, res)
+        x = shifted.solve(g, res, "test")
+        assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+
+    def test_singular_block_names_its_site(self):
+        # grad H(x) = x; site 1's block is [[1 - c g_pq, 0], [0, 1]] with
+        # g_pq = 1/c, so its (1,1) entry and its determinant are exactly 0
+        h, n = 0.5, 3
+        g_pq = np.zeros(n)
+        g_pq[1] = 2.0 / h
+        g = site_local([np.zeros(n), g_pq, np.zeros(n), np.zeros(n)], n)
+        sysm = SimpleNamespace(dim=2 * n, is_linear=False, grad=lambda x: x,
+                               grad_jacobian=lambda x: g)
+        with pytest.raises(NewtonDivergence,
+                           match=r"step 0: singular Newton matrix \(block of site 1\)"):
+            crank_nicolson(sysm, np.ones(2 * n), IntegratorOptions(h, 1.0))
+
+    def test_nan_jacobian_raises_newton_divergence(self, monkeypatch):
+        sysm = vlasov_system(16, seed=1)
+
+        def poisoned(model, x):
+            g = model.grad_jacobian(x)
+            g.data[5] = np.nan
+            return g
+
+        monkeypatch.setattr(hamiltonian, "splu", lambda a: pytest.fail("SuperLU"))
+        with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
+            crank_nicolson(ReferenceSystem(sysm, poisoned), sysm.x0,
+                           IntegratorOptions(1e-3, 0.01))
+
+    def test_missing_site_entry_falls_back_to_superlu(self, monkeypatch):
+        # exact zeros eliminated: V_qp = V_pp = 0 drops (q_i,p_i) and
+        # (p_i,q_i), and the zero curvatures of particles at q = 0 drop
+        # (q_i,q_i); a position looked up for an absent entry would read a
+        # neighbour's value
+        sysm = vlasov_system(10, seed=2)
+        x0 = sysm.x0.copy()
+        x0[[1, 4, 10 + 1, 10 + 4]] = 0.0
+
+        def pruned(model, x):
+            g = model.grad_jacobian(x).copy()
+            g.eliminate_zeros()
+            return g
+
+        q = np.arange(10)
+        g = pruned(sysm, x0)
+        assert hamiltonian._entry_positions(g, q + 10, q) is None
+        assert hamiltonian._ShiftedJ(g, -5e-4).sites is None
+        assert hamiltonian._ShiftedJ(sysm.grad_jacobian(x0), -5e-4).sites is not None
+        opts = IntegratorOptions(1e-3, 3e-3)
+        model = ReferenceSystem(sysm, pruned)
+        traj, states, matrices = capture_newton(monkeypatch, model, x0, opts)
+        assert len(matrices) == len(states) >= opts.steps
+        ref = reference_crank_nicolson(model, x0, opts)
+        assert np.allclose(traj.states, ref, rtol=1e-13, atol=0.0)
 
 
 def _site_pairs_case(model):
