@@ -11,7 +11,6 @@ forms the suite checks the fast kernels against.
 """
 
 from .core import (
-    Dims,
     FeasibilityError,
     NumericalFailure,
     PerfectShuffle,

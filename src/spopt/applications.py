@@ -332,25 +332,21 @@ class SymplecticSpectrum:
 
 
 def symplectic_eigenpairs(a: np.ndarray, k: int,
-                          solver_options: SolverOptions | None = None,
-                          x0: SymplecticPoint | None = None,
-                          seed: int = 0) -> SymplecticSpectrum:
+                          solver_options: SolverOptions | None = None, *,
+                          x0: SymplecticPoint) -> SymplecticSpectrum:
     """The k smallest symplectic eigenvalues of an SPSD matrix by trace
     minimization followed by Williamson post-processing.
 
-    The solver minimizes tr(X^T A X) over Sp(2k, 2n) (trial steps capped at 1
-    by default for this problem class), then diagonalizes X*^T A X*; the
-    eigenvector pairs are the j-th and (j+k)-th columns of X* S.  Solver
-    non-convergence is surfaced as a warning, with residuals reported either
-    way.
+    The solver minimizes tr(X^T A X) over Sp(2k, 2n) from ``x0`` (trial
+    steps capped at 1 by default for this problem class), then diagonalizes
+    X*^T A X*; the eigenvector pairs are the j-th and (j+k)-th columns of
+    X* S.  Solver non-convergence is surfaced as a warning, with residuals
+    reported either way.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0] // 2
     prob = TraceProblem(a, k)
     if solver_options is None:
         solver_options = SolverOptions(gtol=1e-12, niter=5000, gamma_max=1.0)
-    if x0 is None:
-        x0 = random_symplectic_point(n, k, seed)
     result = minimize(prob, x0, solver_options)
     if result.status is not SolverStatus.GRAD_TOLERANCE_REACHED:
         warnings.warn(

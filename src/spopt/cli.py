@@ -72,7 +72,24 @@ SCHEMES = {
     "SRE": (RetractionKind.SR, "euclidean"),
 }
 
-MOR_MODELS = ("wave", "sine_gordon", "schrodinger", "vlasov")
+#: Each ``spopt mor`` model: its constructor from (n, seed), then its desk
+#: and its paper-scale setup.
+MOR_MODELS = {
+    "wave": (lambda n, seed: wave_system(n),
+             dict(n=250, t_final=25.0, h_t=0.01, snapshots=250, k_values=[10, 20]),
+             dict(n=500, t_final=50.0, h_t=0.01, snapshots=500, k_values=[10, 20, 40, 80])),
+    "sine_gordon": (lambda n, seed: sine_gordon_system(n),
+                    dict(n=200, t_final=20.0, h_t=0.05, snapshots=200, k_values=[10]),
+                    dict(n=1999, t_final=90.0, h_t=0.05, snapshots=450,
+                         k_values=[11, 13, 15, 17])),
+    "schrodinger": (lambda n, seed: schrodinger_system(n),
+                    dict(n=128, t_final=5.0, h_t=0.01, snapshots=100, k_values=[16]),
+                    dict(n=1024, t_final=30.0, h_t=0.01, snapshots=750,
+                         k_values=[95, 100, 105, 110])),
+    "vlasov": (lambda n, seed: vlasov_system(n, seed=seed),
+               dict(n=200, t_final=0.2, h_t=1e-4, snapshots=400, k_values=[6]),
+               dict(n=1000, t_final=0.2, h_t=1e-4, snapshots=400, k_values=[6, 8, 10, 12])),
+}
 
 
 class ConfigError(Exception):
@@ -302,35 +319,6 @@ def run_sympev(config: ExperimentConfig) -> dict:
 # model order reduction application
 
 
-def _mor_defaults(model: str, paper_scale: bool) -> dict:
-    desk = {
-        "wave": dict(n=250, t_final=25.0, h_t=0.01, snapshots=250, k_values=[10, 20]),
-        "sine_gordon": dict(n=200, t_final=20.0, h_t=0.05, snapshots=200, k_values=[10]),
-        "schrodinger": dict(n=128, t_final=5.0, h_t=0.01, snapshots=100, k_values=[16]),
-        "vlasov": dict(n=200, t_final=0.2, h_t=1e-4, snapshots=400, k_values=[6]),
-    }
-    paper = {
-        "wave": dict(n=500, t_final=50.0, h_t=0.01, snapshots=500, k_values=[10, 20, 40, 80]),
-        "sine_gordon": dict(n=1999, t_final=90.0, h_t=0.05, snapshots=450,
-                            k_values=[11, 13, 15, 17]),
-        "schrodinger": dict(n=1024, t_final=30.0, h_t=0.01, snapshots=750,
-                            k_values=[95, 100, 105, 110]),
-        "vlasov": dict(n=1000, t_final=0.2, h_t=1e-4, snapshots=400,
-                       k_values=[6, 8, 10, 12]),
-    }
-    return dict((paper if paper_scale else desk)[model])
-
-
-def _build_model(model: str, n: int, seed: int):
-    if model == "wave":
-        return wave_system(n)
-    if model == "sine_gordon":
-        return sine_gordon_system(n)
-    if model == "schrodinger":
-        return schrodinger_system(n)
-    return vlasov_system(n, seed=seed)  # run_mor has checked MOR_MODELS
-
-
 def _series_csv(path: Path, report) -> None:
     lines = ["t,state_err,energy_err"]
     for t, se, ee in zip(report.times, report.pointwise_state, report.pointwise_energy):
@@ -343,8 +331,9 @@ def run_mor(config: ExperimentConfig) -> dict:
     p = config.params
     model = p.get("model", "wave")
     if model not in MOR_MODELS:
-        raise ConfigError(f"unknown model {model!r}; choose from {MOR_MODELS}")
-    setup = _mor_defaults(model, config.paper_scale)
+        raise ConfigError(f"unknown model {model!r}; choose from {tuple(MOR_MODELS)}")
+    construct, desk, paper = MOR_MODELS[model]
+    setup = dict(paper if config.paper_scale else desk)
     setup.update({key: p[key] for key in
                   ("n", "t_final", "h_t", "snapshots", "k_values") if key in p})
     n = _number("n", setup["n"])
@@ -369,7 +358,7 @@ def run_mor(config: ExperimentConfig) -> dict:
     solver.update(p.get("solver", {}))
     options = _options_by_scheme(config, solver)
 
-    system = _build_model(model, n, config.seed)
+    system = construct(n, config.seed)
     iopts = IntegratorOptions(h_t, t_final)
     fom = crank_nicolson(system, system.x0, iopts)
     snaps = extract_snapshots(fom, n_snapshots)

@@ -78,31 +78,23 @@ def sym_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
-class Dims:
-    """Half-dimensions (n, k) of a 2n-by-2k subject, with k <= n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"dimensions must be positive, got n={self.n}, k={self.k}")
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds n={self.n}")
-
-
-def _dims_of(entries: np.ndarray) -> Dims:
+def _dims_of(entries: np.ndarray) -> tuple[int, int]:
+    """Half-dimensions (n, k) of a 2n-by-2k matrix, with 1 <= k <= n."""
     rows, cols = entries.shape
     if rows % 2 or cols % 2:
         raise ValueError(f"shape {entries.shape} is not (2n, 2k)")
-    return Dims(rows // 2, cols // 2)
+    n, k = rows // 2, cols // 2
+    if n < 1 or k < 1:
+        raise ValueError(f"dimensions must be positive, got n={n}, k={k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}")
+    return n, k
 
 
 def symplecticity_residual(x) -> float:
     """Feasibility violation ||X^T J_{2n} X - J_{2k}||_F of a 2n-by-2k matrix."""
     e = np.asarray(getattr(x, "entries", x), dtype=float)
-    k = _dims_of(e).k
+    _, k = _dims_of(e)
     m = e.T @ jmul(e)
     # subtract J_{2k} in place: on the row-major flat view, its +1 entries
     # (i, k + i) sit at k + i (2k + 1) and its -1 entries (k + i, i) at
@@ -146,25 +138,24 @@ class SymplecticPoint:
     Values are immutable by convention; no method mutates ``entries``.
     """
 
-    dims: Dims
     entries: np.ndarray
 
     @classmethod
     def from_entries(cls, entries, check: bool = True) -> "SymplecticPoint":
         e = np.ascontiguousarray(entries, dtype=float)
-        d = _dims_of(e)
+        _dims_of(e)
         if check:
             _check_residual("symplecticity", symplecticity_residual(e),
                             DEFAULT_FEAS_TOL, e)
-        return cls(d, e)
+        return cls(e)
 
     @property
     def n(self) -> int:
-        return self.dims.n
+        return self.entries.shape[0] // 2
 
     @property
     def k(self) -> int:
-        return self.dims.k
+        return self.entries.shape[1] // 2
 
 
 @dataclass(frozen=True)
@@ -191,12 +182,12 @@ class TangentVector:
 
 def canonical_point(n: int, k: int) -> SymplecticPoint:
     """The canonical embedding: columns e_1..e_k, e_{n+1}..e_{n+k} of I_{2n}."""
-    d = Dims(n, k)
     e = np.zeros((2 * n, 2 * k))
+    _dims_of(e)
     for j in range(k):
         e[j, j] = 1.0
         e[n + j, k + j] = 1.0
-    return SymplecticPoint(d, e)
+    return SymplecticPoint(e)
 
 
 def symplectic_inverse(x) -> np.ndarray:

@@ -35,7 +35,8 @@ from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
 from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _psd_residual,
-                           deim_reduced_rhs, deim_select, exact_reduced_rhs)
+                           cotangent_lift, deim_reduced_rhs, deim_select,
+                           exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
@@ -136,9 +137,6 @@ class HamiltonianSystem:
             g = g + self.nonlin.gradient(x)
         return g
 
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        return jmul(self.grad(x))
-
     @cached_property
     def _hessian_pattern(self):
         """M on the CSC pattern of M + Hess h, which adds each site's 2 x 2
@@ -221,29 +219,35 @@ class _ShiftedJ:
     def __init__(self, g: sp.csc_matrix, t: float):
         dim = g.shape[0]
         n = dim // 2
-        self.indptr, self.indices = g.indptr, g.indices
-        rows = g.indices
-        cols = np.repeat(np.arange(dim), np.diff(g.indptr))
-        local = np.array_equal(rows % n, cols % n)
+        self.indptr, self.indices, self.t = g.indptr, g.indices, t
+        self.cols = np.repeat(np.arange(dim), np.diff(g.indptr))
+        local = np.array_equal(g.indices % n, self.cols % n)
         q, p = np.arange(n), np.arange(n) + n
         # G.data positions of g_qp, g_pq, g_pp, g_qq; factors to a_pp - 1, a_qq - 1, a_qp, a_pq
         pos = _entry_positions(g, np.r_[q, p, p, q], np.r_[p, q, p, q]) if local else None
         self.sites = None if pos is None else pos.reshape(4, n)
         self.site_scale = np.array([[-t], [t], [t], [-t]])
+
+    @cached_property
+    def _gather(self):
+        """I + t J G's CSC pattern, the source in G.data and weight of each entry,
+        and the diagonal's positions; built on a first call, never on the site path."""
+        rows, cols, t = self.indices, self.cols, self.t
+        dim = self.indptr.size - 1
+        n = dim // 2
         # row r of G becomes row r - n of J G if r >= n, else row r + n negated
         moved = (rows + n) % dim
         diag = np.arange(dim)
-        mat = sp.csc_matrix((np.zeros(g.nnz + dim),
+        mat = sp.csc_matrix((np.zeros(rows.size + dim),
                              (np.concatenate([moved, diag]), np.concatenate([cols, diag]))),
-                            shape=g.shape)
+                            shape=(dim, dim))
         target = _entry_positions(mat, moved, cols)
         # entries fed by I alone gather an arbitrary element with weight 0
-        self.gather = np.zeros(mat.nnz, dtype=np.intp)
-        self.gather[target] = np.arange(g.nnz)
-        self.scale = np.zeros(mat.nnz)
-        self.scale[target] = np.where(rows >= n, t, -t)
-        self.diag = _entry_positions(mat, diag, diag)
-        self.matrix = mat
+        gather = np.zeros(mat.nnz, dtype=np.intp)
+        gather[target] = np.arange(rows.size)
+        scale = np.zeros(mat.nnz)
+        scale[target] = np.where(rows >= n, t, -t)
+        return mat, gather, scale, _entry_positions(mat, diag, diag)
 
     def fits(self, g: sp.csc_matrix) -> bool:
         same = lambda a, b: a is b or np.array_equal(a, b)
@@ -251,10 +255,10 @@ class _ShiftedJ:
 
     def __call__(self, g: sp.csc_matrix) -> sp.csc_matrix:
         """The matrix for G's data; it is overwritten by the next call."""
-        data = self.matrix.data
-        np.multiply(self.scale, g.data[self.gather], out=data)
-        data[self.diag] += 1.0
-        return self.matrix
+        mat, gather, scale, diag = self._gather
+        np.multiply(scale, g.data[gather], out=mat.data)
+        mat.data[diag] += 1.0
+        return mat
 
     def blocks(self, g: sp.csc_matrix) -> np.ndarray:
         """Rows a_pp, a_qq, a_qp, a_pq of the site blocks [[a_qq, a_qp], [a_pq, a_pp]]."""
@@ -288,11 +292,23 @@ def _sparse_lu(a: sp.csc_matrix, where: str):
         raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
 
 
+def _shifted_dense(g: np.ndarray, t: float) -> np.ndarray:
+    """I + t J G for a dense G, as a new array."""
+    a = jmul(np.asarray(g))
+    a *= t
+    a.flat[::a.shape[0] + 1] += 1.0
+    return a
+
+
+def _singular(info: int, where: str) -> None:
+    if info > 0:
+        raise NewtonDivergence(f"{where}: singular Newton matrix (pivot {info} is exactly zero)")
+
+
 def _dense_solve(a: np.ndarray, b: np.ndarray, where: str) -> np.ndarray:
     """a^{-1} b by one LAPACK ``dgesv``; ``a`` is overwritten."""
     _, _, x, info = lapack.dgesv(a, b, overwrite_a=True)
-    if info > 0:
-        raise NewtonDivergence(f"{where}: singular Newton matrix (pivot {info} is exactly zero)")
+    _singular(info, where)
     return x
 
 
@@ -336,12 +352,10 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             solve = _sparse_lu(_ShiftedJ(g, -c)(g), "linear step").solve
             rhs_mat = _ShiftedJ(g, c)(g).tocsr()
         else:
-            import scipy.linalg as sla
-            jg = jmul(np.asarray(g))
-            eye = np.eye(dim)
-            lu = sla.lu_factor(eye - c * jg)
-            rhs_mat = eye + c * jg
-            solve = lambda b: sla.lu_solve(lu, b)
+            lu, piv, info = lapack.dgetrf(_shifted_dense(g, -c), overwrite_a=True)
+            _singular(info, "linear step")
+            solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
+            rhs_mat = _shifted_dense(g, c)
         for m in range(steps):
             x = solve(rhs_mat @ x)
             states[:, m + 1] = x
@@ -377,10 +391,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                         shifted = _ShiftedJ(g, -c)
                     y = y - shifted.solve(g, res, f"step {m}")
                 else:
-                    a = jmul(g)
-                    a *= -c
-                    a.flat[::dim + 1] += 1.0
-                    y = y - _dense_solve(a, res, f"step {m}")
+                    y = y - _dense_solve(_shifted_dense(g, -c), res, f"step {m}")
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
@@ -585,19 +596,17 @@ def state_seeded_cotangent_lift(snapshots: np.ndarray, k: int,
                                 x0: np.ndarray) -> SymplecticPoint:
     """Cotangent lift whose range contains x0 exactly.
 
-    The nonzero halves of x0 lead the orthonormalization of the stacked
-    snapshot matrix, so the block-diagonal basis diag(Xhat, Xhat) reproduces
-    the initial state; leading POD modes fill the remaining columns.
+    The nonzero halves of x0 lead the orthonormalization of the POD modes of
+    ``cotangent_lift``, so the block-diagonal basis diag(Xhat, Xhat)
+    reproduces the initial state; the leading modes fill the other columns.
     """
-    a = np.asarray(snapshots, dtype=float)
-    n = a.shape[0] // 2
-    stacked = np.column_stack([a[:n], a[n:]])
-    u, _, _ = np.linalg.svd(stacked, full_matrices=False)
+    lift = cotangent_lift(snapshots, k)
+    n = lift.n
     scale = max(float(np.linalg.norm(x0)), 1.0)
     seeds = [v for v in (x0[:n], x0[n:]) if np.linalg.norm(v) > 1e-14 * scale]
     if len(seeds) > k:
         raise ValueError("k too small to seed the initial state")
-    q, _ = np.linalg.qr(np.column_stack(seeds + [u[:, :k]]))
+    q, _ = np.linalg.qr(np.column_stack(seeds + [lift.entries[:n, :k]]))
     return _block_diag_lift(q[:, :k])
 
 
@@ -652,9 +661,6 @@ class ReducedSystem:
         if self.full.nonlin is None:
             return self.reduced_mass @ xt
         return self.deim(xt)
-
-    def rhs(self, xt: np.ndarray) -> np.ndarray:
-        return jmul(self.grad(xt))
 
     def grad_jacobian(self, xt: np.ndarray) -> np.ndarray:
         if self.full.nonlin is None:

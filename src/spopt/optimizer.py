@@ -164,19 +164,15 @@ def bb_trial_step(i: int, w_prev: np.ndarray, y_prev: np.ndarray,
 def nonmonotone_search(problem: Objective, retraction: RetractionKind,
                        x: SymplecticPoint, z: np.ndarray, gamma: float,
                        c_ref: float, beta: float = 1e-4, delta: float = 1e-1,
-                       max_backtracks: int = 30,
-                       slope: float | None = None) -> SearchResult:
+                       max_backtracks: int = 30, *, slope: float) -> SearchResult:
     """Find the smallest l with f(R(tau Z)) <= c_ref + beta tau g(grad f, Z),
     tau = gamma delta^l.
 
-    ``slope`` is g(grad f, Z); when omitted it is computed by duality as
-    tr(egrad^T Z).  Each trial point is evaluated once; retraction failures,
-    non-finite costs and insufficient decrease are rejections, logged at
-    DEBUG level.  Raises :class:`LineSearchError` after ``max_backtracks``
-    rejections.
+    ``slope`` is g(grad f, Z), which equals tr(egrad^T Z) by duality.  Each
+    trial point is evaluated once; retraction failures, non-finite costs and
+    insufficient decrease are rejections, logged at DEBUG level.  Raises
+    :class:`LineSearchError` after ``max_backtracks`` rejections.
     """
-    if slope is None:
-        slope = float(np.vdot(problem.evaluate(x.entries).gradient(), z))
     for ell in range(max_backtracks + 1):
         tau = gamma * delta**ell
         try:

@@ -204,6 +204,15 @@ class TestMorRuns:
             assert f"re_h={info['re_h']:.3e}" in row
             assert "aaf=" in row
 
+    def test_k_above_n_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mor"
+        cfg = write_cfg(tmp_path, {"model": "wave", "n": 10, "t_final": 1.0, "h_t": 0.01,
+                                   "snapshots": 30, "k_values": [12]})
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 2
+        assert "got 12" in capsys.readouterr().err
+        assert not (out / "mor_wave_results.csv").exists()
+
     def test_roms_simulated_on_main_thread(self, tmp_path, monkeypatch):
         # rom_time_s and aaf time the ROM simulations, so none may run on a
         # pool thread beside other cells

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spopt.core import (
-    Dims,
     FeasibilityError,
     FeasibilityWarning,
     SymplecticPoint,
@@ -155,10 +154,14 @@ class TestResiduals:
 
 class TestDims:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Dims(2, 3)
-        with pytest.raises(ValueError):
-            Dims(0, 0)
+        with pytest.raises(ValueError, match="k=3 exceeds n=2"):
+            canonical_point(2, 3)
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            canonical_point(0, 0)
+        with pytest.raises(ValueError, match="k=3 exceeds n=2"):
+            SymplecticPoint.from_entries(np.zeros((4, 6)))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            SymplecticPoint.from_entries(np.zeros((0, 0)))
 
 
 class TestConstruction:

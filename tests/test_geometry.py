@@ -63,8 +63,7 @@ class TestComplement:
         e = canonical_point(4, 2).entries.copy()
         e[:, 1] = e[:, 0] * 1e-13
         with pytest.raises(RankDeficient):
-            orthonormal_complement(
-                canonical_point(4, 2).__class__(canonical_point(4, 2).dims, e))
+            orthonormal_complement(SymplecticPoint(e))
 
 
 class TestTangentCoordinates:
@@ -167,7 +166,7 @@ class TestCanonicalGradient:
     def test_rank_deficient_point_raises_not_spd(self):
         e = canonical_point(4, 2).entries.copy()
         e[:, 1] = 0.0
-        x = SymplecticPoint(canonical_point(4, 2).dims, e)
+        x = SymplecticPoint(e)
         with pytest.raises(NotSPD):
             riemannian_gradient(CANON, x, np.ones_like(e))
 
@@ -176,7 +175,7 @@ class TestCanonicalGradient:
     def test_non_finite_point_raises_not_spd(self, metric):
         e = canonical_point(4, 2).entries.copy()
         e[1, 0] = np.nan
-        x = SymplecticPoint(canonical_point(4, 2).dims, e)
+        x = SymplecticPoint(e)
         with pytest.raises(NotSPD):
             riemannian_gradient(metric, x, np.ones_like(e))
 

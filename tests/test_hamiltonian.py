@@ -56,12 +56,6 @@ class TestModelConsistency:
         assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     @pytest.mark.parametrize("factory", ALL_MODELS)
-    def test_rhs_is_j_of_gradient(self, factory, rng):
-        sysm = factory()
-        x = rng.standard_normal(sysm.dim)
-        assert np.linalg.norm(sysm.rhs(x) - jmul(sysm.grad(x))) <= 1e-12
-
-    @pytest.mark.parametrize("factory", ALL_MODELS)
     def test_hessian_matches_gradient_differences(self, factory, rng):
         sysm = factory()
         x = 0.3 * rng.standard_normal(sysm.dim)
@@ -100,7 +94,8 @@ class TestWaveModel:
         x = rng.standard_normal(w.dim)
         dense_m = w.mass.toarray()
         expected = poisson(w.n) @ (dense_m @ x)
-        assert np.linalg.norm(w.rhs(x) - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
+        assert (np.linalg.norm(jmul(w.grad(x)) - expected)
+                <= 1e-13 * max(1.0, np.linalg.norm(expected)))
 
     def test_full_scale_dimensions(self):
         w = wave_system(500)
@@ -156,10 +151,16 @@ class TestSchrodingerModel:
         assert np.isclose(s.hamiltonian(x), quad, rtol=1e-12)
 
     def test_consistency_on_random_states(self, rng):
+        # J grad H is the complex form zdot = i (D z + eps |z|^2 z), z = q + i p
         s = schrodinger_system(24)
+        d = -s.mass.toarray()[:24, :24]
         for _ in range(3):
             x = rng.standard_normal(s.dim)
-            assert np.linalg.norm(s.rhs(x) - jmul(s.grad(x))) <= 1e-12
+            z = x[:24] + 1j * x[24:]
+            zdot = 1j * (d @ z + s.meta["eps"] * np.abs(z) ** 2 * z)
+            expected = np.concatenate([zdot.real, zdot.imag])
+            assert (np.linalg.norm(jmul(s.grad(x)) - expected)
+                    <= 1e-12 * max(1.0, np.linalg.norm(expected)))
 
     def test_full_scale_parameters(self):
         s = schrodinger_system(1024)
@@ -172,7 +173,7 @@ class TestVlasovModel:
         # E(1/8) = 3 cos(pi/2) = 0; a resting particle there stays put
         v = vlasov_system(1, seed=0)
         x = np.array([0.125, 0.0])
-        assert np.linalg.norm(v.rhs(x)) <= 1e-12
+        assert np.linalg.norm(jmul(v.grad(x))) <= 1e-12
         traj = crank_nicolson(v, x, IntegratorOptions(1e-3, 0.05))
         assert np.linalg.norm(traj.states[:, -1] - x) <= 1e-10
 
@@ -297,6 +298,18 @@ class TestCrankNicolson:
         with pytest.raises(NewtonDivergence, match="initial state is non-finite"):
             crank_nicolson(sysm, nan_x0, IntegratorOptions(0.5, 1.0))
 
+    def test_dense_linear_failures_raise_newton_divergence(self):
+        # the dense branch that steps a linear ROM; with G as in the singular
+        # Newton test, I - (h/2) J G = diag(0, 1)
+        h = 0.5
+        singular = SimpleNamespace(dim=2, is_linear=True, grad_jacobian=lambda x: np.array(
+            [[0.0, 0.0], [2.0 / h, 0.0]]))
+        with pytest.raises(NewtonDivergence, match="linear step: singular"):
+            crank_nicolson(singular, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
+        oscillator = SimpleNamespace(dim=2, is_linear=True, grad_jacobian=lambda x: np.eye(2))
+        with pytest.raises(NewtonDivergence, match="initial state is non-finite"):
+            crank_nicolson(oscillator, np.array([np.nan, 0.0]), IntegratorOptions(h, 1.0))
+
     @pytest.mark.parametrize("reduced", [False, True])
     def test_model_protocol_call_counts(self, reduced):
         # the integrator reads a model only through these four names, and
@@ -402,6 +415,13 @@ class TestRomAssembly:
         assert rep.re_x < 0.5
         assert rep.re_h <= 1e-8
         assert rep.pointwise_state.shape == traj.times.shape
+
+    def test_k_above_n_rejected(self):
+        # a basis of 2n columns is the widest a 2n-dimensional model has
+        w = wave_system(10)
+        snaps = extract_snapshots(crank_nicolson(w, w.x0, IntegratorOptions(0.01, 1.0)), 30)
+        with pytest.raises(ValueError, match=r"k <= min\(n, 2s\) = 10, got 12"):
+            build_rom(w, snaps, 12)
 
     def test_linear_model_rejects_deim(self, wave_setup):
         w, _, _, snaps = wave_setup

@@ -1,5 +1,6 @@
-"""The test-scale oracles stay out of the modules the solver imports, and
-every name a module exports through ``__all__`` exists.
+"""The test-scale oracles stay out of the modules the solver imports, every
+name a module exports through ``__all__`` exists, and every name the
+benchmark in ``perfbench/`` imports or probes exists.
 
 Only the package ``__init__`` may import ``spopt.oracles`` (to re-export
 its names); every other module of ``src/spopt`` is scanned for an import of
@@ -9,9 +10,12 @@ it in any form (``from .oracles import ...``, ``from . import oracles``,
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spopt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spopt"
 
 
 def imported_names(path: Path) -> set[str]:
@@ -50,3 +54,32 @@ def test_every_exported_name_resolves():
     stale = [f"{mod.__name__}.{name}" for mod in exporting for name in mod.__all__
              if not hasattr(mod, name)]
     assert stale == []
+
+
+def load_bench_module(name: str, monkeypatch):
+    """Import ``perfbench/<name>.py`` by path, registered in ``sys.modules``
+    for the test only (its dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # run.py is left out: importing it sets thread variables in the environment
+    tracer = load_bench_module("tracer", monkeypatch)
+    for name in ("kernels", "workloads"):
+        load_bench_module(name, monkeypatch)
+    assert len(tracer.PROBES) > 10
+    missing = []
+    for module, attr in tracer.PROBES:
+        # looked up through __dict__, as Tracer.__enter__ does
+        owner = importlib.import_module(f"spopt.{module}")
+        for part in attr.split("."):
+            if part not in vars(owner):
+                missing.append(f"{module}.{attr}")
+                break
+            owner = vars(owner)[part]
+    assert missing == []

@@ -97,7 +97,7 @@ class TestNonmonotoneSearch:
         z = -np.zeros_like(x.entries)
         problem = Callables(lambda m: 1.0, lambda m: np.zeros_like(m))
         res = nonmonotone_search(problem, RetractionKind.SR, x,
-                                 np.zeros_like(x.entries), 1e-3, 1.0)
+                                 np.zeros_like(x.entries), 1e-3, 1.0, slope=0.0)
         assert res.backtracks == 0
 
     def test_huge_trial_step_shrinks(self, rng):
@@ -108,7 +108,8 @@ class TestNonmonotoneSearch:
         grad = riemannian_gradient(EUCLID, x, egrad)
         z = -grad.entries
         res = nonmonotone_search(problem, RetractionKind.SR, x, z,
-                                 1e6, problem.cost(x.entries))
+                                 1e6, problem.cost(x.entries),
+                                 slope=float(np.vdot(egrad, z)))
         assert res.backtracks > 0
 
     def test_tiny_trial_step_accepts(self, rng):
@@ -117,8 +118,10 @@ class TestNonmonotoneSearch:
         egrad = problem.euclidean_gradient(x.entries)
         from spopt.geometry import riemannian_gradient
         grad = riemannian_gradient(EUCLID, x, egrad)
-        res = nonmonotone_search(problem, RetractionKind.SR, x,
-                                 -grad.entries, 1e-9, problem.cost(x.entries))
+        z = -grad.entries
+        res = nonmonotone_search(problem, RetractionKind.SR, x, z,
+                                 1e-9, problem.cost(x.entries),
+                                 slope=float(np.vdot(egrad, z)))
         assert res.backtracks == 0
 
     def test_exhaustion_raises(self, rng):
