@@ -344,6 +344,10 @@ def symplectic_eigenpairs(a: np.ndarray, k: int,
     reported either way.
     """
     a = np.asarray(a, dtype=float)
+    if x0.entries.shape != (a.shape[0], 2 * k):
+        rows, cols = x0.entries.shape
+        raise ValueError(f"x0 is {rows} x {cols} (k={cols // 2}), but k={k} needs "
+                         f"{a.shape[0]} x {2 * k}")
     prob = TraceProblem(a, k)
     if solver_options is None:
         solver_options = SolverOptions(gtol=1e-12, niter=5000, gamma_max=1.0)
@@ -457,14 +461,16 @@ class DeimOperator:
         return qp[:m], qp[m:]
 
     def state(self, xt: np.ndarray) -> np.ndarray:
-        """Full-length state holding the selected entries of the sampled state.
+        """Full-length state holding the selected entries of the sampled state,
+        for one xt or for each column of a 2k x B block.
 
         For the structure-preserving variant this is the sparse state
         P (V^T P)^{-1} V^T U xt at which the nonlinearity is evaluated.
         """
         q, p = self._pairs(xt)
-        full = np.zeros(self.dim)
-        full[self.indices] = np.where(self.on_q, q, p)
+        full = np.zeros((self.dim, *xt.shape[1:]))
+        # transposed, a block's m x B samples meet the length-m mask along sites
+        full[self.indices] = np.where(self.on_q, q.T, p.T).T
         return full
 
     def __call__(self, xt: np.ndarray) -> np.ndarray:

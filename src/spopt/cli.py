@@ -343,6 +343,11 @@ def run_mor(config: ExperimentConfig) -> dict:
     if not isinstance(setup["k_values"], list):
         raise ConfigError(f"k_values must be a list, got {setup['k_values']!r}")
     k_values = [_number("k_values entry", k) for k in setup["k_values"]]
+    k_max = min(n, n_snapshots)
+    for k in k_values:
+        if not 1 <= k <= k_max:
+            raise ConfigError(f"k_values entry must satisfy 1 <= k <= min(n, snapshots) "
+                              f"= {k_max}, got {k}")
     nonlin = p.get("nonlin", "exact" if model in ("wave",) else "psd-deim")
     deim_variants = p.get("deim_variants")
     if deim_variants is not None and not (

@@ -26,7 +26,7 @@ from spopt.core import (
     poisson,
     symplecticity_residual,
 )
-from spopt import hamiltonian
+from spopt import applications, hamiltonian
 from spopt.geometry import NotSPD
 from spopt.hamiltonian import (
     IntegratorOptions,
@@ -302,6 +302,20 @@ class TestSymplecticEigenpairs:
         for dj, u, v in zip(spec.values, spec.u_vectors.T, spec.v_vectors.T):
             assert np.linalg.norm(a @ u - dj * jmul(v)) <= 1e-6 * np.linalg.norm(a, 2)
             assert np.linalg.norm(a @ v + dj * jmul(u)) <= 1e-6 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (15, 3, r"x0 is 30 x 6 \(k=3\), but k=2 needs 30 x 4"),
+        (10, 2, r"x0 is 20 x 4 \(k=2\), but k=2 needs 30 x 4"),
+    ], ids=["k=3-start", "n=10-start"])
+    def test_mismatched_start_rejected_before_solve(self, n, k, message, monkeypatch):
+        a, _ = spsd_test_matrix(15, 2, seed=8)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran before the start was checked")
+
+        monkeypatch.setattr(applications, "minimize", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            symplectic_eigenpairs(a, 2, x0=random_symplectic_point(n, k, 9))
 
     def test_nonconvergence_warns(self):
         a, _ = spsd_test_matrix(15, 2, seed=8)

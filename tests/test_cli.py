@@ -204,14 +204,36 @@ class TestMorRuns:
             assert f"re_h={info['re_h']:.3e}" in row
             assert "aaf=" in row
 
-    def test_k_above_n_exits_2(self, tmp_path, capsys):
+    def test_k_above_n_exits_2(self, tmp_path, monkeypatch, capsys):
+        # rejected before the full-order model runs
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
         out = tmp_path / "mor"
         cfg = write_cfg(tmp_path, {"model": "wave", "n": 10, "t_final": 1.0, "h_t": 0.01,
                                    "snapshots": 30, "k_values": [12]})
         rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
         assert rc == 2
-        assert "got 12" in capsys.readouterr().err
-        assert not (out / "mor_wave_results.csv").exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: k_values entry must satisfy 1 <= k <= min(n, snapshots) "
+            "= 10, got 12")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snapshots, k_values, limit, bad", [
+        (5, [4, 6], 5, 6),
+        (30, [0], 10, 0),
+        (30, [4, -1], 10, -1),
+    ], ids=["k>snapshots", "k=0", "k<0"])
+    def test_k_out_of_range_exits_2_before_fom(self, snapshots, k_values, limit, bad,
+                                               tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        out = tmp_path / "mor"
+        cfg = write_cfg(tmp_path, {"model": "wave", "n": 10, "t_final": 1.0, "h_t": 0.01,
+                                   "snapshots": snapshots, "k_values": k_values})
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: k_values entry must satisfy 1 <= k <= min(n, snapshots) "
+            f"= {limit}, got {bad}")
+        assert not out.exists()
 
     def test_roms_simulated_on_main_thread(self, tmp_path, monkeypatch):
         # rom_time_s and aaf time the ROM simulations, so none may run on a

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from spopt import hamiltonian
 from spopt.applications import deim_reduced_rhs, random_symplectic_point
 from spopt.core import jmul, poisson, symplecticity_residual
 from spopt.hamiltonian import (
+    NONLIN_TREATMENTS,
     GridMismatch,
     HamiltonianSystem,
     IntegratorOptions,
@@ -498,6 +501,147 @@ class TestRelativeErrors:
         rt = crank_nicolson(rom, rom.x0_reduced, IntegratorOptions(0.01, 5.0))
         with pytest.raises(GridMismatch):
             relative_errors(traj, rom, rt)
+        shifted = Trajectory(rt.times[:traj.times.size] + 1e-3, traj.states, 0.0)
+        with pytest.raises(GridMismatch):
+            relative_errors(traj, rom, shifted)
+
+
+# ---------------------------------------------------------------------------
+# Test-scale reference for the blocked error evaluation: relative_errors as
+# it was written before, with whole-trajectory arrays and one Hamiltonian
+# evaluation per stored state.
+
+BLOCK = hamiltonian._ERROR_BLOCK
+
+
+def reference_potential_sum(nonlin, x):
+    n = nonlin.n
+    return float(np.sum(nonlin.potential(x[:n], x[n:], slice(None))))
+
+
+def reference_hamiltonian(sysm, x):
+    h = 0.5 * float(x @ (sysm.mass @ x))
+    if sysm.nonlin is not None:
+        h += reference_potential_sum(sysm.nonlin, x)
+    return h
+
+
+def reference_reduced_hamiltonian(rom, xt):
+    if rom.variant == "structure-preserving":
+        op = rom.deim
+        qp = op.sample @ xt
+        m = op.sites.size
+        state = np.zeros(op.dim)
+        state[op.indices] = np.where(op.on_q, qp[:m], qp[m:])
+        quad = 0.5 * float(xt @ (rom.reduced_mass @ xt))
+        return quad + reference_potential_sum(rom.full.nonlin, state)
+    return reference_hamiltonian(rom.full, rom.basis.entries @ xt)
+
+
+def reference_relative_errors(full, rom, rom_traj):
+    if full.times.shape != rom_traj.times.shape or not np.allclose(
+            full.times, rom_traj.times, rtol=0.0, atol=1e-12 * max(1.0, full.times[-1])):
+        raise GridMismatch("trajectories live on different time grids")
+    h = full.h_t
+    l2 = lambda values: float(np.sqrt(np.trapezoid(values, dx=h)))
+    rec = rom.basis.entries @ rom_traj.states
+    diff2 = np.sum((full.states - rec) ** 2, axis=0)
+    norm2 = np.sum(full.states**2, axis=0)
+    re_x = l2(diff2) / l2(norm2)
+    h_full = np.array([reference_hamiltonian(rom.full, full.states[:, j])
+                       for j in range(full.states.shape[1])])
+    h_rom = np.array([reference_reduced_hamiltonian(rom, rom_traj.states[:, j])
+                      for j in range(rom_traj.states.shape[1])])
+    re_h = l2((h_full - h_rom) ** 2) / l2(h_full**2)
+    mean_norm = float(np.trapezoid(np.sqrt(norm2), dx=h) / full.times[-1])
+    return hamiltonian.ErrorReport(re_x, re_h, full.times, np.sqrt(diff2) / mean_norm,
+                                   np.abs(h_full - h_rom) / abs(h_full[0]))
+
+
+BLOCK_MODELS = {
+    "wave": (lambda: wave_system(12), ("exact",)),
+    "sine-gordon": (lambda: sine_gordon_system(12), NONLIN_TREATMENTS),
+    "schrodinger": (lambda: schrodinger_system(12), NONLIN_TREATMENTS),
+    "vlasov": (lambda: vlasov_system(12, seed=4), NONLIN_TREATMENTS),
+}
+
+
+@functools.cache
+def blocked_case(model):
+    """A model's full trajectory over 2 * BLOCK steps and its k=4 ROMs'."""
+    factory, variants = BLOCK_MODELS[model]
+    sysm = factory()
+    opts = IntegratorOptions(1e-2, 2 * BLOCK * 1e-2)
+    fom = crank_nicolson(sysm, sysm.x0, opts)
+    snaps = extract_snapshots(fom, 40)
+    roms = [build_rom(sysm, snaps, 4, nonlin=variant) for variant in variants]
+    return fom, [(rom, crank_nicolson(rom, rom.x0_reduced, opts)) for rom in roms]
+
+
+def first_columns(traj, cols):
+    return Trajectory(traj.times[:cols], traj.states[:, :cols], 0.0)
+
+
+class TestBlockedErrors:
+    """relative_errors against reference_relative_errors across block edges."""
+
+    @pytest.mark.parametrize("cols", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_matches_reference(self, model, cols):
+        fom, roms = blocked_case(model)
+        full = first_columns(fom, cols)
+        for rom, rt in roms:
+            red = first_columns(rt, cols)
+            if cols == 1:  # no L2-in-time norm; the reference divided 0.0 by 0.0
+                with pytest.raises(ZeroDivisionError):
+                    reference_relative_errors(full, rom, red)
+                with pytest.raises(ValueError, match="at least two stored states, got 1"):
+                    relative_errors(full, rom, red)
+                continue
+            rep = relative_errors(full, rom, red)
+            ref = reference_relative_errors(full, rom, red)
+            np.testing.assert_array_equal(rep.re_x, ref.re_x, err_msg=rom.variant)
+            np.testing.assert_array_equal(rep.pointwise_state, ref.pointwise_state,
+                                          err_msg=rom.variant)
+            assert rep.times is full.times
+            # the energies sum 2n = 24 terms in another order: a few hundred
+            # eps relative to |H(x0)| (at most 10 eps seen)
+            np.testing.assert_allclose(rep.pointwise_energy, ref.pointwise_energy,
+                                       rtol=0.0, atol=1e-13, err_msg=rom.variant)
+            assert abs(rep.re_h - ref.re_h) <= 1e-14 + 1e-12 * ref.re_h, rom.variant
+
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_block_energies_match_per_state(self, model, rng):
+        # a block of exactly n columns would let a per-site array broadcast
+        # along time without an error
+        sysm = BLOCK_MODELS[model][0]()
+        for cols in (1, sysm.n, sysm.n + 3):
+            states = 0.5 * rng.standard_normal((sysm.dim, cols))
+            ref = [reference_hamiltonian(sysm, x) for x in states.T]
+            np.testing.assert_allclose(sysm.energies(states), ref, rtol=1e-13, atol=1e-13)
+            assert sysm.hamiltonian(states[:, 0]) == sysm.energies(states[:, :1])[0]
+
+    def test_peak_allocation_independent_of_steps(self):
+        # the parent's evaluation held three 2n x (steps + 1) arrays at once
+        w = wave_system(100)
+        opts = IntegratorOptions(1e-2, 8 * BLOCK * 1e-2)
+        fom = crank_nicolson(w, w.x0, opts)
+        rom = build_rom(w, extract_snapshots(fom, 40), 4)
+        rt = crank_nicolson(rom, rom.x0_reduced, opts)
+        peaks = {}
+        for cols in (2 * BLOCK + 1, 8 * BLOCK + 1):
+            full, red = first_columns(fom, cols), first_columns(rt, cols)
+            relative_errors(full, rom, red)  # warm-up: caches, lazy imports
+            tracemalloc.start()
+            try:
+                relative_errors(full, rom, red)
+                peaks[cols] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # allow the O(steps) time series (a few floats per column); one more
+        # 2n x (steps + 1) array would add 2n = 200 floats per column
+        growth = peaks[8 * BLOCK + 1] - peaks[2 * BLOCK + 1]
+        assert growth <= 16 * 8 * (6 * BLOCK), peaks
 
 
 # ---------------------------------------------------------------------------
