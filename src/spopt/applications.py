@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -442,7 +443,9 @@ class DeimOperator:
     two m x 2k maps from xt to (q_i, p_i) at the sites of the m selected
     components, stacked in ``sample``.  Online, ``__call__`` evaluates the
     slope on those m pairs and :meth:`jacobian` the curvature, so neither
-    costs O(n).
+    costs O(n).  A selection of q-components only (as Vlasov's, whose
+    gradient has no p-half) or of p-components only reads the matching
+    derivative without a per-component ``np.where``.
     """
 
     reduced_mass: np.ndarray     # U^T M U
@@ -455,10 +458,23 @@ class DeimOperator:
     curvature: Callable
     dim: int                     # 2n
 
-    def _pairs(self, xt: np.ndarray):
-        qp = self.sample @ xt
-        m = self.sites.size
-        return qp[:m], qp[m:]
+    @cached_property
+    def _half(self) -> str | None:
+        """"q" or "p" if every selected component lies in that half."""
+        if self.on_q.all():
+            return "q"
+        return None if self.on_q.any() else "p"
+
+    def _pick(self, at_q, at_p):
+        """at_q at the selected q-components, at_p at the p-components.  A
+        scalar (the zero a ``Nonlinearity`` may return) stays a scalar where
+        the selection reads only its half, or both halves read it."""
+        half = self._half
+        if half is not None:
+            return at_q if half == "q" else at_p
+        if isinstance(at_q, np.ndarray) or isinstance(at_p, np.ndarray) or at_q != at_p:
+            return np.where(self.on_q, at_q, at_p)
+        return at_q
 
     def state(self, xt: np.ndarray) -> np.ndarray:
         """Full-length state holding the selected entries of the sampled state,
@@ -467,29 +483,47 @@ class DeimOperator:
         For the structure-preserving variant this is the sparse state
         P (V^T P)^{-1} V^T U xt at which the nonlinearity is evaluated.
         """
-        q, p = self._pairs(xt)
+        qp = self.sample @ xt
+        m = self.sites.size
         full = np.zeros((self.dim, *xt.shape[1:]))
         # transposed, a block's m x B samples meet the length-m mask along sites
-        full[self.indices] = np.where(self.on_q, q.T, p.T).T
+        full[self.indices] = np.where(self.on_q, qp[:m].T, qp[m:].T).T
         return full
 
     def __call__(self, xt: np.ndarray) -> np.ndarray:
-        q, p = self._pairs(xt)
-        v_q, v_p = self.slope(q, p, self.sites)
-        return self.reduced_mass @ xt + self.oblique @ np.where(self.on_q, v_q, v_p)
+        qp = self.sample @ xt
+        m = self.sites.size
+        v = self._pick(*self.slope(qp[:m], qp[m:], self.sites))
+        if not isinstance(v, np.ndarray):
+            v = np.full(m, v)
+        return self.reduced_mass @ xt + self.oblique @ v
 
     def jacobian(self, xt: np.ndarray) -> np.ndarray:
         """U^T M U + B (a R_q + b R_p), the row scalings from one curvature call.
 
         R_q, R_p are the two halves of ``sample``; a, b are the derivatives of
-        each selected component by the q and the p of its site.
+        each selected component by the q and the p of its site.  A scalar
+        zero b (Vlasov: V_qp = V_pp = 0) drops the b R_p term.
         """
-        q, p = self._pairs(xt)
-        v_qq, v_qp, v_pp = self.curvature(q, p, self.sites)
+        qp = self.sample @ xt
         m = self.sites.size
-        a = np.where(self.on_q, v_qq, v_qp)[:, None]
-        b = np.where(self.on_q, v_qp, v_pp)[:, None]
-        return self.reduced_mass + self.oblique @ (a * self.sample[:m] + b * self.sample[m:])
+        v_qq, v_qp, v_pp = self.curvature(qp[:m], qp[m:], self.sites)
+        a, b = self._pick(v_qq, v_qp), self._pick(v_qp, v_pp)
+        rows = _rows_times(a, self.sample[:m])
+        if not _is_scalar_zero(b):
+            rows += _rows_times(b, self.sample[m:])
+        return self.reduced_mass + self.oblique @ rows
+
+
+def _is_scalar_zero(v) -> bool:
+    """Whether a derivative is the scalar 0.0 that a ``Nonlinearity`` may
+    return for one that vanishes."""
+    return not isinstance(v, np.ndarray) and v == 0.0
+
+
+def _rows_times(v, rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` times its entry of v, or all of them times a scalar v."""
+    return (v[:, None] if isinstance(v, np.ndarray) else v) * rows
 
 
 def _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin):

@@ -395,6 +395,7 @@ def run_mor(config: ExperimentConfig) -> dict:
             "re_x": report.re_x, "re_h": report.re_h,
             "rom_time_s": rom_traj.wall_time,
             "newton_updates": rom_traj.newton_updates,
+            "solver": rom_traj.solver,
             "cost_cotlift": rom.diagnostics["cost_cotlift"],
             "cost_final": rom.diagnostics.get("cost_restored",
                                               rom.diagnostics["cost_cotlift"]),
@@ -434,6 +435,7 @@ def run_mor(config: ExperimentConfig) -> dict:
         "setup": {key: setup[key] for key in setup},
         "nonlin": nonlin, "deim_variants": deim_variants,
         "fom_time_s": fom.wall_time, "fom_newton_updates": fom.newton_updates,
+        "fom_solver": fom.solver,
         "aaf": aaf, "rows": rows,
         "failures": failures,
     }

@@ -34,14 +34,14 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
-from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _psd_residual,
-                           cotangent_lift, deim_reduced_rhs, deim_select,
+from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _is_scalar_zero,
+                           _psd_residual, cotangent_lift, deim_reduced_rhs, deim_select,
                            exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
 __all__ = [
-    "Nonlinearity", "HamiltonianSystem", "IntegratorOptions", "Trajectory",
+    "Nonlinearity", "HamiltonianSystem", "SiteBlocks", "IntegratorOptions", "Trajectory",
     "ReducedSystem", "NewtonDivergence", "GridMismatch",
     "wave_system", "sine_gordon_system", "schrodinger_system", "vlasov_system",
     "sample_vlasov_ic", "VlasovParams", "sine_gordon_exact",
@@ -92,9 +92,12 @@ class Nonlinearity:
         return np.sum(self.potential(x[:n].T, x[n:].T, slice(None)), axis=-1)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad h for one state, or for each column of a 2n x B block; the
+        slope runs on time-major views, as in :meth:`value`."""
         n = self.n
-        g = np.zeros(2 * n)
-        g[:n], g[n:] = self.slope(x[:n], x[n:], slice(None))
+        g = np.zeros(x.shape)
+        xt, gt = x.T, g.T
+        gt[..., :n], gt[..., n:] = self.slope(xt[..., :n], xt[..., n:], slice(None))
         return g
 
 
@@ -114,6 +117,56 @@ def _quadratic(x: np.ndarray, mx: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,ij->j", x, mx)
 
 
+#: Signs of t in the Newton matrix entries a_pq, a_pp - 1, a_qq - 1, a_qp
+#: made from the rows g_qq, g_qp, g_pq, g_pp of a site block.
+_SITE_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+
+
+class SiteBlocks:
+    """The Jacobian M + Hess h of a site-local system: n uncoupled 2 x 2
+    blocks [[g_qq, g_qp], [g_pq, g_pp]], one per site i, coupling q_i with
+    p_i only.  ``data`` holds the rows g_qq, g_qp, g_pq, g_pp over the sites;
+    :meth:`toarray` is the dense 2n x 2n matrix and :meth:`solve` the Newton
+    solve of :func:`crank_nicolson`.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    def toarray(self) -> np.ndarray:
+        n = self.data.shape[1]
+        q, p = np.arange(n), np.arange(n) + n
+        dense = np.zeros((2 * n, 2 * n))
+        for (r, c), row in zip([(q, q), (q, p), (p, q), (p, p)], self.data):
+            dense[r, c] = row
+        return dense
+
+    def solve(self, t: float, res: np.ndarray, where: str) -> np.ndarray:
+        """(I + t J G)^{-1} res by Cramer's rule on the sites' blocks
+        [[1 + t g_pq, t g_pp], [-t g_qq, 1 - t g_qp]]."""
+        a = self.data * (t * _SITE_SIGNS)
+        a[1:3] += 1.0  # rows a_pq, a_pp, a_qq, a_qp
+        det = a[1] * a[2] - a[3] * a[0]
+        if not det.all():  # a NaN passes, and ends as a non-finite residual
+            site = np.flatnonzero(det == 0.0)[0]
+            raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
+        r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = (a_pp, a_qq) r - (a_qp, a_pq) (r_p; r_q)
+        return ((a[1:3] * r - a[3::-3] * r[::-1]) / det).ravel()
+
+
+def _site_row(a, u, b, w, v):
+    """Rows of M x + grad h as ``M @ x + nonlin.gradient(x)`` sums them:
+    0 + a u + b w, then + v; None is an entry M does not store.  Such a sum
+    is never -0, so adding a scalar zero v would change no bit."""
+    total = 0.0
+    for coef, val in ((a, u), (b, w)):
+        if coef is not None:
+            total = total + coef * val
+    return total if _is_scalar_zero(v) else total + v
+
+
 @dataclass(frozen=True)
 class HamiltonianSystem:
     """Semi-discrete system xdot = J grad H, H(x) = x^T M x / 2 + h(x).
@@ -121,6 +174,11 @@ class HamiltonianSystem:
     :meth:`energies` is the one source of H: it evaluates a block of states
     (columns) by one sparse product M X and one vectorized potential, and
     :meth:`hamiltonian` is its one-column call.
+
+    A nonlinear system whose M, like its Hessian, couples each q_i with its
+    own p_i only (Vlasov: M = diag(0, I)) is site-local: ``grad`` and
+    ``grad_jacobian`` then read M as four per-site arrays, and the Jacobian
+    is a :class:`SiteBlocks`.
     """
 
     name: str
@@ -148,10 +206,40 @@ class HamiltonianSystem:
     def hamiltonian(self, x: np.ndarray) -> float:
         return float(self.energies(x[:, None])[0])
 
+    @cached_property
+    def _site_mass(self):
+        """None unless the system is site-local and M, canonical CSR or CSC,
+        stores each of its entries m_qq, m_qp, m_pq, m_pp at every site or
+        at none.  Else the rows g_qq, g_qp, g_pq, g_pp of M's site blocks,
+        each 0 + m (0 where M stores nothing), and the same rows as four
+        site arrays with None for an entry M never stores."""
+        n, mass = self.n, self.mass
+        if (self.nonlin is None or mass.format not in ("csr", "csc")
+                or not mass.has_canonical_format):
+            return None
+        coo = mass.tocoo()
+        if not np.array_equal(coo.row % n, coo.col % n):
+            return None
+        kind = 2 * (coo.row >= n) + (coo.col >= n)
+        counts = np.bincount(kind, minlength=4)
+        if not np.isin(counts, (0, n)).all():
+            return None
+        base = np.zeros((4, n))
+        base[kind, coo.row % n] += coo.data
+        return base, [row if count else None for row, count in zip(base, counts)]
+
     def grad(self, x: np.ndarray) -> np.ndarray:
-        g = self.mass @ x
-        if self.nonlin is not None:
-            g = g + self.nonlin.gradient(x)
+        site = self._site_mass
+        if site is None:
+            g = self.mass @ x
+            return g if self.nonlin is None else g + self.nonlin.gradient(x)
+        n = self.n
+        q, p = x[:n], x[n:]
+        v_q, v_p = self.nonlin.slope(q, p, slice(None))
+        _, (m_qq, m_qp, m_pq, m_pp) = site
+        g = np.empty(2 * n)
+        g[:n] = _site_row(m_qq, q, m_qp, p, v_q)
+        g[n:] = _site_row(m_pq, q, m_pp, p, v_p)
         return g
 
     @cached_property
@@ -169,13 +257,24 @@ class HamiltonianSystem:
         return pattern, _entry_positions(pattern, rows, cols).reshape(4, self.n)
 
     def grad_jacobian(self, x: np.ndarray):
-        """M + Hess h(x); for a nonlinear system as CSC on a fixed pattern,
-        filled from one ``curvature`` call over all sites."""
+        """M + Hess h(x), each site block M's entries (0 where M stores
+        none) plus V's curvature from one ``curvature`` call over all sites.
+
+        A linear system returns M; a site-local one :class:`SiteBlocks`;
+        any other CSC on a fixed pattern, which stores every site block.
+        """
         if self.nonlin is None:
             return self.mass
         n = self.n
-        pattern, blocks = self._hessian_pattern
         v_qq, v_qp, v_pp = self.nonlin.curvature(x[:n], x[n:], slice(None))
+        site = self._site_mass
+        if site is not None:
+            data = site[0].copy()
+            for k, v in enumerate((v_qq, v_qp, v_qp, v_pp)):
+                if not _is_scalar_zero(v):  # 0 + m is never -0: adding 0 changes no bit
+                    data[k] += v
+            return SiteBlocks(data)
+        pattern, blocks = self._hessian_pattern
         data = pattern.data.copy()
         for pos, v in zip(blocks, (v_qq, v_qp, v_qp, v_pp)):
             data[pos] += v
@@ -212,6 +311,9 @@ class Trajectory:
     states: np.ndarray  # (dim, steps + 1)
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
+    # how the Newton matrices were solved: "site-blocks", "superlu" or
+    # "lapack" (the last update's path); None if the run solved none
+    solver: str | None = None
 
     @property
     def h_t(self) -> float:
@@ -227,44 +329,26 @@ class _ShiftedJ:
     Newton update assembles no sparse structure.  The values and the pattern
     equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps an
     entry; an entry of G that is exactly zero stays stored here.
-
-    :meth:`solve` factors it by SuperLU unless G is site-local, storing all
-    four entries of each site i and none coupling two sites (Vlasov): then
-    I + t J G is n uncoupled 2 x 2 blocks, solved by Cramer's rule.
     """
 
     def __init__(self, g: sp.csc_matrix, t: float):
+        self.indptr, self.indices = g.indptr, g.indices
         dim = g.shape[0]
         n = dim // 2
-        self.indptr, self.indices, self.t = g.indptr, g.indices, t
-        self.cols = np.repeat(np.arange(dim), np.diff(g.indptr))
-        local = np.array_equal(g.indices % n, self.cols % n)
-        q, p = np.arange(n), np.arange(n) + n
-        # G.data positions of g_qp, g_pq, g_pp, g_qq; factors to a_pp - 1, a_qq - 1, a_qp, a_pq
-        pos = _entry_positions(g, np.r_[q, p, p, q], np.r_[p, q, p, q]) if local else None
-        self.sites = None if pos is None else pos.reshape(4, n)
-        self.site_scale = np.array([[-t], [t], [t], [-t]])
-
-    @cached_property
-    def _gather(self):
-        """I + t J G's CSC pattern, the source in G.data and weight of each entry,
-        and the diagonal's positions; built on a first call, never on the site path."""
-        rows, cols, t = self.indices, self.cols, self.t
-        dim = self.indptr.size - 1
-        n = dim // 2
+        rows, cols = g.indices, np.repeat(np.arange(dim), np.diff(g.indptr))
         # row r of G becomes row r - n of J G if r >= n, else row r + n negated
         moved = (rows + n) % dim
         diag = np.arange(dim)
-        mat = sp.csc_matrix((np.zeros(rows.size + dim),
-                             (np.concatenate([moved, diag]), np.concatenate([cols, diag]))),
-                            shape=(dim, dim))
-        target = _entry_positions(mat, moved, cols)
+        self.mat = sp.csc_matrix((np.zeros(rows.size + dim),
+                                  (np.concatenate([moved, diag]), np.concatenate([cols, diag]))),
+                                 shape=(dim, dim))
+        target = _entry_positions(self.mat, moved, cols)
         # entries fed by I alone gather an arbitrary element with weight 0
-        gather = np.zeros(mat.nnz, dtype=np.intp)
-        gather[target] = np.arange(rows.size)
-        scale = np.zeros(mat.nnz)
-        scale[target] = np.where(rows >= n, t, -t)
-        return mat, gather, scale, _entry_positions(mat, diag, diag)
+        self.gather = np.zeros(self.mat.nnz, dtype=np.intp)
+        self.gather[target] = np.arange(rows.size)
+        self.scale = np.zeros(self.mat.nnz)
+        self.scale[target] = np.where(rows >= n, t, -t)
+        self.diag = _entry_positions(self.mat, diag, diag)
 
     def fits(self, g: sp.csc_matrix) -> bool:
         same = lambda a, b: a is b or np.array_equal(a, b)
@@ -272,28 +356,9 @@ class _ShiftedJ:
 
     def __call__(self, g: sp.csc_matrix) -> sp.csc_matrix:
         """The matrix for G's data; it is overwritten by the next call."""
-        mat, gather, scale, diag = self._gather
-        np.multiply(scale, g.data[gather], out=mat.data)
-        mat.data[diag] += 1.0
-        return mat
-
-    def blocks(self, g: sp.csc_matrix) -> np.ndarray:
-        """Rows a_pp, a_qq, a_qp, a_pq of the site blocks [[a_qq, a_qp], [a_pq, a_pp]]."""
-        a = g.data[self.sites] * self.site_scale
-        a[:2] += 1.0
-        return a
-
-    def solve(self, g: sp.csc_matrix, res: np.ndarray, where: str) -> np.ndarray:
-        """(I + t J G)^{-1} res, by site blocks or SuperLU (see the class)."""
-        if self.sites is None:
-            return _sparse_lu(self(g), where).solve(res)
-        a = self.blocks(g)
-        det = a[0] * a[1] - a[2] * a[3]
-        if not det.all():  # a NaN passes, and ends as a non-finite residual
-            site = np.flatnonzero(det == 0.0)[0]
-            raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
-        r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = a[:2] r - a[2:] (r_p; r_q)
-        return ((a[:2] * r - a[2:] * r[::-1]) / det).ravel()
+        np.multiply(self.scale, g.data[self.gather], out=self.mat.data)
+        self.mat.data[self.diag] += 1.0
+        return self.mat
 
 
 def _canonical_csc(g) -> sp.csc_matrix:
@@ -309,11 +374,19 @@ def _sparse_lu(a: sp.csc_matrix, where: str):
         raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
 
 
-def _shifted_dense(g: np.ndarray, t: float) -> np.ndarray:
-    """I + t J G for a dense G, as a new array."""
-    a = jmul(np.asarray(g))
-    a *= t
-    a.flat[::a.shape[0] + 1] += 1.0
+def _dense_shift(dim: int, t: float):
+    """The row order and the scale column by which I + t J G = G[rows] * scale + I."""
+    half = dim // 2
+    return np.r_[half:dim, :half], np.repeat([t, -t], half)[:, None]
+
+
+def _shifted_dense(g: np.ndarray, shift) -> np.ndarray:
+    """I + t J G for a dense G and ``shift = _dense_shift(dim, t)``, as a new
+    array: one row gather and one scaling, bit for bit J G times t."""
+    rows, scale = shift
+    a = g.take(rows, axis=0)
+    a *= scale
+    a.ravel()[::a.shape[0] + 1] += 1.0
     return a
 
 
@@ -344,12 +417,15 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     steps + updates + 1 ``system.grad`` calls.  A model is read only
     through ``dim``, ``is_linear``, ``grad`` and ``grad_jacobian``.
 
-    A sparse Jacobian's Newton matrix is set up once per Jacobian pattern:
-    uncoupled sites (Vlasov particles) give n 2 x 2 blocks solved by Cramer's
-    rule, coupled ones (sine-Gordon, Schroedinger) a fixed CSC pattern
-    factored by SuperLU.  A dense one is solved by one LAPACK call.
-    Exceeding the budget of ``newton_maxit`` iterations, a non-finite
-    residual or a singular Newton matrix raises :class:`NewtonDivergence`.
+    The Jacobian's type picks the solve, recorded as ``Trajectory.solver``:
+    a :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is solved as n
+    2 x 2 blocks by Cramer's rule ("site-blocks"); a sparse one (sites
+    coupled by M, as in sine-Gordon and Schroedinger) is gathered onto a
+    CSC pattern fixed once per Jacobian pattern and factored by SuperLU
+    ("superlu"); a dense one (the ROMs) is formed by one row gather and
+    solved by one LAPACK call ("lapack").  Exceeding the budget of
+    ``newton_maxit`` iterations, a non-finite residual or a singular Newton
+    matrix raises :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
     dim = system.dim
@@ -361,6 +437,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     states[:, 0] = x0
     x = x0.copy()
     updates = 0
+    solver = None
 
     if system.is_linear:
         g = system.grad_jacobian(x0)
@@ -368,11 +445,15 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             g = _canonical_csc(g)
             solve = _sparse_lu(_ShiftedJ(g, -c)(g), "linear step").solve
             rhs_mat = _ShiftedJ(g, c)(g).tocsr()
+            solver = "superlu"
         else:
-            lu, piv, info = lapack.dgetrf(_shifted_dense(g, -c), overwrite_a=True)
+            g = np.asarray(g)
+            lu, piv, info = lapack.dgetrf(_shifted_dense(g, _dense_shift(dim, -c)),
+                                          overwrite_a=True)
             _singular(info, "linear step")
             solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
-            rhs_mat = _shifted_dense(g, c)
+            rhs_mat = _shifted_dense(g, _dense_shift(dim, c))
+            solver = "lapack"
         for m in range(steps):
             x = solve(rhs_mat @ x)
             states[:, m + 1] = x
@@ -382,13 +463,14 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 f"step {first - 1}: linear step produced a non-finite state"
                 if first else "initial state is non-finite")
     else:
-        shifted = None
-        fx = jmul(system.grad(x))
+        grad, jacobian = system.grad, system.grad_jacobian
+        shifted, dense_shift = None, _dense_shift(dim, -c)
+        fx = jmul(grad(x))
         for m in range(steps):
             y = x + h * fx
             converged = False
             for _ in range(opts.newton_maxit):
-                fy = jmul(system.grad(y))
+                fy = jmul(grad(y))
                 # y - x - c (fx + fy), in that order of operations
                 t = fx + fy
                 t *= c
@@ -400,15 +482,20 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                     break
                 if not math.isfinite(norm):
                     raise NewtonDivergence(f"step {m}: non-finite Newton residual norm {norm}")
-                g = system.grad_jacobian(y)
+                g = jacobian(y)
                 updates += 1
-                if sp.issparse(g):
+                if isinstance(g, SiteBlocks):
+                    solver = "site-blocks"
+                    y = y - g.solve(-c, res, f"step {m}")
+                elif sp.issparse(g):
+                    solver = "superlu"
                     g = _canonical_csc(g)
                     if shifted is None or not shifted.fits(g):
                         shifted = _ShiftedJ(g, -c)
-                    y = y - shifted.solve(g, res, f"step {m}")
+                    y = y - _sparse_lu(shifted(g), f"step {m}").solve(res)
                 else:
-                    y = y - _dense_solve(_shifted_dense(g, -c), res, f"step {m}")
+                    solver = "lapack"
+                    y = y - _dense_solve(_shifted_dense(g, dense_shift), res, f"step {m}")
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
@@ -416,7 +503,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             states[:, m + 1] = y
             x, fx = y, fy
     times = h * np.arange(steps + 1)
-    return Trajectory(times, states, time.perf_counter() - start, updates)
+    return Trajectory(times, states, time.perf_counter() - start, updates, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +841,7 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
     if nonlin == "exact" and not system.is_linear:
         deim_op = exact_reduced_rhs(u, reduced_mass, system.nonlin)
     elif nonlin != "exact":
-        grads = np.column_stack([system.nonlin.gradient(snapshots[:, j])
-                                 for j in range(snapshots.shape[1])])
+        grads = system.nonlin.gradient(snapshots)
         basis_full, sv, _ = np.linalg.svd(grads, full_matrices=False)
         rank = int(np.sum(sv > 1e-12 * sv[0])) if sv[0] > 0 else 0
         if rank == 0:

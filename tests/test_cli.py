@@ -194,6 +194,9 @@ class TestMorRuns:
         # the wave model is linear: no Newton iteration anywhere
         assert summary["fom_newton_updates"] == 0
         assert [info["newton_updates"] for info in summary["rows"]] == [0, 0]
+        # the sparse full model is factored by SuperLU, the dense ROMs by LAPACK
+        assert summary["fom_solver"] == "superlu"
+        assert [info["solver"] for info in summary["rows"]] == ["lapack", "lapack"]
         series = (out / "mor_wave_k4_CotLift_exact_series.csv").read_text()
         assert series.splitlines()[0] == "t,state_err,energy_err"
         printed = capsys.readouterr().out.splitlines()
@@ -274,6 +277,9 @@ class TestMorRuns:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fom_newton_updates"] >= 100
         assert all(info["newton_updates"] >= 100 for info in summary["rows"])
+        # uncoupled particles: the full model's Newton matrices are site blocks
+        assert summary["fom_solver"] == "site-blocks"
+        assert all(info["solver"] == "lapack" for info in summary["rows"])
 
 
 def _singular_selection():

@@ -63,7 +63,7 @@ class TestModelConsistency:
         sysm = factory()
         x = 0.3 * rng.standard_normal(sysm.dim)
         jac = sysm.grad_jacobian(x)
-        jac = jac.toarray() if sp.issparse(jac) else np.asarray(jac)
+        jac = jac.toarray() if hasattr(jac, "toarray") else np.asarray(jac)
         h = 1e-6
         for i in (0, sysm.n - 1, sysm.n, sysm.dim - 1):
             e = np.zeros(sysm.dim)
@@ -82,7 +82,7 @@ class TestModelConsistency:
         idx = rng.choice(sysm.dim, size=9, replace=False)
         op = sampled_at(sysm, idx)
         assert np.allclose(op(x)[idx], sysm.nonlin.gradient(x)[idx], atol=1e-13)
-        hess = (sysm.grad_jacobian(x) - sysm.mass).toarray()
+        hess = sysm.grad_jacobian(x).toarray() - sysm.mass.toarray()
         assert np.allclose(op.jacobian(x)[idx], hess[idx], atol=1e-13)
 
 
@@ -340,6 +340,22 @@ class TestCrankNicolson:
         # the converged iterate's gradient starts the next step
         assert calls["grad"] == opts.steps + traj.newton_updates + 1
         assert np.array_equal(traj.states, crank_nicolson(model, x0, opts).states)
+
+    @pytest.mark.parametrize("model, fom, rom", [
+        ("wave", "superlu", "lapack"), ("sine-gordon", "superlu", "lapack"),
+        ("schrodinger", "superlu", "lapack"), ("vlasov", "site-blocks", "lapack")])
+    def test_solver_recorded(self, model, fom, rom):
+        sysm = FOUR_MODELS[model]()
+        opts = IntegratorOptions(1e-2, 0.1)
+        traj = crank_nicolson(sysm, sysm.x0, opts)
+        assert traj.solver == fom
+        nonlin = "exact" if sysm.is_linear else "psd-deim"
+        built = build_rom(sysm, extract_snapshots(traj, 11), 2, nonlin=nonlin)
+        assert crank_nicolson(built, built.x0_reduced, opts).solver == rom
+        # a system at rest needs no Newton update and solves no matrix
+        rest = vlasov_system(1, seed=0)
+        x = np.array([0.125, 0.0])
+        assert crank_nicolson(rest, x, IntegratorOptions(1e-3, 0.01)).solver is None
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -701,15 +717,51 @@ def reference_deim_jacobian(rom, xt):
     return rom.reduced_mass + op.oblique @ (rows @ w)
 
 
-class ReferenceSystem:
-    """A model whose Jacobian is the sparse-addition reference, CSR with
-    exact zeros eliminated, so its pattern can change from call to call."""
+def where_deim_gradient(op, xt):
+    """``DeimOperator.__call__`` with a per-component ``np.where`` on every
+    selection, as the operator evaluated it before it read one-half
+    selections directly."""
+    qp = op.sample @ xt
+    m = op.sites.size
+    v_q, v_p = op.slope(qp[:m], qp[m:], op.sites)
+    return op.reduced_mass @ xt + op.oblique @ np.where(op.on_q, v_q, v_p)
 
-    def __init__(self, model, jacobian=reference_jacobian):
-        self.model, self.jacobian = model, jacobian
+
+def where_deim_jacobian(op, xt):
+    """``DeimOperator.jacobian`` with ``np.where`` selections and both row
+    terms a R_q + b R_p, whatever b is."""
+    qp = op.sample @ xt
+    m = op.sites.size
+    v_qq, v_qp, v_pp = op.curvature(qp[:m], qp[m:], op.sites)
+    a = np.where(op.on_q, v_qq, v_qp)[:, None]
+    b = np.where(op.on_q, v_qp, v_pp)[:, None]
+    return op.reduced_mass + op.oblique @ (a * op.sample[:m] + b * op.sample[m:])
+
+
+class ReferenceSystem:
+    """A model that takes none of the site-local or one-half fast paths.
+
+    A full model's gradient is the sparse M @ x + ``nonlin.gradient(x)`` and
+    its Jacobian by default the sparse-addition reference, CSR with exact
+    zeros eliminated, so its pattern can change from call to call.  A ROM's
+    gradient and default Jacobian are the ``np.where`` DEIM formulas.
+    """
+
+    def __init__(self, model, jacobian=None):
+        self.model = model
+        full = isinstance(model, HamiltonianSystem)
+        self.jacobian = jacobian or (
+            reference_jacobian if full else lambda rom, xt: where_deim_jacobian(rom.deim, xt))
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+    def grad(self, x):
+        model = self.model
+        if isinstance(model, HamiltonianSystem):
+            g = model.mass @ x
+            return g if model.nonlin is None else g + model.nonlin.gradient(x)
+        return model.grad(x) if model.deim is None else where_deim_gradient(model.deim, x)
 
     def grad_jacobian(self, x):
         return self.jacobian(self.model, x)
@@ -718,7 +770,10 @@ class ReferenceSystem:
 def reference_crank_nicolson(system, x0, opts):
     """Nonlinear Crank-Nicolson as written before the converged gradient was
     carried into the next step: two ``grad`` calls per step plus one per
-    update, ``np.linalg.solve`` for a dense Newton matrix."""
+    update, SuperLU for a sparse and ``np.linalg.solve`` for a dense Newton
+    matrix.  The model is read through a :class:`ReferenceSystem`."""
+    if not isinstance(system, ReferenceSystem):
+        system = ReferenceSystem(system)
     h, c, dim = opts.h_t, 0.5 * opts.h_t, system.dim
     states = np.empty((dim, opts.steps + 1))
     states[:, 0] = x = np.asarray(x0, dtype=float)
@@ -771,17 +826,18 @@ def capture_newton(monkeypatch, system, x0, opts):
 
 def capture_site_blocks(monkeypatch, system, x0, opts):
     """Run Crank-Nicolson on a model with site-local Jacobians; return the
-    Jacobian arguments and the site blocks each Newton solve read, in call
-    order.  SuperLU must not be reached."""
+    Jacobian arguments and, for each site-block solve, the rows a_pp, a_qq,
+    a_qp, a_pq of the Newton blocks I + t J G of the Jacobian and the t it
+    was handed, in call order.  SuperLU must not be reached."""
     blocks = []
-    real_blocks = hamiltonian._ShiftedJ.blocks
+    real_solve = hamiltonian.SiteBlocks.solve
 
-    def spy(self, g):
-        out = real_blocks(self, g)
-        blocks.append(tuple(b.copy() for b in out))
-        return out
+    def spy(self, t, res, where):
+        g_qq, g_qp, g_pq, g_pp = self.data
+        blocks.append((1.0 - t * g_qp, 1.0 + t * g_pq, t * g_pp, -t * g_qq))
+        return real_solve(self, t, res, where)
 
-    monkeypatch.setattr(hamiltonian._ShiftedJ, "blocks", spy)
+    monkeypatch.setattr(hamiltonian.SiteBlocks, "solve", spy)
     _, states, matrices = capture_newton(monkeypatch, system, x0, opts)
     assert not matrices
     return states, blocks
@@ -967,6 +1023,21 @@ class TestNonlinearity:
             assert np.array_equal(total.toarray(), ref_total.toarray())
             assert np.isclose(new.value(x), ref.value(x), rtol=value_rtol, atol=0.0)
 
+    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    def test_block_gradient_matches_per_state(self, model, rng):
+        # build_rom's gradient snapshots: one slope call on a 2n x B block,
+        # bit for bit the per-snapshot loop (strided columns) it replaced;
+        # n columns would let a per-site array broadcast along time
+        factory, reference, _ = REFERENCE_MODELS[model]
+        sysm = factory(8)
+        ref = reference(8, sysm.meta)
+        for cols in (1, sysm.n, sysm.n + 3):
+            states = 2.0 * rng.standard_normal((sysm.dim, cols))
+            block = sysm.nonlin.gradient(states)
+            loop = np.column_stack([sysm.nonlin.gradient(states[:, j]) for j in range(cols)])
+            assert np.array_equal(block, loop)
+            assert np.array_equal(block, np.column_stack([ref.gradient(x) for x in states.T]))
+
     def test_pipeline_bit_identical_to_reference(self):
         # the fixed-pattern Newton matrix against per-update sparse assembly
         # of the closures' Hessian: the same full-order trajectory bit for bit
@@ -1094,12 +1165,10 @@ class TestNewtonMatrix:
 
 
 def site_local(blocks, n):
-    """CSC G storing all four entries (g_qq, g_pq, g_qp, g_pp) of each site,
+    """Site blocks G from the entries (g_qq, g_pq, g_qp, g_pp) of each site,
     zeros included."""
-    q, p = np.arange(n), np.arange(n) + n
-    rows = np.concatenate([q, p, q, p])
-    cols = np.concatenate([q, q, p, p])
-    return sp.csc_matrix((np.concatenate(blocks), (rows, cols)), shape=(2 * n, 2 * n))
+    g_qq, g_pq, g_qp, g_pp = (np.asarray(b, dtype=float).reshape(n) for b in blocks)
+    return hamiltonian.SiteBlocks(np.array([g_qq, g_qp, g_pq, g_pp]))
 
 
 @st.composite
@@ -1127,13 +1196,11 @@ class TestSiteSolve:
     @given(case=site_local_systems())
     def test_matches_dense_solve(self, case):
         g, c, res = case
-        shifted = hamiltonian._ShiftedJ(g, -c)
-        assert shifted.sites is not None
-        a = np.eye(g.shape[0]) - c * jmul(g.toarray())
+        a = np.eye(res.size) - c * jmul(g.toarray())
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
         ref = np.linalg.solve(a, res)
-        x = shifted.solve(g, res, "test")
+        x = g.solve(-c, res, "test")
         assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     def test_singular_block_names_its_site(self):
@@ -1154,7 +1221,7 @@ class TestSiteSolve:
 
         def poisoned(model, x):
             g = model.grad_jacobian(x)
-            g.data[5] = np.nan
+            g.data[2, 2] = np.nan  # g_pq of site 2
             return g
 
         monkeypatch.setattr(hamiltonian, "splu", lambda a: pytest.fail("SuperLU"))
@@ -1172,21 +1239,110 @@ class TestSiteSolve:
         x0[[1, 4, 10 + 1, 10 + 4]] = 0.0
 
         def pruned(model, x):
-            g = model.grad_jacobian(x).copy()
-            g.eliminate_zeros()
-            return g
+            # the Jacobian as CSC, exact zeros eliminated
+            return sp.csc_matrix(model.grad_jacobian(x).toarray())
 
         q = np.arange(10)
         g = pruned(sysm, x0)
         assert hamiltonian._entry_positions(g, q + 10, q) is None
-        assert hamiltonian._ShiftedJ(g, -5e-4).sites is None
-        assert hamiltonian._ShiftedJ(sysm.grad_jacobian(x0), -5e-4).sites is not None
+        assert sp.issparse(g)
+        assert isinstance(sysm.grad_jacobian(x0), hamiltonian.SiteBlocks)
         opts = IntegratorOptions(1e-3, 3e-3)
         model = ReferenceSystem(sysm, pruned)
         traj, states, matrices = capture_newton(monkeypatch, model, x0, opts)
         assert len(matrices) == len(states) >= opts.steps
         ref = reference_crank_nicolson(model, x0, opts)
         assert np.allclose(traj.states, ref, rtol=1e-13, atol=0.0)
+
+
+def synthetic_site_system(n=12, seed=0, coupling=None):
+    """A site-local system beyond Vlasov: M stores all four entries of each
+    site block, and V = w_i q^2 p^2 / 2 has V_qp = 2 w_i q p != 0.  A
+    ``coupling`` (row, col) adds a symmetric entry of M there."""
+    rng = np.random.default_rng(seed)
+    m_qp = 0.3 * rng.standard_normal(n)
+    blocks = [[sp.diags(1.0 + rng.random(n)), sp.diags(m_qp)],
+              [sp.diags(m_qp), sp.diags(1.0 + rng.random(n))]]
+    mass = sp.bmat(blocks, format="lil")
+    if coupling is not None:
+        mass[coupling] = mass[coupling[::-1]] = 0.1
+    w = 0.2 * (1.0 + np.arange(n) / n)
+    nl = hamiltonian.Nonlinearity(
+        n,
+        potential=lambda q, p, i: 0.5 * w[i] * q**2 * p**2,
+        slope=lambda q, p, i: (w[i] * q * p**2, w[i] * q**2 * p),
+        curvature=lambda q, p, i: (w[i] * p**2, 2.0 * w[i] * q * p, w[i] * q**2))
+    return HamiltonianSystem("synthetic", n, mass.tocsr(), rng.standard_normal(2 * n), nl)
+
+
+def cramer_lu(a):
+    """Stands in for SuperLU on a site-local Newton matrix ``a``: Cramer's
+    rule on each site's 2 x 2 block, read from the matrix entries."""
+    dense = a.toarray()
+    n = dense.shape[0] // 2
+    q, p = np.arange(n), np.arange(n) + n
+    a_qq, a_qp, a_pq, a_pp = dense[q, q], dense[q, p], dense[p, q], dense[p, p]
+    det = a_pp * a_qq - a_qp * a_pq
+
+    def solve(r):
+        return np.concatenate([(a_pp * r[:n] - a_qp * r[n:]) / det,
+                               (a_qq * r[n:] - a_pq * r[:n]) / det])
+
+    return SimpleNamespace(solve=solve)
+
+
+class TestSiteLocalSystems:
+    """The per-site path on a system whose M stores every site entry and
+    whose Hessian has nonzero V_qp; any coupling of two sites by M, or a
+    site entry M stores at some sites only, takes the CSC path."""
+
+    def test_grad_and_jacobian_match_sparse_reference(self, rng):
+        sysm = synthetic_site_system()
+        assert sysm._site_mass is not None
+        for x in (rng.standard_normal(sysm.dim), sysm.x0):
+            assert np.array_equal(sysm.grad(x), sysm.mass @ x + sysm.nonlin.gradient(x))
+            g = sysm.grad_jacobian(x)
+            assert isinstance(g, hamiltonian.SiteBlocks)
+            assert np.array_equal(g.toarray(), reference_jacobian(sysm, x).toarray())
+
+    def test_trajectory_matches_reference_loop(self, monkeypatch):
+        sysm = synthetic_site_system()
+        opts = IntegratorOptions(5e-2, 1.0)
+        traj = crank_nicolson(sysm, sysm.x0, opts)
+        assert traj.solver == "site-blocks" and traj.newton_updates >= opts.steps
+        # SuperLU pivots a 2 x 2 block differently from Cramer's rule, so the
+        # SuperLU reference agrees at roundoff
+        lu_ref = reference_crank_nicolson(sysm, sysm.x0, opts)
+        assert np.allclose(traj.states, lu_ref, rtol=0.0, atol=1e-13)
+        # the reference loop's CSC Newton matrices, solved by Cramer's rule:
+        # bit for bit
+        monkeypatch.setattr(hamiltonian, "splu", cramer_lu)
+        assert np.array_equal(traj.states, reference_crank_nicolson(sysm, sysm.x0, opts))
+
+    @pytest.mark.parametrize("coupling", [(0, 1), (2, 12 + 5), (12 + 3, 12 + 4)])
+    def test_coupling_entry_takes_csc_path(self, coupling):
+        sysm = synthetic_site_system(coupling=coupling)
+        assert sysm._site_mass is None
+        x = sysm.x0
+        assert sp.issparse(sysm.grad_jacobian(x))
+        assert np.array_equal(sysm.grad_jacobian(x).toarray(),
+                              reference_jacobian(sysm, x).toarray())
+        opts = IntegratorOptions(5e-2, 0.5)
+        traj = crank_nicolson(sysm, x, opts)
+        assert traj.solver == "superlu"
+        assert np.array_equal(traj.states, reference_crank_nicolson(sysm, x, opts))
+
+    def test_entry_stored_at_some_sites_takes_csc_path(self):
+        # m_qp stored at sites 0 and 1 only: the site arrays would read 0
+        # where M stores nothing, so the CSC path keeps M @ x as it is
+        n = 6
+        mass = sp.lil_matrix((2 * n, 2 * n))
+        mass.setdiag(1.0)
+        mass[0, n] = mass[n, 0] = mass[1, n + 1] = mass[n + 1, 1] = 0.5
+        base = synthetic_site_system(n)
+        sysm = dataclasses.replace(base, mass=mass.tocsr())
+        assert sysm._site_mass is None and base._site_mass is not None
+        assert sp.issparse(sysm.grad_jacobian(sysm.x0))
 
 
 def _site_pairs_case(model):
@@ -1238,3 +1394,42 @@ class TestDeimJacobian:
         g = sysm.nonlin.gradient(state)
         expected = u.T @ (sysm.mass @ (u @ xt)) + u.T @ (v @ np.linalg.solve(v[idx], g[idx]))
         assert np.allclose(op(xt), expected, rtol=1e-12, atol=0.0)
+
+
+#: Selections on n = 8: every component in the q-half, in the p-half, mixed.
+SELECTIONS = {"q": np.array([0, 3, 5, 6]), "p": np.array([8, 10, 13, 15]),
+              "mixed": np.array([2, 8 + 2, 5, 8 + 6])}
+
+
+class TestDeimSelections:
+    """``DeimOperator`` reads one-half selections without ``np.where`` and
+    drops b R_p for a scalar zero b; every value stays as before."""
+
+    @pytest.mark.parametrize("half", sorted(SELECTIONS))
+    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    def test_identity_basis_matches_reference_rows(self, model, half, rng):
+        factory, reference, _ = REFERENCE_MODELS[model]
+        sysm = factory(8)
+        ref = reference(8, sysm.meta)
+        idx = SELECTIONS[half]
+        op = sampled_at(sysm, idx)
+        assert op._half == (None if half == "mixed" else half)
+        for x in TestNonlinearity.states(sysm.dim, rng):
+            assert np.array_equal(op(x)[idx], ref.gradient_at(idx, x))
+            assert np.array_equal(op.jacobian(x)[idx],
+                                  reference_rows(sysm.nonlin, idx, x).toarray())
+
+    @pytest.mark.parametrize("variant", ["psd-deim", "structure-preserving"])
+    @pytest.mark.parametrize("half", sorted(SELECTIONS))
+    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    def test_reduced_maps_match_where_formulas(self, model, half, variant):
+        sysm = REFERENCE_MODELS[model][0](8)
+        rng = np.random.default_rng(21)
+        u = random_symplectic_point(8, 3, seed=21).entries
+        v = np.linalg.qr(rng.standard_normal((16, 4)))[0]
+        op = deim_reduced_rhs(u, u.T @ (sysm.mass @ u), v, SELECTIONS[half],
+                              sysm.nonlin, variant)
+        for _ in range(3):
+            xt = rng.standard_normal(6)
+            assert np.array_equal(op(xt), where_deim_gradient(op, xt))
+            assert np.array_equal(op.jacobian(xt), where_deim_jacobian(op, xt))
