@@ -40,7 +40,7 @@ __all__ = [
     "gauss_transform", "random_symplectic_orthogonal", "spsd_test_matrix",
     "williamson_small", "williamson_spsd", "symplectic_eigenpairs",
     "cotangent_lift", "deim_select", "deim_reduced_rhs", "exact_reduced_rhs",
-    "random_symplectic_point", "SingularSelection",
+    "DeimOperator", "DeimJacobian", "random_symplectic_point", "SingularSelection",
 ]
 
 
@@ -434,18 +434,25 @@ def deim_select(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeimOperator:
-    """Reduced gradient-of-Hamiltonian map with an interpolated nonlinearity.
+    """Reduced Hamiltonian vector field with an interpolated nonlinearity.
 
     For a sitewise nonlinearity h = sum_i V(q_i, p_i, i) (see
     ``hamiltonian.Nonlinearity``), component j of grad h reads only the pair
     (q_i, p_i) of its site i = j mod n.  Offline the operator keeps
     U^T M U, the oblique projection factor B = U^T V (P^T V)^{-1} and the
-    two m x 2k maps from xt to (q_i, p_i) at the sites of the m selected
-    components, stacked in ``sample``.  Online, ``__call__`` evaluates the
-    slope on those m pairs and :meth:`jacobian` the curvature, so neither
-    costs O(n).  A selection of q-components only (as Vlasov's, whose
-    gradient has no p-half) or of p-components only reads the matching
-    derivative without a per-component ``np.where``.
+    two m x 2k maps R_q, R_p from xt to (q_i, p_i) at the sites of the m
+    selected components, stacked in ``sample``.  Online, ``__call__``
+    evaluates the slope on those m pairs and returns the vector field
+    J (U^T M U xt + B gradh), and :meth:`jacobian` evaluates the curvature,
+    so neither costs O(n).  A selection of q-components only (as Vlasov's,
+    whose gradient has no p-half) or of p-components only reads the
+    matching derivative without a per-component ``np.where``.
+
+    J is applied by negating rows in place and swapping the halves of the
+    result, never by moving a row of a matrix: a BLAS matrix-vector product
+    rounds a row by where it sits, so each product keeps the shape, memory
+    order and row positions of U^T M U xt + B gradh, and the vector field
+    is that sum times J bit for bit.
     """
 
     reduced_mass: np.ndarray     # U^T M U
@@ -490,29 +497,68 @@ class DeimOperator:
         full[self.indices] = np.where(self.on_q, qp[:m].T, qp[m:].T).T
         return full
 
+    @cached_property
+    def _sample_t(self) -> tuple[np.ndarray, np.ndarray]:
+        """R_q^T and R_p^T, each 2k x m."""
+        m = self.sites.size
+        return np.ascontiguousarray(self.sample[:m].T), np.ascontiguousarray(self.sample[m:].T)
+
+    @cached_property
+    def _negated_top(self) -> tuple[np.ndarray, np.ndarray]:
+        """U^T M U and B with their first k rows negated, each in its own
+        memory order: a product with one is the product with the original,
+        its first k entries negated, bit for bit."""
+        k = self.reduced_mass.shape[0] // 2
+        sign = np.ones((2 * k, 1))
+        sign[:k] = -1.0
+        return self.reduced_mass * sign, np.asfortranarray(self.oblique * sign)
+
     def __call__(self, xt: np.ndarray) -> np.ndarray:
-        qp = self.sample @ xt
+        # ndarray.dot calls the same BLAS routine as @ with less overhead
+        qp = self.sample.dot(xt)
         m = self.sites.size
         v = self._pick(*self.slope(qp[:m], qp[m:], self.sites))
         if not isinstance(v, np.ndarray):
             v = np.full(m, v)
-        return self.reduced_mass @ xt + self.oblique @ v
+        mass, oblique = self._negated_top
+        g = mass.dot(xt)
+        g += oblique.dot(v)
+        # g is U^T M U xt + B v with its first half negated; J swaps the halves
+        k = g.size // 2
+        return np.concatenate((g[k:], g[:k]))
 
-    def jacobian(self, xt: np.ndarray) -> np.ndarray:
+    def jacobian(self, xt: np.ndarray) -> DeimJacobian:
         """U^T M U + B (a R_q + b R_p), the row scalings from one curvature call.
 
         R_q, R_p are the two halves of ``sample``; a, b are the derivatives of
         each selected component by the q and the p of its site.  A scalar
         zero b (Vlasov: V_qp = V_pp = 0) drops the b R_p term.
         """
-        qp = self.sample @ xt
+        qp = self.sample.dot(xt)
         m = self.sites.size
         v_qq, v_qp, v_pp = self.curvature(qp[:m], qp[m:], self.sites)
         a, b = self._pick(v_qq, v_qp), self._pick(v_qp, v_pp)
-        rows = _rows_times(a, self.sample[:m])
+        # scaled as transposes, a or b runs along the rows' last axis
+        r_q, r_p = self._sample_t
+        rows = r_q * a
         if not _is_scalar_zero(b):
-            rows += _rows_times(b, self.sample[m:])
-        return self.reduced_mass + self.oblique @ rows
+            rows += r_p * b
+        return DeimJacobian(rows.T, self)
+
+
+class DeimJacobian:
+    """The Jacobian U^T M U + B rows of a :class:`DeimOperator` at one xt:
+    ``rows`` = a R_q + b R_p is the part that depends on xt, and ``op``
+    holds the rest.  :meth:`toarray` is the dense 2k x 2k matrix."""
+
+    __slots__ = ("rows", "op")
+
+    def __init__(self, rows: np.ndarray, op: DeimOperator):
+        self.rows = rows
+        self.op = op
+
+    def toarray(self) -> np.ndarray:
+        return self.op.reduced_mass + self.op.oblique @ self.rows
 
 
 def _is_scalar_zero(v) -> bool:
@@ -521,14 +567,9 @@ def _is_scalar_zero(v) -> bool:
     return not isinstance(v, np.ndarray) and v == 0.0
 
 
-def _rows_times(v, rows: np.ndarray) -> np.ndarray:
-    """Each row of ``rows`` times its entry of v, or all of them times a scalar v."""
-    return (v[:, None] if isinstance(v, np.ndarray) else v) * rows
-
-
-def _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin):
+def _sampled_operator(reduced_mass, oblique, indices, state_map, nonlin):
     # state_map (2n x 2k) sends xt to the state the nonlinearity reads
-    n = ue.shape[0] // 2
+    n = state_map.shape[0] // 2
     sites = indices % n
     sample = np.concatenate([state_map[sites], state_map[sites + n]])
     return DeimOperator(reduced_mass, oblique, indices, sites, indices < n,
@@ -537,9 +578,9 @@ def _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin):
 
 def deim_reduced_rhs(u, reduced_mass, v: np.ndarray, indices: np.ndarray, nonlin,
                      variant: str = "psd-deim") -> DeimOperator:
-    """Assemble the reduced nonlinear gradient map for a ROM.
+    """Assemble the reduced nonlinear vector field for a ROM.
 
-    variant "psd-deim":            U^T M U xt + B gradh(U xt) at the indices;
+    variant "psd-deim":            J (U^T M U xt + B gradh(U xt) at the indices);
     variant "structure-preserving": the nonlinearity is evaluated at the
     sparse state P (V^T P)^{-1} V^T U xt instead, which keeps the reduced
     model Hamiltonian at the price of approximation quality.  A site's
@@ -561,10 +602,16 @@ def deim_reduced_rhs(u, reduced_mass, v: np.ndarray, indices: np.ndarray, nonlin
     if variant == "structure-preserving":
         state_map = np.zeros_like(ue)
         state_map[indices] = np.linalg.solve(vp.T, v.T @ ue)  # (V^T P)^{-1} V^T U
-    return _sampled_operator(ue, reduced_mass, oblique, indices, state_map, nonlin)
+    return _sampled_operator(reduced_mass, oblique, indices, state_map, nonlin)
 
 
 def exact_reduced_rhs(u, reduced_mass, nonlin) -> DeimOperator:
-    """U^T grad H(U xt) as the interpolation at every component (P = V = I)."""
+    """J U^T grad H(U xt) as the interpolation at every component (P = V = I)
+    the slope can make nonzero: the q-half alone when its p-derivative is
+    the scalar zero (sine-Gordon, Vlasov), else all 2n."""
     ue = np.asarray(getattr(u, "entries", u), dtype=float)
-    return _sampled_operator(ue, reduced_mass, ue.T, np.arange(ue.shape[0]), ue, nonlin)
+    n = ue.shape[0] // 2
+    zero = np.zeros(n)
+    read = n if _is_scalar_zero(nonlin.slope(zero, zero, slice(None))[1]) else 2 * n
+    indices = np.arange(read)
+    return _sampled_operator(reduced_mass, ue[:read].T, indices, ue, nonlin)

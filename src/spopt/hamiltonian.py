@@ -34,9 +34,9 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
-from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _is_scalar_zero,
-                           _psd_residual, cotangent_lift, deim_reduced_rhs, deim_select,
-                           exact_reduced_rhs)
+from .applications import (DeimJacobian, DeimOperator, PsdProblem, _block_diag_lift,
+                           _is_scalar_zero, _psd_residual, cotangent_lift, deim_reduced_rhs,
+                           deim_select, exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
@@ -125,46 +125,93 @@ _SITE_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 class SiteBlocks:
     """The Jacobian M + Hess h of a site-local system: n uncoupled 2 x 2
     blocks [[g_qq, g_qp], [g_pq, g_pp]], one per site i, coupling q_i with
-    p_i only.  ``data`` holds the rows g_qq, g_qp, g_pq, g_pp over the sites;
-    :meth:`toarray` is the dense 2n x 2n matrix and :meth:`solve` the Newton
-    solve of :func:`crank_nicolson`.
+    p_i only.  ``mass`` holds M's rows g_qq, g_qp, g_pq, g_pp over the sites
+    (0 where M stores nothing), fixed for the system; ``rows`` holds, in
+    that order, each row the curvature changes and None for a row that is
+    M's alone (Vlasov: only g_qq varies).  :meth:`toarray` is the dense
+    2n x 2n matrix; :class:`_SiteSolver` solves the Newton systems of
+    :func:`crank_nicolson`.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("rows", "mass")
 
-    def __init__(self, data: np.ndarray):
-        self.data = data
+    def __init__(self, rows, mass: np.ndarray):
+        self.rows = rows
+        self.mass = mass
 
     def toarray(self) -> np.ndarray:
-        n = self.data.shape[1]
+        n = self.mass.shape[1]
         q, p = np.arange(n), np.arange(n) + n
         dense = np.zeros((2 * n, 2 * n))
-        for (r, c), row in zip([(q, q), (q, p), (p, q), (p, p)], self.data):
-            dense[r, c] = row
+        for (r, c), row, m in zip([(q, q), (q, p), (p, q), (p, p)], self.rows, self.mass):
+            dense[r, c] = m if row is None else row
         return dense
 
-    def solve(self, t: float, res: np.ndarray, where: str) -> np.ndarray:
-        """(I + t J G)^{-1} res by Cramer's rule on the sites' blocks
-        [[1 + t g_pq, t g_pp], [-t g_qq, 1 - t g_qp]]."""
-        a = self.data * (t * _SITE_SIGNS)
-        a[1:3] += 1.0  # rows a_pq, a_pp, a_qq, a_qp
-        det = a[1] * a[2] - a[3] * a[0]
-        if not det.all():  # a NaN passes, and ends as a non-finite residual
+
+class _SiteSolver:
+    """(I + t J G)^{-1} res for the :class:`SiteBlocks` G of one run, by
+    Cramer's rule on the sites' blocks [[1 + t g_pq, t g_pp], [-t g_qq,
+    1 - t g_qp]].
+
+    The entries made from rows that are M's alone, and the determinant's
+    products of two such entries, are formed once; an update computes the
+    others by the same operations as the full formula, so every bit is the
+    same.  Diagonal entries that are all exactly 1 (M stores no g_qp, g_pq)
+    skip their products with the residual, which would change no bit.
+    """
+
+    def __init__(self, g: SiteBlocks, t: float):
+        self.t, self.mass = t, g.mass
+        self.fixed = fixed = [row is None for row in g.rows]
+        self.a = a = g.mass * (t * _SITE_SIGNS)  # rows a_pq, a_pp, a_qq, a_qp
+        a[1:3] += 1.0
+        # each varying row k: its row of a, its sign of t, and whether 1 is added
+        self.varying = [(k, a[k], _SITE_SIGNS[k, 0] * t, k in (1, 2))
+                        for k in range(4) if not fixed[k]]
+        self.diag, self.off = a[1:3], a[3::-3]  # views: (a_pp, a_qq), (a_qp, a_pq)
+        self.diag_det = a[1] * a[2] if fixed[1] and fixed[2] else None
+        self.off_det = a[3] * a[0] if fixed[3] and fixed[0] else None
+        self.unit_diag = self.diag_det is not None and bool((self.diag == 1.0).all())
+
+    def __call__(self, g: SiteBlocks, res: np.ndarray, where: str) -> np.ndarray:
+        rows = g.rows
+        if g.mass is not self.mass or [row is None for row in rows] != self.fixed:
+            self.__init__(g, self.t)
+        for k, out, scale, one in self.varying:
+            np.multiply(rows[k], scale, out=out)
+            if one:
+                out += 1.0
+        a = self.a
+        det = a[1] * a[2] if self.diag_det is None else self.diag_det
+        det = det - (a[3] * a[0] if self.off_det is None else self.off_det)
+        if np.count_nonzero(det) < det.size:  # a NaN passes, and ends as a non-finite residual
             site = np.flatnonzero(det == 0.0)[0]
             raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
         r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = (a_pp, a_qq) r - (a_qp, a_pq) (r_p; r_q)
-        return ((a[1:3] * r - a[3::-3] * r[::-1]) / det).ravel()
+        x = self.off * r[::-1]
+        np.subtract(r if self.unit_diag else self.diag * r, x, out=x)
+        x /= det
+        return x.ravel()
 
 
-def _site_row(a, u, b, w, v):
-    """Rows of M x + grad h as ``M @ x + nonlin.gradient(x)`` sums them:
-    0 + a u + b w, then + v; None is an entry M does not store.  Such a sum
-    is never -0, so adding a scalar zero v would change no bit."""
-    total = 0.0
-    for coef, val in ((a, u), (b, w)):
-        if coef is not None:
-            total = total + coef * val
-    return total if _is_scalar_zero(v) else total + v
+def _site_row(a, u, b, w, v, out: np.ndarray) -> None:
+    """Write to ``out`` a row of M x + grad h as ``M @ x + nonlin.gradient(x)``
+    sums it: 0 + a u + b w, then + v.  A coefficient is None for an entry M
+    does not store and 1.0 for one it stores as 1 at every site, whose
+    product would change no bit.  Such a sum is never -0, so adding a scalar
+    zero v would change no bit either."""
+    total = 0.0  # until ``out`` holds the sum
+    for coef, val in ((a, u), (b, w), (1.0, v)):
+        if coef is None or _is_scalar_zero(val):
+            continue
+        term = val if isinstance(coef, float) else coef * val
+        if total is None:
+            out += term
+        else:
+            np.add(total, term, out=out)
+            total = None
+    if total is not None:
+        out[:] = total
 
 
 @dataclass(frozen=True)
@@ -176,7 +223,7 @@ class HamiltonianSystem:
     :meth:`hamiltonian` is its one-column call.
 
     A nonlinear system whose M, like its Hessian, couples each q_i with its
-    own p_i only (Vlasov: M = diag(0, I)) is site-local: ``grad`` and
+    own p_i only (Vlasov: M = diag(0, I)) is site-local: ``flow`` and
     ``grad_jacobian`` then read M as four per-site arrays, and the Jacobian
     is a :class:`SiteBlocks`.
     """
@@ -211,8 +258,10 @@ class HamiltonianSystem:
         """None unless the system is site-local and M, canonical CSR or CSC,
         stores each of its entries m_qq, m_qp, m_pq, m_pp at every site or
         at none.  Else the rows g_qq, g_qp, g_pq, g_pp of M's site blocks,
-        each 0 + m (0 where M stores nothing), and the same rows as four
-        site arrays with None for an entry M never stores."""
+        each 0 + m (0 where M stores nothing), as a (4, n) array, and the
+        coefficients of ``_site_row``: the same rows as site arrays, None for
+        an entry M never stores and 1.0 for one it stores as 1 at every
+        site."""
         n, mass = self.n, self.mass
         if (self.nonlin is None or mass.format not in ("csr", "csc")
                 or not mass.has_canonical_format):
@@ -226,21 +275,27 @@ class HamiltonianSystem:
             return None
         base = np.zeros((4, n))
         base[kind, coo.row % n] += coo.data
-        return base, [row if count else None for row, count in zip(base, counts)]
+        coefs = [None if not count else 1.0 if (row == 1.0).all() else row
+                 for row, count in zip(base, counts)]
+        return base, coefs
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def flow(self, x: np.ndarray) -> np.ndarray:
+        """The vector field J grad H(x) = J (M x + grad h(x)).  A site-local
+        system writes the p-row of M x + grad h into the upper half and the
+        negated q-row into the lower half."""
         site = self._site_mass
         if site is None:
             g = self.mass @ x
-            return g if self.nonlin is None else g + self.nonlin.gradient(x)
+            return jmul(g if self.nonlin is None else g + self.nonlin.gradient(x))
         n = self.n
         q, p = x[:n], x[n:]
         v_q, v_p = self.nonlin.slope(q, p, slice(None))
-        _, (m_qq, m_qp, m_pq, m_pp) = site
-        g = np.empty(2 * n)
-        g[:n] = _site_row(m_qq, q, m_qp, p, v_q)
-        g[n:] = _site_row(m_pq, q, m_pp, p, v_p)
-        return g
+        m_qq, m_qp, m_pq, m_pp = site[1]
+        f = np.empty(2 * n)
+        _site_row(m_pq, q, m_pp, p, v_p, f[:n])
+        _site_row(m_qq, q, m_qp, p, v_q, f[n:])
+        np.negative(f[n:], out=f[n:])
+        return f
 
     @cached_property
     def _hessian_pattern(self):
@@ -260,8 +315,9 @@ class HamiltonianSystem:
         """M + Hess h(x), each site block M's entries (0 where M stores
         none) plus V's curvature from one ``curvature`` call over all sites.
 
-        A linear system returns M; a site-local one :class:`SiteBlocks`;
-        any other CSC on a fixed pattern, which stores every site block.
+        A linear system returns M; a site-local one :class:`SiteBlocks`,
+        whose rows M alone gives are shared with every call; any other CSC
+        on a fixed pattern, which stores every site block.
         """
         if self.nonlin is None:
             return self.mass
@@ -269,11 +325,10 @@ class HamiltonianSystem:
         v_qq, v_qp, v_pp = self.nonlin.curvature(x[:n], x[n:], slice(None))
         site = self._site_mass
         if site is not None:
-            data = site[0].copy()
-            for k, v in enumerate((v_qq, v_qp, v_qp, v_pp)):
-                if not _is_scalar_zero(v):  # 0 + m is never -0: adding 0 changes no bit
-                    data[k] += v
-            return SiteBlocks(data)
+            # 0 + m is never -0: adding a scalar 0 would change no bit
+            mass = site[0]
+            return SiteBlocks([None if _is_scalar_zero(v) else m + v
+                               for m, v in zip(mass, (v_qq, v_qp, v_qp, v_pp))], mass)
         pattern, blocks = self._hessian_pattern
         data = pattern.data.copy()
         for pos, v in zip(blocks, (v_qq, v_qp, v_qp, v_pp)):
@@ -312,7 +367,7 @@ class Trajectory:
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
     # how the Newton matrices were solved: "site-blocks", "superlu" or
-    # "lapack" (the last update's path); None if the run solved none
+    # "lapack"; None if the run solved none
     solver: str | None = None
 
     @property
@@ -402,6 +457,60 @@ def _dense_solve(a: np.ndarray, b: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
+class _DeimSolver:
+    """(I + t J G)^{-1} res for the ROM Jacobians G = U^T M U + B rows
+    (:class:`~spopt.applications.DeimJacobian`) of one run, by one
+    ``dgesv`` per update.
+
+    J U^T M U and J B are formed once, J B in the column-major order of B.
+    An update forms J G = J U^T M U + (J B) rows, scales it by t and adds I:
+    the values a row gather of the assembled G gives, because a
+    matrix-matrix product computes each entry of (J B) rows as the entry of
+    B rows it comes from, wherever its row sits (the tests check the two
+    bit for bit).
+    """
+
+    def __init__(self, op, t: float):
+        self.op, self.t = op, t
+        self.j_mass = jmul(op.reduced_mass)
+        self.j_oblique = np.asfortranarray(jmul(op.oblique))
+
+    def __call__(self, g: DeimJacobian, res: np.ndarray, where: str) -> np.ndarray:
+        if g.op is not self.op:
+            self.__init__(g.op, self.t)
+        a = self.j_oblique.dot(g.rows)
+        a += self.j_mass
+        a *= self.t
+        a.ravel()[::a.shape[0] + 1] += 1.0
+        return _dense_solve(a, res, where)
+
+
+def _newton_solver(g, t: float, dim: int):
+    """The solve (G, res, where) -> (I + t J G)^{-1} res for the Jacobians of
+    one run, picked by the type of its first Jacobian G, and its name."""
+    if isinstance(g, SiteBlocks):
+        return _SiteSolver(g, t), "site-blocks"
+    if isinstance(g, DeimJacobian):
+        return _DeimSolver(g.op, t), "lapack"
+    if sp.issparse(g):
+        shifted = None
+
+        def sparse_solve(g, res, where):
+            nonlocal shifted
+            g = _canonical_csc(g)
+            if shifted is None or not shifted.fits(g):
+                shifted = _ShiftedJ(g, t)
+            return _sparse_lu(shifted(g), where).solve(res)
+
+        return sparse_solve, "superlu"
+    shift = _dense_shift(dim, t)
+    return (lambda g, res, where: _dense_solve(_shifted_dense(g, shift), res, where)), "lapack"
+
+
+#: Converged Newton states per block that :func:`crank_nicolson` stores at once.
+_STATE_BLOCK = 64
+
+
 def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajectory:
     """Trapezoidal step x_{m+1} = x_m + (h/2)(J grad H(x_m) + J grad H(x_{m+1})).
 
@@ -410,20 +519,23 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     iteration on the step residual with the analytic Jacobian
     I - (h/2) J (M + Hess h) until the residual norm is at most 1e-10.
 
-    Each Newton update calls ``system.grad_jacobian`` exactly once, the
-    contract by which ``perfbench`` counts and times updates; their number
-    is ``Trajectory.newton_updates``.  The converged iterate's J grad H is
+    A model is read only through ``dim``, ``is_linear``, ``flow`` (the
+    vector field J grad H) and ``grad_jacobian``.  Each Newton update calls
+    ``system.grad_jacobian`` exactly once, the contract by which
+    ``perfbench`` counts and times updates; their number is
+    ``Trajectory.newton_updates``.  The converged iterate's vector field is
     reused as the next step's J grad H(x_m), so a run makes
-    steps + updates + 1 ``system.grad`` calls.  A model is read only
-    through ``dim``, ``is_linear``, ``grad`` and ``grad_jacobian``.
+    steps + updates + 1 ``system.flow`` calls.
 
-    The Jacobian's type picks the solve, recorded as ``Trajectory.solver``:
-    a :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is solved as n
-    2 x 2 blocks by Cramer's rule ("site-blocks"); a sparse one (sites
-    coupled by M, as in sine-Gordon and Schroedinger) is gathered onto a
-    CSC pattern fixed once per Jacobian pattern and factored by SuperLU
-    ("superlu"); a dense one (the ROMs) is formed by one row gather and
-    solved by one LAPACK call ("lapack").  Exceeding the budget of
+    The first Jacobian's type picks the run's solver, recorded as
+    ``Trajectory.solver``, which is built once and keeps what is fixed for
+    the run: a :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is
+    solved as n 2 x 2 blocks by Cramer's rule with M's share of each block
+    formed once ("site-blocks"); a sparse one (sites coupled by M, as in
+    sine-Gordon and Schroedinger) is gathered onto a CSC pattern fixed once
+    per Jacobian pattern and factored by SuperLU ("superlu"); a ROM's
+    :class:`~spopt.applications.DeimJacobian`, or any dense one, is solved
+    by one LAPACK call ("lapack").  Exceeding the budget of
     ``newton_maxit`` iterations, a non-finite residual or a singular Newton
     matrix raises :class:`NewtonDivergence`.
     """
@@ -463,14 +575,17 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 f"step {first - 1}: linear step produced a non-finite state"
                 if first else "initial state is non-finite")
     else:
-        grad, jacobian = system.grad, system.grad_jacobian
-        shifted, dense_shift = None, _dense_shift(dim, -c)
-        fx = jmul(grad(x))
+        flow, jacobian = system.flow, system.grad_jacobian
+        solve = None
+        # converged states are written as rows and stored a block of columns
+        # at a time: one strided column write per step costs more than a step
+        block = np.empty((_STATE_BLOCK, dim))
+        fx = flow(x)
         for m in range(steps):
             y = x + h * fx
             converged = False
             for _ in range(opts.newton_maxit):
-                fy = jmul(grad(y))
+                fy = flow(y)
                 # y - x - c (fx + fy), in that order of operations
                 t = fx + fy
                 t *= c
@@ -484,23 +599,17 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                     raise NewtonDivergence(f"step {m}: non-finite Newton residual norm {norm}")
                 g = jacobian(y)
                 updates += 1
-                if isinstance(g, SiteBlocks):
-                    solver = "site-blocks"
-                    y = y - g.solve(-c, res, f"step {m}")
-                elif sp.issparse(g):
-                    solver = "superlu"
-                    g = _canonical_csc(g)
-                    if shifted is None or not shifted.fits(g):
-                        shifted = _ShiftedJ(g, -c)
-                    y = y - _sparse_lu(shifted(g), f"step {m}").solve(res)
-                else:
-                    solver = "lapack"
-                    y = y - _dense_solve(_shifted_dense(g, dense_shift), res, f"step {m}")
+                if solve is None:
+                    solve, solver = _newton_solver(g, -c, dim)
+                y = y - solve(g, res, f"step {m}")
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
                     f"{opts.newton_maxit} Newton iterations")
-            states[:, m + 1] = y
+            j = m % _STATE_BLOCK
+            block[j] = y
+            if j == _STATE_BLOCK - 1 or m == steps - 1:
+                states[:, m + 1 - j:m + 2] = block[:j + 1].T
             x, fx = y, fy
     times = h * np.arange(steps + 1)
     return Trajectory(times, states, time.perf_counter() - start, updates, solver)
@@ -737,8 +846,9 @@ def restore_state_containment(u: SymplecticPoint, x0: np.ndarray) -> SymplecticP
 class ReducedSystem:
     """Hamiltonian reduced model xtdot = J_{2k} grad Ht(xt), xt0 = U^+ x0.
 
-    A nonlinear model's reduced gradient and its Jacobian come from ``deim``;
-    the "exact" variant's operator samples every component, so B = U^T.
+    A nonlinear model's vector field and its Jacobian come from ``deim``;
+    the "exact" variant's operator samples every component the slope can
+    make nonzero, so B is U^T restricted to them.
     """
 
     basis: SymplecticPoint
@@ -761,12 +871,13 @@ class ReducedSystem:
     def is_linear(self) -> bool:
         return self.full.nonlin is None
 
-    def grad(self, xt: np.ndarray) -> np.ndarray:
+    def flow(self, xt: np.ndarray) -> np.ndarray:
+        """The reduced vector field J_{2k} grad Ht(xt)."""
         if self.full.nonlin is None:
-            return self.reduced_mass @ xt
+            return jmul(self.reduced_mass @ xt)
         return self.deim(xt)
 
-    def grad_jacobian(self, xt: np.ndarray) -> np.ndarray:
+    def grad_jacobian(self, xt: np.ndarray):
         if self.full.nonlin is None:
             return self.reduced_mass
         return self.deim.jacobian(xt)

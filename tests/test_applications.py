@@ -591,8 +591,9 @@ class TestDeim:
         expected = u.entries.T @ (m @ (u.entries @ xt))
         for variant in ("psd-deim", "structure-preserving"):
             op = deim_reduced_rhs(u, u.entries.T @ m @ u.entries, v, idx, zero, variant)
-            assert np.allclose(op(xt), expected, atol=1e-12)
-            assert np.allclose(op.jacobian(xt), u.entries.T @ m @ u.entries, atol=1e-12)
+            assert np.allclose(jtmul(op(xt)), expected, atol=1e-12)
+            assert np.allclose(op.jacobian(xt).toarray(), u.entries.T @ m @ u.entries,
+                               atol=1e-12)
 
     def test_square_orthogonal_basis_exact(self, rng):
         # with a full orthogonal basis the oblique projector is the identity
@@ -609,7 +610,7 @@ class TestDeim:
         op = deim_reduced_rhs(u, reduced_mass, v, idx, sines, "psd-deim")
         xt = rng.standard_normal(4)
         full = u.entries @ xt
-        assert np.allclose(op(xt), u.entries.T @ np.sin(full), atol=1e-10)
+        assert np.allclose(jtmul(op(xt)), u.entries.T @ np.sin(full), atol=1e-10)
 
 
 class TestRandomSymplecticPoint:

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spopt import hamiltonian
-from spopt.applications import deim_reduced_rhs, random_symplectic_point
-from spopt.core import jmul, poisson, symplecticity_residual
+from spopt.applications import (_sampled_operator, deim_reduced_rhs, deim_select,
+                                random_symplectic_point)
+from spopt.core import jmul, jtmul, poisson, symplecticity_residual
 from spopt.hamiltonian import (
     NONLIN_TREATMENTS,
     GridMismatch,
@@ -36,6 +37,12 @@ from spopt.hamiltonian import (
 from spopt.optimizer import SolverOptions
 import scipy.sparse as sp
 
+def gradient(model, x):
+    """grad H(x) of a full or reduced model: J^T times its vector field,
+    which undoes J bit for bit."""
+    return jtmul(model.flow(x))
+
+
 ALL_MODELS = [
     lambda: wave_system(32),
     lambda: sine_gordon_system(32),
@@ -49,7 +56,7 @@ class TestModelConsistency:
     def test_gradient_matches_finite_differences(self, factory, rng):
         sysm = factory()
         x = 0.5 * rng.standard_normal(sysm.dim)
-        g = sysm.grad(x)
+        g = gradient(sysm, x)
         h = 1e-6
         fd = np.empty(sysm.dim)
         for i in range(sysm.dim):
@@ -68,7 +75,7 @@ class TestModelConsistency:
         for i in (0, sysm.n - 1, sysm.n, sysm.dim - 1):
             e = np.zeros(sysm.dim)
             e[i] = h
-            col = (sysm.grad(x + e) - sysm.grad(x - e)) / (2 * h)
+            col = (gradient(sysm, x + e) - gradient(sysm, x - e)) / (2 * h)
             assert np.linalg.norm(col - jac[:, i]) <= 1e-5 * max(1.0, np.linalg.norm(col))
 
     @pytest.mark.parametrize("factory", ALL_MODELS)
@@ -81,23 +88,23 @@ class TestModelConsistency:
         x = rng.standard_normal(sysm.dim)
         idx = rng.choice(sysm.dim, size=9, replace=False)
         op = sampled_at(sysm, idx)
-        assert np.allclose(op(x)[idx], sysm.nonlin.gradient(x)[idx], atol=1e-13)
+        assert np.allclose(jtmul(op(x))[idx], sysm.nonlin.gradient(x)[idx], atol=1e-13)
         hess = sysm.grad_jacobian(x).toarray() - sysm.mass.toarray()
-        assert np.allclose(op.jacobian(x)[idx], hess[idx], atol=1e-13)
+        assert np.allclose(op.jacobian(x).toarray()[idx], hess[idx], atol=1e-13)
 
 
 class TestWaveModel:
     def test_zero_state(self):
         w = wave_system(16)
         assert w.hamiltonian(np.zeros(w.dim)) == 0.0
-        assert np.linalg.norm(w.grad(np.zeros(w.dim))) == 0.0
+        assert np.linalg.norm(gradient(w, np.zeros(w.dim))) == 0.0
 
     def test_rhs_matches_direct_assembly(self, rng):
         w = wave_system(20)
         x = rng.standard_normal(w.dim)
         dense_m = w.mass.toarray()
         expected = poisson(w.n) @ (dense_m @ x)
-        assert (np.linalg.norm(jmul(w.grad(x)) - expected)
+        assert (np.linalg.norm(w.flow(x) - expected)
                 <= 1e-13 * max(1.0, np.linalg.norm(expected)))
 
     def test_full_scale_dimensions(self):
@@ -134,7 +141,7 @@ class TestSineGordonModel:
             ex = np.exp((xi - xi0) / gamma)
             zpp = 4.0 / gamma**2 * ex * (1 - ex**2) / (1 + ex**2) ** 2
             z_tt = v**2 * zpp
-            grad_q = sg.grad(np.concatenate([q, np.zeros(sg.n)]))[: sg.n]
+            grad_q = gradient(sg, np.concatenate([q, np.zeros(sg.n)]))[: sg.n]
             return np.max(np.abs(z_tt + grad_q))  # p-dot = -grad_q H
 
         r1, r2 = residual(400), residual(800)
@@ -162,7 +169,7 @@ class TestSchrodingerModel:
             z = x[:24] + 1j * x[24:]
             zdot = 1j * (d @ z + s.meta["eps"] * np.abs(z) ** 2 * z)
             expected = np.concatenate([zdot.real, zdot.imag])
-            assert (np.linalg.norm(jmul(s.grad(x)) - expected)
+            assert (np.linalg.norm(s.flow(x) - expected)
                     <= 1e-12 * max(1.0, np.linalg.norm(expected)))
 
     def test_full_scale_parameters(self):
@@ -176,7 +183,7 @@ class TestVlasovModel:
         # E(1/8) = 3 cos(pi/2) = 0; a resting particle there stays put
         v = vlasov_system(1, seed=0)
         x = np.array([0.125, 0.0])
-        assert np.linalg.norm(jmul(v.grad(x))) <= 1e-12
+        assert np.linalg.norm(v.flow(x)) <= 1e-12
         traj = crank_nicolson(v, x, IntegratorOptions(1e-3, 0.05))
         assert np.linalg.norm(traj.states[:, -1] - x) <= 1e-10
 
@@ -281,7 +288,7 @@ class TestCrankNicolson:
         # grad H(x) = x, and a Jacobian G with I - (h/2) J G = diag(0, 1)
         h = 0.5
         g = np.array([[0.0, 0.0], [2.0 / h, 0.0]])
-        sysm = SimpleNamespace(dim=2, is_linear=False, grad=lambda x: x,
+        sysm = SimpleNamespace(dim=2, is_linear=False, flow=jmul,
                                grad_jacobian=lambda x: sp.csc_matrix(g) if sparse else g)
         with pytest.raises(NewtonDivergence, match="step 0: singular"):
             crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
@@ -324,7 +331,7 @@ class TestCrankNicolson:
             snaps = extract_snapshots(crank_nicolson(sysm, x0, opts), 21)
             model = build_rom(sysm, snaps, 4, nonlin="psd-deim")
             x0 = model.x0_reduced
-        calls = {"grad": 0, "grad_jacobian": 0}
+        calls = {"flow": 0, "grad_jacobian": 0}
 
         def counted(name):
             def call(x):
@@ -333,12 +340,12 @@ class TestCrankNicolson:
             return call
 
         bare = SimpleNamespace(dim=model.dim, is_linear=model.is_linear,
-                               grad=counted("grad"),
+                               flow=counted("flow"),
                                grad_jacobian=counted("grad_jacobian"))
         traj = crank_nicolson(bare, x0, opts)
         assert calls["grad_jacobian"] == traj.newton_updates >= opts.steps
-        # the converged iterate's gradient starts the next step
-        assert calls["grad"] == opts.steps + traj.newton_updates + 1
+        # the converged iterate's vector field starts the next step
+        assert calls["flow"] == opts.steps + traj.newton_updates + 1
         assert np.array_equal(traj.states, crank_nicolson(model, x0, opts).states)
 
     @pytest.mark.parametrize("model, fom, rom", [
@@ -476,12 +483,12 @@ class TestRomAssembly:
         snaps = extract_snapshots(traj, 40)
         rom = build_rom(sysm, snaps, 4, nonlin=variant)
         xt = rom.x0_reduced + 0.1 * rng.standard_normal(rom.dim)
-        jac = rom.grad_jacobian(xt)
+        jac = rom.grad_jacobian(xt).toarray()
         h = 1e-6
         for i in range(rom.dim):
             e = np.zeros(rom.dim)
             e[i] = h
-            col = (rom.grad(xt + e) - rom.grad(xt - e)) / (2 * h)
+            col = (gradient(rom, xt + e) - gradient(rom, xt - e)) / (2 * h)
             assert np.linalg.norm(col - jac[:, i]) <= 1e-5 * max(1.0, np.linalg.norm(col))
 
 
@@ -668,9 +675,9 @@ class TestBlockedErrors:
 def sampled_at(sysm, idx):
     """DEIM operator sampling the components ``idx`` of grad h, V = I[:, idx].
 
-    On the identity basis component j of ``op(x)`` is the interpolated
-    gradient component itself, so ``op(x)[idx]`` and ``op.jacobian(x)[idx]``
-    are grad h and Hess h rows at idx.
+    On the identity basis component j of ``jtmul(op(x))`` is the
+    interpolated gradient component itself, so ``jtmul(op(x))[idx]`` and
+    ``op.jacobian(x).toarray()[idx]`` are grad h and Hess h rows at idx.
     """
     eye = np.eye(sysm.dim)
     zero_mass = np.zeros((sysm.dim, sysm.dim))
@@ -720,7 +727,7 @@ def reference_deim_jacobian(rom, xt):
 def where_deim_gradient(op, xt):
     """``DeimOperator.__call__`` with a per-component ``np.where`` on every
     selection, as the operator evaluated it before it read one-half
-    selections directly."""
+    selections directly: U^T M U xt + B gradh, the reduced gradient."""
     qp = op.sample @ xt
     m = op.sites.size
     v_q, v_p = op.slope(qp[:m], qp[m:], op.sites)
@@ -729,7 +736,7 @@ def where_deim_gradient(op, xt):
 
 def where_deim_jacobian(op, xt):
     """``DeimOperator.jacobian`` with ``np.where`` selections and both row
-    terms a R_q + b R_p, whatever b is."""
+    terms a R_q + b R_p, whatever b is, as a dense array."""
     qp = op.sample @ xt
     m = op.sites.size
     v_qq, v_qp, v_pp = op.curvature(qp[:m], qp[m:], op.sites)
@@ -761,7 +768,12 @@ class ReferenceSystem:
         if isinstance(model, HamiltonianSystem):
             g = model.mass @ x
             return g if model.nonlin is None else g + model.nonlin.gradient(x)
-        return model.grad(x) if model.deim is None else where_deim_gradient(model.deim, x)
+        if model.deim is None:
+            return model.reduced_mass @ x
+        return where_deim_gradient(model.deim, x)
+
+    def flow(self, x):
+        return jmul(self.grad(x))
 
     def grad_jacobian(self, x):
         return self.jacobian(self.model, x)
@@ -830,14 +842,15 @@ def capture_site_blocks(monkeypatch, system, x0, opts):
     a_qp, a_pq of the Newton blocks I + t J G of the Jacobian and the t it
     was handed, in call order.  SuperLU must not be reached."""
     blocks = []
-    real_solve = hamiltonian.SiteBlocks.solve
+    real_solve = hamiltonian._SiteSolver.__call__
 
-    def spy(self, t, res, where):
-        g_qq, g_qp, g_pq, g_pp = self.data
+    def spy(self, g, res, where):
+        g_qq, g_qp, g_pq, g_pp = (m if row is None else row for row, m in zip(g.rows, g.mass))
+        t = self.t
         blocks.append((1.0 - t * g_qp, 1.0 + t * g_pq, t * g_pp, -t * g_qq))
-        return real_solve(self, t, res, where)
+        return real_solve(self, g, res, where)
 
-    monkeypatch.setattr(hamiltonian.SiteBlocks, "solve", spy)
+    monkeypatch.setattr(hamiltonian._SiteSolver, "__call__", spy)
     _, states, matrices = capture_newton(monkeypatch, system, x0, opts)
     assert not matrices
     return states, blocks
@@ -1016,8 +1029,8 @@ class TestNonlinearity:
         op = sampled_at(sysm, idx)
         for x in self.states(sysm.dim, rng):
             assert np.array_equal(new.gradient(x), ref.gradient(x))
-            assert np.array_equal(op(x)[idx], ref.gradient_at(idx, x))
-            assert np.array_equal(op.jacobian(x)[idx],
+            assert np.array_equal(jtmul(op(x))[idx], ref.gradient_at(idx, x))
+            assert np.array_equal(op.jacobian(x).toarray()[idx],
                                   ref.jacobian_rows(idx, x).toarray())
             total, ref_total = sysm.grad_jacobian(x), sysm.mass + ref.hessian(x)
             assert np.array_equal(total.toarray(), ref_total.toarray())
@@ -1168,7 +1181,7 @@ def site_local(blocks, n):
     """Site blocks G from the entries (g_qq, g_pq, g_qp, g_pp) of each site,
     zeros included."""
     g_qq, g_pq, g_qp, g_pp = (np.asarray(b, dtype=float).reshape(n) for b in blocks)
-    return hamiltonian.SiteBlocks(np.array([g_qq, g_qp, g_pq, g_pp]))
+    return hamiltonian.SiteBlocks([g_qq, g_qp, g_pq, g_pp], np.zeros((4, n)))
 
 
 @st.composite
@@ -1200,7 +1213,7 @@ class TestSiteSolve:
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
         ref = np.linalg.solve(a, res)
-        x = g.solve(-c, res, "test")
+        x = hamiltonian._SiteSolver(g, -c)(g, res, "test")
         assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     def test_singular_block_names_its_site(self):
@@ -1210,7 +1223,7 @@ class TestSiteSolve:
         g_pq = np.zeros(n)
         g_pq[1] = 2.0 / h
         g = site_local([np.zeros(n), g_pq, np.zeros(n), np.zeros(n)], n)
-        sysm = SimpleNamespace(dim=2 * n, is_linear=False, grad=lambda x: x,
+        sysm = SimpleNamespace(dim=2 * n, is_linear=False, flow=jmul,
                                grad_jacobian=lambda x: g)
         with pytest.raises(NewtonDivergence,
                            match=r"step 0: singular Newton matrix \(block of site 1\)"):
@@ -1221,8 +1234,9 @@ class TestSiteSolve:
 
         def poisoned(model, x):
             g = model.grad_jacobian(x)
-            g.data[2, 2] = np.nan  # g_pq of site 2
-            return g
+            g_pq = g.mass[2].copy()
+            g_pq[2] = np.nan  # g_pq of site 2
+            return hamiltonian.SiteBlocks([*g.rows[:2], g_pq, g.rows[3]], g.mass)
 
         monkeypatch.setattr(hamiltonian, "splu", lambda a: pytest.fail("SuperLU"))
         with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
@@ -1300,7 +1314,7 @@ class TestSiteLocalSystems:
         sysm = synthetic_site_system()
         assert sysm._site_mass is not None
         for x in (rng.standard_normal(sysm.dim), sysm.x0):
-            assert np.array_equal(sysm.grad(x), sysm.mass @ x + sysm.nonlin.gradient(x))
+            assert np.array_equal(sysm.flow(x), jmul(sysm.mass @ x + sysm.nonlin.gradient(x)))
             g = sysm.grad_jacobian(x)
             assert isinstance(g, hamiltonian.SiteBlocks)
             assert np.array_equal(g.toarray(), reference_jacobian(sysm, x).toarray())
@@ -1372,14 +1386,14 @@ class TestDeimJacobian:
         rng = np.random.default_rng(3)
         for _ in range(3):
             xt = rng.standard_normal(6)
-            jac = op.jacobian(xt)
+            jac = op.jacobian(xt).toarray()
             ref = reference_deim_jacobian(rom, xt)
             assert np.allclose(jac, ref, rtol=0.0, atol=1e-13 * max(1.0, np.abs(ref).max()))
             h = 1e-6
             for i in range(6):
                 e = np.zeros(6)
                 e[i] = h
-                col = (op(xt + e) - op(xt - e)) / (2 * h)
+                col = (jtmul(op(xt + e)) - jtmul(op(xt - e))) / (2 * h)
                 assert np.linalg.norm(col - jac[:, i]) <= 1e-6 * max(1.0, np.linalg.norm(col))
 
     def test_structure_preserving_reads_zero_partners(self):
@@ -1393,7 +1407,7 @@ class TestDeimJacobian:
         # sites 5 and 6 are evaluated at (q_5, 0) and (0, p_6)
         g = sysm.nonlin.gradient(state)
         expected = u.T @ (sysm.mass @ (u @ xt)) + u.T @ (v @ np.linalg.solve(v[idx], g[idx]))
-        assert np.allclose(op(xt), expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(jtmul(op(xt)), expected, rtol=1e-12, atol=0.0)
 
 
 #: Selections on n = 8: every component in the q-half, in the p-half, mixed.
@@ -1415,8 +1429,8 @@ class TestDeimSelections:
         op = sampled_at(sysm, idx)
         assert op._half == (None if half == "mixed" else half)
         for x in TestNonlinearity.states(sysm.dim, rng):
-            assert np.array_equal(op(x)[idx], ref.gradient_at(idx, x))
-            assert np.array_equal(op.jacobian(x)[idx],
+            assert np.array_equal(jtmul(op(x))[idx], ref.gradient_at(idx, x))
+            assert np.array_equal(op.jacobian(x).toarray()[idx],
                                   reference_rows(sysm.nonlin, idx, x).toarray())
 
     @pytest.mark.parametrize("variant", ["psd-deim", "structure-preserving"])
@@ -1431,5 +1445,167 @@ class TestDeimSelections:
                               sysm.nonlin, variant)
         for _ in range(3):
             xt = rng.standard_normal(6)
-            assert np.array_equal(op(xt), where_deim_gradient(op, xt))
-            assert np.array_equal(op.jacobian(xt), where_deim_jacobian(op, xt))
+            assert np.array_equal(jtmul(op(xt)), where_deim_gradient(op, xt))
+            assert np.array_equal(op.jacobian(xt).toarray(), where_deim_jacobian(op, xt))
+
+
+# ---------------------------------------------------------------------------
+# Per-run Newton solvers: what is fixed for a run is formed once, and every
+# solve equals the full formula bit for bit.
+
+
+@st.composite
+def site_blocks_with_fixed_rows(draw):
+    """M's rows and two Jacobians that share them: a random set of rows is
+    M's alone (None in ``rows``), the others change between the two calls.
+    Entries span 1e-4 to 1e4 and include exact zeros; h = 2^-j.  Fixed
+    zero g_qp, g_pq rows give the unit diagonal that skips 1 r."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    c = 0.5 * 2.0 ** -draw(st.integers(0, 12))
+
+    def entries():
+        g = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-4, 4, (4, n))
+        g[rng.random((4, n)) < 0.2] = 0.0
+        return g
+
+    mass = entries()
+    if draw(st.booleans()):  # M stores no g_qp, g_pq, as Vlasov's
+        mass[1:3] = 0.0
+    calls = [hamiltonian.SiteBlocks([None if f else row for f, row in zip(fixed, entries())],
+                                    mass) for _ in range(2)]
+    return calls, c, [rng.standard_normal(2 * n) for _ in calls]
+
+
+@st.composite
+def deim_jacobians(draw):
+    """A DEIM operator of a random basis and selection on the Schroedinger
+    nonlinearity, its Jacobian at a random reduced state, and h = 2^-j."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 2 * n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    variant = draw(st.sampled_from(["psd-deim", "structure-preserving"]))
+    rng = np.random.default_rng(seed)
+    sysm = schrodinger_system(max(n, 3))
+    n = sysm.n
+    u = random_symplectic_point(n, k, seed=seed % 2**31).entries
+    v = np.linalg.qr(rng.standard_normal((2 * n, m)))[0]
+    idx = deim_select(v)
+    op = deim_reduced_rhs(u, u.T @ (sysm.mass @ u), v, idx, sysm.nonlin, variant)
+    xt = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-2, 1)
+    c = 0.5 * 2.0 ** -draw(st.integers(0, 12))
+    return op.jacobian(xt), c, rng.standard_normal(2 * k)
+
+
+class TestRunSolvers:
+    @settings(max_examples=80, deadline=None)
+    @given(case=site_blocks_with_fixed_rows())
+    def test_site_solver_matches_dense_and_full_formula(self, case):
+        calls, c, residuals = case
+        solve = hamiltonian._SiteSolver(calls[0], -c)
+        for g, res in zip(calls, residuals):
+            dense = g.toarray()
+            a = np.eye(res.size) - c * jmul(dense)
+            cond = np.linalg.cond(a)
+            if not (np.isfinite(cond) and cond < 1e12):
+                continue
+            ref = np.linalg.solve(a, res)
+            x = solve(g, res, "test")
+            assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+            # every row handed in as varying: the same bits
+            n = res.size // 2
+            q, p = np.arange(n), np.arange(n) + n
+            full = hamiltonian.SiteBlocks(
+                [dense[r, s] for r, s in [(q, q), (q, p), (p, q), (p, p)]], g.mass)
+            assert np.array_equal(x, hamiltonian._SiteSolver(full, -c)(full, res, "test"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=deim_jacobians())
+    def test_deim_solver_matches_dense_and_row_gather(self, case):
+        g, c, res = case
+        dense = g.toarray()
+        a = np.eye(res.size) - c * jmul(dense)
+        cond = np.linalg.cond(a)
+        assume(np.isfinite(cond) and cond < 1e12)
+        x = hamiltonian._DeimSolver(g.op, -c)(g, res, "test")
+        ref = np.linalg.solve(a, res)
+        assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+        # the row gather of the assembled Jacobian that a dense G takes
+        shift = hamiltonian._dense_shift(res.size, -c)
+        gathered = hamiltonian._dense_solve(hamiltonian._shifted_dense(dense, shift), res, "test")
+        assert np.array_equal(x, gathered)
+
+    def test_deim_solver_singular_and_nan(self):
+        # G = U^T M U = [[0, 0], [2/h, 0]] and zero rows: I - (h/2) J G = diag(0, 1) ...
+        h = 0.5
+        sysm = schrodinger_system(3)
+        op = deim_reduced_rhs(np.eye(6)[:, [0, 3]], np.array([[0.0, 0.0], [2.0 / h, 0.0]]),
+                              np.eye(6)[:, [0]], np.array([0]), sysm.nonlin)
+        g = hamiltonian.DeimJacobian(np.zeros((1, 2)), op)
+        model = SimpleNamespace(dim=2, is_linear=False, flow=jmul, grad_jacobian=lambda x: g)
+        with pytest.raises(NewtonDivergence, match=r"step 0: singular Newton matrix \(pivot"):
+            crank_nicolson(model, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
+        # ... and a NaN in the Jacobian ends as a non-finite residual
+        nan = hamiltonian.DeimJacobian(np.full((1, 2), np.nan), op)
+        model.grad_jacobian = lambda x: nan
+        with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
+            crank_nicolson(model, np.array([1.0, 0.0]), IntegratorOptions(1e-3, 0.01))
+
+    def test_solver_rebuilt_when_run_constants_change(self, rng):
+        # a Jacobian with other fixed rows, or another M, gets its own constants
+        n = 5
+        mass = rng.standard_normal((4, n))
+        first = hamiltonian.SiteBlocks([rng.standard_normal(n), None, None, None], mass)
+        other = hamiltonian.SiteBlocks([None, rng.standard_normal(n), None, None], mass)
+        moved = hamiltonian.SiteBlocks(first.rows, mass + 1.0)
+        solve = hamiltonian._SiteSolver(first, -0.01)
+        res = rng.standard_normal(2 * n)
+        for g in (first, other, moved, first):
+            assert np.array_equal(solve(g, res, "test"),
+                                  hamiltonian._SiteSolver(g, -0.01)(g, res, "test"))
+
+
+FLOW_MODELS = {
+    "sine-gordon": lambda: sine_gordon_system(16),
+    "schrodinger": lambda: schrodinger_system(16),
+    "vlasov": lambda: vlasov_system(16, seed=3),
+    "synthetic": lambda: synthetic_site_system(),
+}
+
+
+class TestVectorField:
+    """``flow`` is J times the gradient each model assembled before, bit for
+    bit: M x + grad h for a full model, the ``np.where`` DEIM formula for a
+    ROM; the exact ROM's q-only selection reads the same bits as all 2n."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e2))
+    def test_full_models(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        for factory in FLOW_MODELS.values():
+            sysm = factory()
+            x = scale * rng.standard_normal(sysm.dim)
+            x[rng.random(sysm.dim) < 0.2] = 0.0
+            assert np.array_equal(sysm.flow(x), jmul(sysm.mass @ x + sysm.nonlin.gradient(x)))
+
+    @pytest.mark.parametrize("model", ["sine-gordon", "schrodinger", "vlasov"])
+    def test_reduced_models(self, model, rng):
+        sysm = FLOW_MODELS[model]()
+        opts = IntegratorOptions(1e-2, 0.2)
+        snaps = extract_snapshots(crank_nicolson(sysm, sysm.x0, opts), 21)
+        u = None
+        for variant in NONLIN_TREATMENTS:
+            rom = build_rom(sysm, snaps, 4, nonlin=variant)
+            u = rom.basis.entries
+            for _ in range(5):
+                xt = rng.standard_normal(rom.dim)
+                assert np.array_equal(rom.flow(xt), jmul(where_deim_gradient(rom.deim, xt)))
+                if variant == "exact":
+                    # every one of the 2n components sampled, as before
+                    every = _sampled_operator(
+                        rom.reduced_mass, u.T, np.arange(sysm.dim), u, sysm.nonlin)
+                    assert np.array_equal(rom.flow(xt), jmul(where_deim_gradient(every, xt)))
+                    assert np.array_equal(rom.grad_jacobian(xt).toarray(),
+                                          where_deim_jacobian(every, xt))
