@@ -10,12 +10,12 @@ empty object is a valid config.  Scheme names combine a retraction (Cayley,
 QGeo, SR) with a metric suffix (C = canonical-like with rho = 1/2,
 E = Euclidean): CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE.
 
-Independent (scheme, case) cells are dispatched to a thread pool bounded by
-the SPOPT_THREADS environment variable; each cell is seed-isolated and its
-files are written atomically.  ``mor`` simulates the ROMs the pool built
-serially on the main thread, so contention does not affect rom_time_s and
-a.a.f.; it still affects the time_s of optimizer traces.  A cell that raises
-a numerical failure is recorded under "failures" in summary.json, the other
+Independent cells, one per scheme (``mor``: one per (k, scheme, nonlinearity
+treatment), which builds, simulates and scores its ROM), run one at a time
+on the calling thread in input order, so every time_s, time_per_step,
+rom_time_s and a.a.f. is an uncontended measurement.  Each cell is
+seed-isolated and its files are written atomically.  A cell that raises a
+numerical failure is recorded under "failures" in summary.json, the other
 cells' results are kept, and the run exits with code 3.  With a fixed
 (config, seed) the numerical columns of every CSV are bit-identical across
 runs; wall-clock columns (time_s, a.a.f.) are the only nondeterministic
@@ -31,7 +31,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .applications import (
     sum_gate,
     symplectic_eigenpairs,
 )
-from .core import NumericalFailure, SymplecticPoint
+from .core import NumericalFailure, SymplecticPoint, checked_number
 from .geometry import Metric
 from .hamiltonian import (
     NONLIN_TREATMENTS,
@@ -114,13 +113,13 @@ class ExperimentConfig:
 
 
 def _number(name: str, value, kind=int):
-    """A numeric config field as an int or a float; any other value (a list,
-    an object, a non-numeric string) is a config error."""
+    """A numeric config field as a JSON integer or a finite JSON number; any
+    other value (a bool, a float for an integer, NaN, a string, a list) is a
+    config error."""
     try:
-        return kind(value)
+        return checked_number(name, value, kind)
     except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def scheme_options(name: str, rho: float = 0.5, **overrides) -> SolverOptions:
@@ -140,40 +139,23 @@ def _options_by_scheme(config: ExperimentConfig, solver: dict) -> dict:
     return {s: scheme_options(s, rho=rho, **solver) for s in config.schemes}
 
 
-def _pool_size() -> int:
-    env = os.environ.get("SPOPT_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SPOPT_THREADS={env!r} is not an integer") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 #: Errors that end a computation as a numerical failure (exit code 3).
 NUMERICAL_ERRORS = (NumericalFailure, np.linalg.LinAlgError)
 
 
-def _attempt(cell, item) -> tuple:
-    """(cell(item), None), or (None, message) if it raised a numerical failure."""
-    try:
-        return cell(item), None
-    except NUMERICAL_ERRORS as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def _map_cells(cell, items, label=str) -> tuple[list, dict]:
-    """Run independent cells on the worker pool.
+    """Run independent cells one at a time on this thread, in input order.
 
     Returns the results of the cells that finished, in input order, and
     ``{label(item): message}`` for every cell that raised a numerical
     failure; such a cell does not discard the results of the others.
     """
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        outcomes = list(pool.map(lambda item: _attempt(cell, item), items))
-    results = [result for result, error in outcomes if error is None]
-    failures = {label(item): error for item, (_, error) in zip(items, outcomes)
-                if error is not None}
+    results, failures = [], {}
+    for item in items:
+        try:
+            results.append(cell(item))
+        except NUMERICAL_ERRORS as exc:
+            failures[label(item)] = f"{type(exc).__name__}: {exc}"
     return results, failures
 
 
@@ -371,27 +353,21 @@ def run_mor(config: ExperimentConfig) -> dict:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    cases = []
-    for k in k_values:
-        for var in variants:
-            cases.append((k, "CotLift", None, var))
-            for scheme in config.schemes:
-                cases.append((k, scheme, scheme, var))
+    cases = [(k, scheme, var) for k in k_values for var in variants
+             for scheme in ["CotLift", *config.schemes]]
 
-    def build(case):
-        k, _, scheme, var = case
-        if scheme is None:
-            return case, build_rom(system, snaps, k, reduction="cotlift", nonlin=var)
-        return case, build_rom(system, snaps, k, reduction="optimized",
-                               solver_options=options[scheme], nonlin=var)
-
-    def simulate(built):
-        (k, label, _, var), rom = built
+    def cell(case):
+        k, scheme, var = case
+        if scheme == "CotLift":
+            rom = build_rom(system, snaps, k, reduction="cotlift", nonlin=var)
+        else:
+            rom = build_rom(system, snaps, k, reduction="optimized",
+                            solver_options=options[scheme], nonlin=var)
         rom_traj = crank_nicolson(rom, rom.x0_reduced, iopts)
         report = relative_errors(fom, rom, rom_traj)
-        _series_csv(out / f"mor_{model}_k{k}_{label}_{var}_series.csv", report)
+        _series_csv(out / f"mor_{model}_k{k}_{scheme}_{var}_series.csv", report)
         return {
-            "model": model, "k": k, "scheme": label, "nonlin": var,
+            "model": model, "k": k, "scheme": scheme, "nonlin": var,
             "re_x": report.re_x, "re_h": report.re_h,
             "rom_time_s": rom_traj.wall_time,
             "newton_updates": rom_traj.newton_updates,
@@ -401,14 +377,7 @@ def run_mor(config: ExperimentConfig) -> dict:
                                               rom.diagnostics["cost_cotlift"]),
         }
 
-    labels = {case: f"k={case[0]} {case[1]} {case[3]}" for case in cases}
-    # the pool builds the ROMs; each is then simulated on this thread alone,
-    # so no pool thread competes with the timing behind rom_time_s and aaf
-    roms, failures = _map_cells(build, cases, label=labels.get)
-    outcomes = [(case, *_attempt(simulate, (case, rom))) for case, rom in roms]
-    rows = [row for _, row, error in outcomes if error is None]
-    failures.update({labels[case]: error for case, _, error in outcomes
-                     if error is not None})
+    rows, failures = _map_cells(cell, cases, label=lambda case: "k={} {} {}".format(*case))
 
     # one accelerating factor per (k, variant) group: FOM time over the mean
     # ROM simulation time across the reduction methods of that group
@@ -487,10 +456,7 @@ def config_from_args(args) -> ExperimentConfig:
     schemes = cfg.get("schemes", list(SCHEMES))
     if args.schemes:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    try:
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}") from exc
+    seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0))
     out_dir = Path(args.out if args.out else cfg.get("out", "spopt-out"))
     paper = bool(args.paper_scale or cfg.get("paper_scale", False))
     params = {key: val for key, val in cfg.items()

@@ -9,6 +9,8 @@ hot paths.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +32,19 @@ class NumericalFailure(Exception):
 
 class FeasibilityError(NumericalFailure, ValueError):
     """A constructed point or tangent vector is far off the manifold."""
+
+
+def checked_number(name: str, value, kind=float):
+    """``value`` as ``kind``: an integer for ``int``, a finite real for
+    ``float``; a bool is neither.  Raises ``TypeError`` for a value of
+    another type and ``ValueError`` for a non-finite real."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return kind(value)
 
 
 def poisson(n: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .core import (
     NumericalFailure,
     SymplecticPoint,
     TangentVector,
+    checked_number,
     jmul,
     jtmul,
     skew_part,
@@ -60,7 +61,7 @@ class Metric:
     rho: float = 0.5
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if checked_number("rho", self.rho) <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
     @classmethod

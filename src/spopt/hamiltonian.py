@@ -550,6 +550,15 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     x = x0.copy()
     updates = 0
     solver = None
+    # states are written as rows and stored a block of columns at a time:
+    # one strided column write per step costs more than a step
+    block = np.empty((_STATE_BLOCK, dim))
+
+    def store(m, y):
+        j = m % _STATE_BLOCK
+        block[j] = y
+        if j == _STATE_BLOCK - 1 or m == steps - 1:
+            states[:, m + 1 - j:m + 2] = block[:j + 1].T
 
     if system.is_linear:
         g = system.grad_jacobian(x0)
@@ -568,7 +577,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             solver = "lapack"
         for m in range(steps):
             x = solve(rhs_mat @ x)
-            states[:, m + 1] = x
+            store(m, x)
         if not np.all(np.isfinite(x)):
             first = int(np.argmin(np.isfinite(states).all(axis=0)))
             raise NewtonDivergence(
@@ -577,9 +586,6 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     else:
         flow, jacobian = system.flow, system.grad_jacobian
         solve = None
-        # converged states are written as rows and stored a block of columns
-        # at a time: one strided column write per step costs more than a step
-        block = np.empty((_STATE_BLOCK, dim))
         fx = flow(x)
         for m in range(steps):
             y = x + h * fx
@@ -606,10 +612,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
                     f"{opts.newton_maxit} Newton iterations")
-            j = m % _STATE_BLOCK
-            block[j] = y
-            if j == _STATE_BLOCK - 1 or m == steps - 1:
-                states[:, m + 1 - j:m + 2] = block[:j + 1].T
+            store(m, y)
             x, fx = y, fy
     times = h * np.arange(steps + 1)
     return Trajectory(times, states, time.perf_counter() - start, updates, solver)

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .core import NumericalFailure, SymplecticPoint, symplecticity_residual
+from .core import NumericalFailure, SymplecticPoint, checked_number, symplecticity_residual
 from .geometry import Metric, riemannian_gradient
 from .retractions import RETRACTION_ERRORS, RetractionKind, retract
 
@@ -69,6 +69,10 @@ class SolverOptions:
     max_backtracks: int = 30
 
     def __post_init__(self):
+        for name in ("niter", "max_backtracks"):
+            checked_number(name, getattr(self, name), int)
+        for name in ("gtol", "beta", "delta", "gamma0", "gamma_min", "gamma_max", "alpha"):
+            checked_number(name, getattr(self, name))
         if not 0 < self.beta < 1 or not 0 < self.delta < 1:
             raise ValueError("beta and delta must lie in (0, 1)")
         if not 0 <= self.alpha <= 1:

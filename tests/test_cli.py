@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from spopt import cli
+from spopt import applications, cli, hamiltonian
 from spopt.applications import SingularSelection
 from spopt.cli import ConfigError, ExperimentConfig, main, scheme_options
 from spopt.core import FeasibilityError, NumericalFailure, SymplecticPoint
@@ -57,6 +57,15 @@ class TestArgumentHandling:
         pytest.param({"nitr": 10}, "unexpected keyword argument 'nitr'",
                      id="unknown-key"),
         pytest.param({"max_backtracks": -1}, "max_backtracks", id="negative-budget"),
+        pytest.param({"niter": 2.5}, "niter must be an integer, got 2.5",
+                     id="fractional-niter"),
+        pytest.param({"max_backtracks": 2.5}, "max_backtracks must be an integer, got 2.5",
+                     id="fractional-budget"),
+        pytest.param({"niter": True}, "niter must be an integer, got True", id="bool-niter"),
+        pytest.param({"gtol": float("nan")}, "gtol must be finite, got nan", id="nan-gtol"),
+        pytest.param({"gamma_max": float("inf")}, "gamma_max must be finite, got inf",
+                     id="inf-gamma-max"),
+        pytest.param({"gtol": "nan"}, "gtol must be a number, got 'nan'", id="string-gtol"),
     ])
     def test_bad_solver_override_exits_2(self, app, solver, message, tmp_path, capsys):
         # rejected before any cell or full-order simulation runs
@@ -69,7 +78,8 @@ class TestArgumentHandling:
         assert message in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("seed", ["x", [1]], ids=["string", "list"])
+    @pytest.mark.parametrize("seed", ["x", [1], 1.7, True],
+                             ids=["string", "list", "fractional", "bool"])
     def test_non_integer_seed_exits_2(self, seed, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"seed": seed})
         rc = main(["target", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -84,6 +94,24 @@ class TestArgumentHandling:
         ("mor", {"snapshots": None}, "snapshots must be an integer"),
         ("mor", {"k_values": 10}, "k_values must be a list"),
         ("mor", {"k_values": [[4]]}, "k_values entry must be an integer"),
+        # [2.5] used to run k=2, [true] k=1, "inf" ended in an OverflowError
+        # traceback and a NaN rho ran CayleyC to a NaN gradient norm
+        pytest.param("mor", {"k_values": [2.5]}, "k_values entry must be an integer, got 2.5",
+                     id="fractional-k"),
+        pytest.param("mor", {"k_values": [True]},
+                     "k_values entry must be an integer, got True", id="bool-k"),
+        pytest.param("mor", {"t_final": "inf"}, "t_final must be a number, got 'inf'",
+                     id="string-inf-t_final"),
+        pytest.param("mor", {"t_final": float("inf")}, "t_final must be finite, got inf",
+                     id="inf-t_final"),
+        pytest.param("mor", {"h_t": float("nan")}, "h_t must be finite, got nan",
+                     id="nan-h_t"),
+        pytest.param("target", {"rho": float("nan")}, "rho must be finite, got nan",
+                     id="nan-rho-target"),
+        pytest.param("sympev", {"rho": float("inf")}, "rho must be finite, got inf",
+                     id="inf-rho-sympev"),
+        pytest.param("mor", {"rho": "nan"}, "rho must be a number, got 'nan'",
+                     id="string-nan-rho-mor"),
     ])
     def test_non_numeric_field_exits_2(self, app, params, message, tmp_path,
                                        monkeypatch, capsys):
@@ -238,29 +266,6 @@ class TestMorRuns:
             f"= {limit}, got {bad}")
         assert not out.exists()
 
-    def test_roms_simulated_on_main_thread(self, tmp_path, monkeypatch):
-        # rom_time_s and aaf time the ROM simulations, so none may run on a
-        # pool thread beside other cells
-        real = cli.crank_nicolson
-        threads = []
-
-        def recording(model, *args):
-            threads.append((type(model).__name__, threading.current_thread()))
-            return real(model, *args)
-
-        monkeypatch.setattr(cli, "crank_nicolson", recording)
-        monkeypatch.setenv("SPOPT_THREADS", "2")
-        cfg = write_cfg(tmp_path, {
-            "model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
-            "snapshots": 20, "k_values": [4], "solver": {"niter": 20},
-        })
-        rc = main(["mor", "--config", cfg, "--schemes", "SRE,SRC",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 0
-        roms = [thread for name, thread in threads if name == "ReducedSystem"]
-        assert len(roms) == 3  # CotLift, SRE, SRC
-        assert all(thread is threading.main_thread() for thread in roms)
-
     def test_vlasov_deim_variants(self, tmp_path):
         out = tmp_path / "morv"
         cfg = write_cfg(tmp_path, {
@@ -316,8 +321,8 @@ class TestNumericalFailureExit:
     @pytest.mark.filterwarnings("ignore:trace minimization ended")
     @pytest.mark.parametrize("app", ["target", "sympev"])
     def test_failed_cell_keeps_other_cells(self, app, tmp_path, monkeypatch, capsys):
-        # QGeoE raises inside its cell; SRE, run on the same pool, must keep
-        # its trace file and summary entry, and the run must exit 3
+        # QGeoE raises inside its cell; SRE, the next cell, must keep its
+        # trace file and summary entry, and the run must exit 3
         real = cli.minimize if app == "target" else cli.symplectic_eigenpairs
         target = "minimize" if app == "target" else "symplectic_eigenpairs"
 
@@ -367,8 +372,8 @@ class TestNumericalFailureExit:
         assert summary["aaf"] > 0
 
     def test_mor_failed_simulation_keeps_other_rows(self, tmp_path, monkeypatch, capsys):
-        # a failure after the pool, in the serial simulation, is recorded
-        # under the same label as one raised while building
+        # a failure while simulating is recorded under the same label as
+        # one raised while building
         real = cli.relative_errors
 
         def optimized_fails(full, rom, rom_traj):
@@ -419,14 +424,39 @@ class TestDeterminism:
             assert sums[0]["schemes"][scheme]["eigenvalues"] == \
                 sums[1]["schemes"][scheme]["eigenvalues"]
 
-    def test_thread_pool_bound_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPOPT_THREADS", "1")
-        out = tmp_path / "st"
-        rc = main(["target", "--schemes", "SRE,SRC", "--out", str(out)])
-        assert rc == 0
-        monkeypatch.setenv("SPOPT_THREADS", "junk")
-        rc = main(["target", "--schemes", "SRE", "--out", str(tmp_path / "st2")])
-        assert rc == 2
+    @pytest.mark.filterwarnings("ignore:trace minimization ended")
+    def test_solves_run_on_main_thread(self, tmp_path, monkeypatch):
+        # every timing a run reports (time_s, time_per_step, rom_time_s, aaf)
+        # is taken with no other cell running beside it
+        threads = []
+
+        def record(module, name):
+            real = getattr(module, name)
+
+            def recording(*args, **kwargs):
+                threads.append((name, threading.current_thread()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        for module in (cli, applications, hamiltonian):  # target, sympev, mor
+            record(module, "minimize")
+        record(cli, "crank_nicolson")
+        runs = {
+            "target": {"solver": {"niter": 20}},
+            "sympev": {"n": 16, "m": 2, "k": 2, "solver": {"niter": 20}},
+            "mor": {"model": "wave", "n": 30, "t_final": 0.5, "h_t": 0.01,
+                    "snapshots": 20, "k_values": [4], "solver": {"niter": 20}},
+        }
+        for app, payload in runs.items():
+            rc = main([app, "--config", write_cfg(tmp_path, payload, f"{app}.json"),
+                       "--schemes", "SRE,SRC", "--out", str(tmp_path / app)])
+            assert rc == 0
+        names = [name for name, _ in threads]
+        # two schemes per command; the full model and three ROMs under mor
+        assert names.count("minimize") == 6
+        assert names.count("crank_nicolson") == 4
+        assert all(thread is threading.main_thread() for _, thread in threads)
 
 
 class TestTimingReport:

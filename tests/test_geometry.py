@@ -272,6 +272,19 @@ class TestMetricInner:
         assert np.isclose(ip, 4 * 2, rtol=1e-10)  # (1/rho) tr(I_{2k}) = 2 * 2k
 
 
+class TestMetricParameter:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_rho_rejected(self, rho):
+        # a NaN rho used to run CayleyC to a NaN gradient norm
+        with pytest.raises(ValueError, match="rho must be"):
+            Metric.canonical_like(rho)
+
+    @pytest.mark.parametrize("rho", ["0.5", True, None])
+    def test_non_numeric_rho_rejected(self, rho):
+        with pytest.raises(TypeError, match="rho must be a number"):
+            Metric.canonical_like(rho)
+
+
 class TestRiemannianGradient:
     @pytest.mark.parametrize("metric", [EUCLID, CANON])
     def test_zero_gradient(self, metric, rng):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -813,6 +814,29 @@ def reference_crank_nicolson(system, x0, opts):
     return states
 
 
+def reference_linear_crank_nicolson(system, x0, opts):
+    """Linear Crank-Nicolson with one factorization of I - (h/2) J G, SuperLU
+    for a sparse and LAPACK for a dense G, each state written as its own
+    column."""
+    c, dim = 0.5 * opts.h_t, system.dim
+    g = system.grad_jacobian(x0)
+    if sp.issparse(g):
+        g = hamiltonian._canonical_csc(g)
+        solve = hamiltonian.splu(hamiltonian._ShiftedJ(g, -c)(g)).solve
+        rhs_mat = hamiltonian._ShiftedJ(g, c)(g).tocsr()
+    else:
+        a, rhs_mat = -c * jmul(g), c * jmul(g)
+        a.flat[::dim + 1] += 1.0
+        rhs_mat.flat[::dim + 1] += 1.0
+        factors = scipy.linalg.lu_factor(a)
+        solve = lambda b: scipy.linalg.lu_solve(factors, b)
+    states = np.empty((dim, opts.steps + 1))
+    states[:, 0] = x = np.asarray(x0, dtype=float)
+    for m in range(opts.steps):
+        states[:, m + 1] = x = solve(rhs_mat @ x)
+    return states
+
+
 def capture_newton(monkeypatch, system, x0, opts):
     """Run Crank-Nicolson; return the Jacobian arguments and the matrices
     handed to SuperLU, in call order."""
@@ -1137,18 +1161,23 @@ class TestNewtonMatrix:
             ref = crank_nicolson(ReferenceSystem(sysm), sysm.x0, opts)
             assert np.array_equal(traj.states, ref.states), model
 
-    @pytest.mark.parametrize("model", ["sine-gordon", "schrodinger", "vlasov"])
+    @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
     def test_trajectories_bit_identical_to_reference_loop(self, model):
-        # the full model and its three ROM variants, each state bit for bit
+        # the full model and its ROM variants, each state bit for bit; 100
+        # steps fill one block of stored states and part of the next
         sysm = FOUR_MODELS[model]()
-        opts = IntegratorOptions(1e-2, 0.3)
+        assert 100 % hamiltonian._STATE_BLOCK
+        opts = IntegratorOptions(1e-2, 1.0)
+        reference = (reference_linear_crank_nicolson if sysm.is_linear
+                     else reference_crank_nicolson)
         traj = crank_nicolson(sysm, sysm.x0, opts)
-        assert np.array_equal(traj.states, reference_crank_nicolson(sysm, sysm.x0, opts))
+        assert np.array_equal(traj.states, reference(sysm, sysm.x0, opts))
         snaps = extract_snapshots(traj, 31)
-        for variant in ("exact", "psd-deim", "structure-preserving"):
+        variants = ("exact",) if sysm.is_linear else NONLIN_TREATMENTS
+        for variant in variants:
             rom = build_rom(sysm, snaps, 4, nonlin=variant)
             rt = crank_nicolson(rom, rom.x0_reduced, opts)
-            ref = reference_crank_nicolson(rom, rom.x0_reduced, opts)
+            ref = reference(rom, rom.x0_reduced, opts)
             assert np.array_equal(rt.states, ref), variant
 
     def test_pattern_change_between_calls(self, monkeypatch):

@@ -256,6 +256,25 @@ class TestMinimize:
         with pytest.raises(ValueError):
             SolverOptions(alpha=1.5)
 
+    @pytest.mark.parametrize("field", ["niter", "max_backtracks"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_integer_fields_need_integers(self, field, value):
+        # a float niter used to raise from range() inside the solver loop
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("field", ["gtol", "beta", "delta", "gamma0", "gamma_min",
+                                       "gamma_max", "alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_float_fields_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", ["1e-8", None, False])
+    def test_float_fields_need_numbers(self, value):
+        with pytest.raises(TypeError, match="gtol must be a number"):
+            SolverOptions(gtol=value)
+
     def test_negative_backtrack_budget_rejected(self):
         with pytest.raises(ValueError, match="max_backtracks"):
             SolverOptions(max_backtracks=-1)
