@@ -85,6 +85,8 @@ class TraceProblem:
     k: int
 
     def __post_init__(self):
+        if not np.isfinite(self.a).all():
+            raise ValueError("A must be finite")
         if np.linalg.norm(self.a - self.a.T) > 1e-12 * max(1.0, np.linalg.norm(self.a)):
             raise ValueError("A must be symmetric")
 

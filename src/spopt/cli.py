@@ -5,10 +5,13 @@ Usage:
     spopt <target|sympev|mor> --config cfg.json [--schemes LIST] [--seed N]
           [--out DIR] [--paper-scale]
 
-Configs are single JSON documents; every field has a baked-in default, so an
+Configs are single JSON objects; every field has a baked-in default, so an
 empty object is a valid config.  Scheme names combine a retraction (Cayley,
 QGeo, SR) with a metric suffix (C = canonical-like with rho = 1/2,
-E = Euclidean): CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE.
+E = Euclidean): CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE.  Every field,
+and ``--schemes``, is read by :func:`_field`; a value of another JSON type,
+a non-finite number or an unknown name is a config error naming the field,
+raised before any output is written.  A flag overrides a checked field.
 
 Independent cells, one per scheme (``mor``: one per (k, scheme, nonlinearity
 treatment), which builds, simulates and scores its ROM), run one at a time
@@ -91,6 +94,14 @@ MOR_MODELS = {
 }
 
 
+#: Solver settings of each ``spopt target`` preset, before config overrides.
+TARGET_SOLVER = {"sum": dict(gtol=1e-12, niter=500),
+                 "saddle": dict(gtol=1e-12, niter=2000),
+                 "artificial": dict(gtol=1e-10, niter=1000)}
+
+_JSON_TYPES = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
+
+
 class ConfigError(Exception):
     """Invalid experiment configuration."""
 
@@ -107,36 +118,47 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.schemes:
             raise ConfigError("scheme list must not be empty")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}; choose from {sorted(SCHEMES)}")
 
 
-def _number(name: str, value, kind=int):
-    """A numeric config field as a JSON integer or a finite JSON number; any
-    other value (a bool, a float for an integer, NaN, a string, a list) is a
-    config error."""
-    try:
-        return checked_number(name, value, kind)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _field(params: dict, name: str, default, kind=str, choices=None):
+    """Config field ``name`` (``default`` when absent) as ``kind``: a JSON
+    integer or a finite number for ``int`` or ``float`` (:func:`checked_number`),
+    else exactly that JSON type, with a string or each list item one of
+    ``choices`` when given.  Raises :class:`ConfigError` naming the field."""
+    if name not in params:
+        return default
+    value = params[name]
+    if kind in (int, float):
+        try:
+            return checked_number(name, value, kind)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    items = value if kind is list else [value]
+    if isinstance(value, kind) and (choices is None or all(
+            isinstance(item, str) and item in choices for item in items)):
+        return value
+    what = _JSON_TYPES[kind]
+    if choices is not None:
+        what = f"{what} of strings from" if kind is list else "one of"
+        what += " " + ", ".join(choices)
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def scheme_options(name: str, rho: float = 0.5, **overrides) -> SolverOptions:
     """SolverOptions for a named scheme, with per-experiment overrides."""
     retraction, metric_name = SCHEMES[name]
     metric = Metric.canonical_like(rho) if metric_name == "canonical" else Metric.euclidean()
-    try:
-        return SolverOptions(metric=metric, retraction=retraction, **overrides)
-    except TypeError as exc:  # an unknown key or a value of the wrong type
-        raise ConfigError(f"solver options: {exc}") from exc
+    return SolverOptions(metric=metric, retraction=retraction, **overrides)
 
 
 def _options_by_scheme(config: ExperimentConfig, solver: dict) -> dict:
     """Options of every selected scheme, built before any cell runs so that a
     bad solver override fails as a config error."""
-    rho = _number("rho", config.params.get("rho", 0.5), float)
-    return {s: scheme_options(s, rho=rho, **solver) for s in config.schemes}
+    rho = _field(config.params, "rho", 0.5, float)
+    try:
+        return {s: scheme_options(s, rho=rho, **solver) for s in config.schemes}
+    except TypeError as exc:  # an unknown key or a value of the wrong type
+        raise ConfigError(f"solver options: {exc}") from exc
 
 
 #: Errors that end a computation as a numerical failure (exit code 3).
@@ -165,18 +187,20 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_trace_csv(path: Path, result: SolverResult) -> None:
-    """One row per executed iteration, full precision, fixed column order."""
-    lines = [TRACE_HEADER]
-    for r in result.trace.iteration_records:
-        lines.append(
-            f"{r.iteration},{r.cost:.17g},{r.grad_norm:.17g},"
-            f"{r.feasibility:.17g},{r.tau:.17g},{r.backtracks},{r.time_s:.17g}"
-        )
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row: floats at full precision (``.17g``), any other
+    value (a count, a name, a preformatted string) as ``str``."""
+    lines = [header, *(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                for v in row) for row in rows)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _result_summary(result: SolverResult) -> dict:
+def _trace_summary(path: Path, result: SolverResult) -> dict:
+    """Write the trace CSV of ``result``, one row per executed iteration, and
+    return its summary."""
+    _write_csv(path, TRACE_HEADER, (
+        (r.iteration, r.cost, r.grad_norm, r.feasibility, r.tau, r.backtracks, r.time_s)
+        for r in result.trace.iteration_records))
     first = result.trace.records[0]
     last = result.trace.records[-1]
     return {
@@ -206,7 +230,7 @@ def _target_case(preset: str, n: int, seed: int):
     elif preset == "saddle":
         w = sum_gate().entries
         x0 = SymplecticPoint.from_entries(np.diag([1.728, -1.2, 1 / 1.728, -1 / 1.2]))
-    else:  # "artificial"; run_target has rejected any other preset
+    else:  # "artificial", the one other preset in TARGET_SOLVER
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((n, n))
         v = 0.5 * (v + v.T)
@@ -222,15 +246,9 @@ def _target_case(preset: str, n: int, seed: int):
 def run_target(config: ExperimentConfig) -> dict:
     """Symplectic target runs: per-scheme trace CSV plus a JSON summary."""
     p = config.params
-    preset = p.get("preset", "sum")
-    n = _number("n", p.get("n", 200))
-    defaults = {"sum": dict(gtol=1e-12, niter=500),
-                "saddle": dict(gtol=1e-12, niter=2000),
-                "artificial": dict(gtol=1e-10, niter=1000)}
-    if preset not in defaults:
-        raise ConfigError(f"unknown target preset {preset!r}")
-    solver = dict(defaults[preset])
-    solver.update(p.get("solver", {}))
+    preset = _field(p, "preset", "sum", str, TARGET_SOLVER)
+    n = _field(p, "n", 200, int)
+    solver = {**TARGET_SOLVER[preset], **_field(p, "solver", {}, dict)}
     options = _options_by_scheme(config, solver)
 
     problem, x0 = _target_case(preset, n, config.seed)
@@ -239,8 +257,7 @@ def run_target(config: ExperimentConfig) -> dict:
 
     def cell(scheme: str):
         result = minimize(problem, x0, options[scheme])
-        write_trace_csv(out / f"target_{preset}_{scheme}_trace.csv", result)
-        return scheme, _result_summary(result)
+        return scheme, _trace_summary(out / f"target_{preset}_{scheme}_trace.csv", result)
 
     pairs, failures = _map_cells(cell, config.schemes)
     results = dict(pairs)
@@ -258,14 +275,11 @@ def run_target(config: ExperimentConfig) -> dict:
 def run_sympev(config: ExperimentConfig) -> dict:
     """Trace-minimization eigenvalue runs with Williamson post-processing."""
     p = config.params
-    preset = p.get("preset", "spsd")
-    if preset != "spsd":
-        raise ConfigError(f"unknown sympev preset {preset!r}")
-    n = _number("n", p.get("n", 1000 if config.paper_scale else 100))
-    m = _number("m", p.get("m", 2))
-    k = _number("k", p.get("k", 5))
-    solver = dict(gtol=1e-12, niter=5000, gamma_max=1.0)
-    solver.update(p.get("solver", {}))
+    preset = _field(p, "preset", "spsd", str, ("spsd",))
+    n = _field(p, "n", 1000 if config.paper_scale else 100, int)
+    m = _field(p, "m", 2, int)
+    k = _field(p, "k", 5, int)
+    solver = {**dict(gtol=1e-12, niter=5000, gamma_max=1.0), **_field(p, "solver", {}, dict)}
     options = _options_by_scheme(config, solver)
 
     a, diag = spsd_test_matrix(n, m, seed=config.seed)
@@ -276,9 +290,8 @@ def run_sympev(config: ExperimentConfig) -> dict:
 
     def cell(scheme: str):
         spectrum = symplectic_eigenpairs(a, k, solver_options=options[scheme], x0=x0)
-        result = spectrum.solver_result
-        write_trace_csv(out / f"sympev_{preset}_{scheme}_trace.csv", result)
-        info = _result_summary(result)
+        info = _trace_summary(out / f"sympev_{preset}_{scheme}_trace.csv",
+                              spectrum.solver_result)
         info["eigenvalues"] = spectrum.values.tolist()
         info["l1_error"] = float(np.abs(spectrum.values - truth).sum())
         info["max_pair_residual"] = float(spectrum.residuals.max())
@@ -301,48 +314,29 @@ def run_sympev(config: ExperimentConfig) -> dict:
 # model order reduction application
 
 
-def _series_csv(path: Path, report) -> None:
-    lines = ["t,state_err,energy_err"]
-    for t, se, ee in zip(report.times, report.pointwise_state, report.pointwise_energy):
-        lines.append(f"{t:.17g},{se:.17g},{ee:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def run_mor(config: ExperimentConfig) -> dict:
     """Model-reduction runs: per-(model, k, scheme) errors and a.a.f. tables."""
     p = config.params
-    model = p.get("model", "wave")
-    if model not in MOR_MODELS:
-        raise ConfigError(f"unknown model {model!r}; choose from {tuple(MOR_MODELS)}")
+    model = _field(p, "model", "wave", str, MOR_MODELS)
     construct, desk, paper = MOR_MODELS[model]
     setup = dict(paper if config.paper_scale else desk)
-    setup.update({key: p[key] for key in
-                  ("n", "t_final", "h_t", "snapshots", "k_values") if key in p})
-    n = _number("n", setup["n"])
-    h_t = _number("h_t", setup["h_t"], float)
-    t_final = _number("t_final", setup["t_final"], float)
-    n_snapshots = _number("snapshots", setup["snapshots"])
-    if not isinstance(setup["k_values"], list):
-        raise ConfigError(f"k_values must be a list, got {setup['k_values']!r}")
-    k_values = [_number("k_values entry", k) for k in setup["k_values"]]
+    setup.update({key: p[key] for key in setup if key in p})
+    n = _field(setup, "n", None, int)
+    h_t = _field(setup, "h_t", None, float)
+    t_final = _field(setup, "t_final", None, float)
+    n_snapshots = _field(setup, "snapshots", None, int)
+    k_values = [_field({"k_values entry": k}, "k_values entry", None, int)
+                for k in _field(setup, "k_values", None, list)]
     k_max = min(n, n_snapshots)
     for k in k_values:
         if not 1 <= k <= k_max:
             raise ConfigError(f"k_values entry must satisfy 1 <= k <= min(n, snapshots) "
                               f"= {k_max}, got {k}")
-    nonlin = p.get("nonlin", "exact" if model in ("wave",) else "psd-deim")
-    deim_variants = p.get("deim_variants")
-    if deim_variants is not None and not (
-            isinstance(deim_variants, list)
-            and all(isinstance(v, str) for v in deim_variants)):
-        raise ConfigError(f"deim_variants must be a list of strings, got {deim_variants!r}")
+    nonlin = _field(p, "nonlin", "exact" if model == "wave" else "psd-deim", str,
+                    NONLIN_TREATMENTS)
+    deim_variants = _field(p, "deim_variants", None, list, NONLIN_TREATMENTS)
     variants = deim_variants or [nonlin]
-    for var in variants:
-        if var not in NONLIN_TREATMENTS:
-            raise ConfigError(f"unknown nonlinearity treatment {var!r}; "
-                              f"choose from {NONLIN_TREATMENTS}")
-    solver = dict(gamma0=1e-8, gtol=1e-12, niter=1000)
-    solver.update(p.get("solver", {}))
+    solver = {**dict(gamma0=1e-8, gtol=1e-12, niter=1000), **_field(p, "solver", {}, dict)}
     options = _options_by_scheme(config, solver)
 
     system = construct(n, config.seed)
@@ -365,49 +359,36 @@ def run_mor(config: ExperimentConfig) -> dict:
                             solver_options=options[scheme], nonlin=var)
         rom_traj = crank_nicolson(rom, rom.x0_reduced, iopts)
         report = relative_errors(fom, rom, rom_traj)
-        _series_csv(out / f"mor_{model}_k{k}_{scheme}_{var}_series.csv", report)
-        return {
-            "model": model, "k": k, "scheme": scheme, "nonlin": var,
-            "re_x": report.re_x, "re_h": report.re_h,
-            "rom_time_s": rom_traj.wall_time,
-            "newton_updates": rom_traj.newton_updates,
-            "solver": rom_traj.solver,
-            "cost_cotlift": rom.diagnostics["cost_cotlift"],
-            "cost_final": rom.diagnostics.get("cost_restored",
-                                              rom.diagnostics["cost_cotlift"]),
-        }
+        _write_csv(out / f"mor_{model}_k{k}_{scheme}_{var}_series.csv",
+                   "t,state_err,energy_err",
+                   zip(report.times, report.pointwise_state, report.pointwise_energy))
+        cost = rom.diagnostics["cost_cotlift"]
+        return {"model": model, "k": k, "scheme": scheme, "nonlin": var,
+                "re_x": report.re_x, "re_h": report.re_h, "rom_time_s": rom_traj.wall_time,
+                "newton_updates": rom_traj.newton_updates, "solver": rom_traj.solver,
+                "cost_cotlift": cost, "cost_final": rom.diagnostics.get("cost_restored", cost)}
 
     rows, failures = _map_cells(cell, cases, label=lambda case: "k={} {} {}".format(*case))
 
-    # one accelerating factor per (k, variant) group: FOM time over the mean
-    # ROM simulation time across the reduction methods of that group
+    def speedup(times):  # FOM time over the mean ROM simulation time
+        mean_t = float(np.mean(times))
+        return fom.wall_time / mean_t if mean_t > 0 else float("inf")
+
+    # one accelerating factor per (k, variant) group, across its reduction methods
     for row in rows:
-        group = [r["rom_time_s"] for r in rows
-                 if r["k"] == row["k"] and r["nonlin"] == row["nonlin"]]
-        mean_t = float(np.mean(group))
-        row["aaf"] = fom.wall_time / mean_t if mean_t > 0 else float("inf")
-    aaf = None  # no ROM finished
-    if rows:
-        mean_rom_time = float(np.mean([r["rom_time_s"] for r in rows]))
-        aaf = fom.wall_time / mean_rom_time if mean_rom_time > 0 else float("inf")
+        row["aaf"] = speedup([r["rom_time_s"] for r in rows
+                              if r["k"] == row["k"] and r["nonlin"] == row["nonlin"]])
+    aaf = speedup([r["rom_time_s"] for r in rows]) if rows else None  # None: no ROM finished
 
-    lines = ["model,k,scheme,nonlin,re_x,re_h,aaf,cost_cotlift,cost_final"]
-    for r in rows:
-        lines.append(
-            f"{r['model']},{r['k']},{r['scheme']},{r['nonlin']},"
-            f"{r['re_x']:.17g},{r['re_h']:.17g},{r['aaf']:.6g},"
-            f"{r['cost_cotlift']:.17g},{r['cost_final']:.17g}")
-    _atomic_write(out / f"mor_{model}_results.csv", "\n".join(lines) + "\n")
+    columns = ("model", "k", "scheme", "nonlin", "re_x", "re_h", "aaf",
+               "cost_cotlift", "cost_final")
+    _write_csv(out / f"mor_{model}_results.csv", ",".join(columns),
+               ([f"{r[c]:.6g}" if c == "aaf" else r[c] for c in columns] for r in rows))
 
-    summary = {
-        "application": "mor", "model": model, "seed": config.seed,
-        "setup": {key: setup[key] for key in setup},
-        "nonlin": nonlin, "deim_variants": deim_variants,
-        "fom_time_s": fom.wall_time, "fom_newton_updates": fom.newton_updates,
-        "fom_solver": fom.solver,
-        "aaf": aaf, "rows": rows,
-        "failures": failures,
-    }
+    summary = {"application": "mor", "model": model, "seed": config.seed, "setup": setup,
+               "nonlin": nonlin, "deim_variants": deim_variants,
+               "fom_time_s": fom.wall_time, "fom_newton_updates": fom.newton_updates,
+               "fom_solver": fom.solver, "aaf": aaf, "rows": rows, "failures": failures}
     _dump_summary(out, summary)
     return summary
 
@@ -453,16 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    schemes = cfg.get("schemes", list(SCHEMES))
+    schemes = _field(cfg, "schemes", list(SCHEMES), list, SCHEMES)
     if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    seed = args.seed if args.seed is not None else _number("seed", cfg.get("seed", 0))
-    out_dir = Path(args.out if args.out else cfg.get("out", "spopt-out"))
-    paper = bool(args.paper_scale or cfg.get("paper_scale", False))
+        flag = [s.strip() for s in args.schemes.split(",") if s.strip()]
+        schemes = _field({"schemes": flag}, "schemes", None, list, SCHEMES)
+    # a config field is checked even where a flag overrides it
+    seed = _field(cfg, "seed", 0, int)
+    out = _field(cfg, "out", "spopt-out")
+    paper = _field(cfg, "paper_scale", False, bool)
     params = {key: val for key, val in cfg.items()
               if key not in ("schemes", "seed", "out", "paper_scale")}
-    return ExperimentConfig(args.application, list(schemes), seed, out_dir,
-                            paper, params)
+    return ExperimentConfig(args.application, schemes, seed if args.seed is None else args.seed,
+                            Path(args.out or out), args.paper_scale or paper, params)
 
 
 def main(argv=None) -> int:
@@ -479,9 +462,9 @@ def main(argv=None) -> int:
         # checked first: a feasibility blow-up is also a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         # precondition violations inside the library (bad shapes, parameter
-        # ranges) trace back to the experiment configuration
+        # ranges) and sizes too large to allocate trace back to the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start

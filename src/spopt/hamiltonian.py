@@ -344,16 +344,13 @@ class HamiltonianSystem:
 class IntegratorOptions:
     h_t: float
     t_final: float
-    newton_maxit: int = 50
 
     def __post_init__(self):
         if self.h_t <= 0 or self.t_final <= 0:
             raise ValueError("h_t and t_final must be positive")
-        if self.newton_maxit < 1:
-            raise ValueError(f"newton_maxit must be >= 1, got {self.newton_maxit}")
         steps = self.t_final / self.h_t
-        if abs(steps - round(steps)) > 1e-8 * max(1.0, round(steps)):
-            raise ValueError(f"t_final/h_t = {steps} is not integral")
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-8 * max(1.0, round(steps)):
+            raise ValueError(f"t_final/h_t = {steps} is not a positive integer")
 
     @property
     def steps(self) -> int:
@@ -510,6 +507,9 @@ def _newton_solver(g, t: float, dim: int):
 #: Converged Newton states per block that :func:`crank_nicolson` stores at once.
 _STATE_BLOCK = 64
 
+#: Newton iterations allowed per Crank-Nicolson step.
+NEWTON_MAXIT = 50
+
 
 def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajectory:
     """Trapezoidal step x_{m+1} = x_m + (h/2)(J grad H(x_m) + J grad H(x_{m+1})).
@@ -536,7 +536,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     per Jacobian pattern and factored by SuperLU ("superlu"); a ROM's
     :class:`~spopt.applications.DeimJacobian`, or any dense one, is solved
     by one LAPACK call ("lapack").  Exceeding the budget of
-    ``newton_maxit`` iterations, a non-finite residual or a singular Newton
+    :data:`NEWTON_MAXIT` iterations, a non-finite residual or a singular Newton
     matrix raises :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
@@ -590,7 +590,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
         for m in range(steps):
             y = x + h * fx
             converged = False
-            for _ in range(opts.newton_maxit):
+            for _ in range(NEWTON_MAXIT):
                 fy = flow(y)
                 # y - x - c (fx + fy), in that order of operations
                 t = fx + fy
@@ -611,7 +611,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
-                    f"{opts.newton_maxit} Newton iterations")
+                    f"{NEWTON_MAXIT} Newton iterations")
             store(m, y)
             x, fx = y, fy
     times = h * np.arange(steps + 1)

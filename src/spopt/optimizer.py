@@ -202,6 +202,8 @@ def minimize(problem: Objective, x0: SymplecticPoint,
 
     Stops when ||grad f(X_i)||_F <= gtol or after ``niter`` iterations;
     a failed line search surfaces in ``status`` with the last iterate kept.
+    A non-finite cost or gradient norm at ``x0`` raises
+    :class:`~spopt.core.NumericalFailure`.
     """
     opts = options or SolverOptions()
     start = time.perf_counter()
@@ -211,6 +213,8 @@ def minimize(problem: Objective, x0: SymplecticPoint,
     f, egrad = ev.cost, ev.gradient()
     grad = riemannian_gradient(opts.metric, x, egrad)
     gnorm = grad.norm()
+    if not (np.isfinite(f) and np.isfinite(gnorm)):
+        raise NumericalFailure(f"non-finite initial cost {f} or gradient norm {gnorm}")
 
     trace = SolverTrace()
     trace.records.append(TraceRecord(0, f, gnorm, symplecticity_residual(x.entries),

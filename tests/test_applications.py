@@ -119,6 +119,14 @@ class TestTraceCost:
         with pytest.raises(ValueError):
             TraceProblem(rng.standard_normal((6, 6)), 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        # inf - inf passed the symmetry test as NaN > tol, which is False
+        a = np.eye(6)
+        a[1, 1] = value
+        with pytest.raises(ValueError, match="A must be finite"):
+            TraceProblem(a, 1)
+
 
 class TestGaussTransform:
     def test_trivial_parameters_identity(self):
@@ -276,6 +284,13 @@ class TestWilliamson:
 
 
 class TestSymplecticEigenpairs:
+    def test_non_finite_matrix_rejected_before_solve(self):
+        # used to end in numpy's "Eigenvalues did not converge"
+        a = np.eye(8)
+        a[0, 0] = np.inf
+        with pytest.raises(ValueError, match="A must be finite"):
+            symplectic_eigenpairs(a, 2, x0=random_symplectic_point(4, 2, 3))
+
     def test_identity_matrix(self):
         n, k = 6, 2
         spec = symplectic_eigenpairs(np.eye(2 * n), k,

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spopt import applications, cli, hamiltonian
 from spopt.applications import SingularSelection
@@ -66,6 +73,9 @@ class TestArgumentHandling:
         pytest.param({"gamma_max": float("inf")}, "gamma_max must be finite, got inf",
                      id="inf-gamma-max"),
         pytest.param({"gtol": "nan"}, "gtol must be a number, got 'nan'", id="string-gtol"),
+        # used to end in a TypeError traceback from the scheme_options call
+        pytest.param({"rho": 1.0}, "multiple values for keyword argument 'rho'",
+                     id="rho-key"),
     ])
     def test_bad_solver_override_exits_2(self, app, solver, message, tmp_path, capsys):
         # rejected before any cell or full-order simulation runs
@@ -127,7 +137,8 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("variants, message", [
         ("psd-deim", "deim_variants must be a list of strings"),
         (["psd-deim", 3], "deim_variants must be a list of strings"),
-        (["psd-deim", "bogus"], "unknown nonlinearity treatment 'bogus'"),
+        (["psd-deim", "bogus"], "deim_variants must be a list of strings from exact, "
+                                "psd-deim, structure-preserving, got ['psd-deim', 'bogus']"),
     ])
     def test_bad_deim_variants_exit_2_before_fom(self, variants, message, tmp_path,
                                                  monkeypatch, capsys):
@@ -138,6 +149,72 @@ class TestArgumentHandling:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: " + message)
+
+    @pytest.mark.parametrize("app, params, name", [
+        # a list solver, preset or model and a numeric out used to end in a
+        # TypeError traceback
+        ("target", {"solver": [1]}, "solver"),
+        ("sympev", {"solver": [1]}, "solver"),
+        ("mor", {"solver": [1]}, "solver"),
+        ("target", {"preset": ["sum"]}, "preset"),
+        ("sympev", {"preset": ["spsd"]}, "preset"),
+        ("mor", {"model": ["wave"]}, "model"),
+        ("target", {"out": 5}, "out"),
+        # "false" and 1 used to switch paper scale on
+        ("mor", {"paper_scale": "false"}, "paper_scale"),
+        ("mor", {"paper_scale": 1}, "paper_scale"),
+        # "SRE" used to be read as the schemes S, R and E
+        ("target", {"schemes": "SRE"}, "schemes"),
+        # nonlin used to be ignored whenever deim_variants was set
+        ("mor", {"model": "vlasov", "deim_variants": ["psd-deim"], "nonlin": 3}, "nonlin"),
+        ("mor", {"model": "vlasov", "deim_variants": ["psd-deim"], "nonlin": "bogus"},
+         "nonlin"),
+    ])
+    def test_bad_field_exits_2_before_output(self, app, params, name, tmp_path,
+                                             monkeypatch, capsys):
+        # no --out and no --schemes: the config fields alone decide
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        cfg = write_cfg(tmp_path, params)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main([app, "--config", cfg])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name} must be ")
+        assert "Traceback" not in err
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("app, params", [
+        ("sympev", {"n": 8, "m": 1, "k": 10**12}),
+        ("mor", {"model": "vlasov", "n": 10**12}),
+        ("mor", {"model": "wave", "n": 6, "t_final": 10**12, "h_t": 0.05, "snapshots": 3,
+                 "k_values": [2]}),
+    ], ids=["sympev-k", "mor-n", "mor-steps"])
+    def test_unallocatable_size_exits_2(self, app, params, tmp_path, capsys):
+        # used to end in a MemoryError traceback
+        rc = main([app, "--config", write_cfg(tmp_path, params), "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: Unable to allocate")
+
+    def test_overridden_config_fields_still_checked(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"seed": "x", "schemes": "SRE"})
+        rc = main(["target", "--config", cfg, "--seed", "1", "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: schemes must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_schemes_flag_and_field_share_one_rule(self, tmp_path, capsys):
+        messages = []
+        for args in (["--schemes", "SRE,Sneaky"],
+                     ["--config", write_cfg(tmp_path, {"schemes": ["SRE", "Sneaky"]})]):
+            assert main(["target", *args, "--out", str(tmp_path / "o")]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("config error: schemes must be a list of strings from "
+                                      "CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE, got ")
 
     def test_scheme_options_mapping(self):
         opts = scheme_options("SRC", gtol=1e-9)
@@ -494,3 +571,65 @@ class TestConfigObject:
         assert len(rows) == info["iterations"]
         f_last = float(rows[-1].split(",")[1])
         assert f_last == info["final"]["f"]
+
+
+# Fuzzed configs: every field present, each a small valid value or, for a
+# few fields, a value of a wrong type, a boundary or a non-finite number.
+# Sizes are small, so that a valid config runs well under a second, or 10**12,
+# which fails to allocate at once; mid-size values are left out because
+# their arrays are allocated lazily and could exhaust the machine's memory.
+_EDGE_VALUES = st.sampled_from([True, False, None, 2.5, -1, 0, 10**12, float("nan"),
+                                float("inf"), float("-inf"), "x", "5", "", [], [1],
+                                ["SRE"], {}, {"niter": 1}])
+_SOLVER = st.fixed_dictionaries({"niter": st.sampled_from([1, 3, 10])},
+                                optional={"gtol": st.sampled_from([1e-12, 1e-3]),
+                                          "max_backtracks": st.sampled_from([0, 5])})
+_COMMON = {
+    "schemes": st.lists(st.sampled_from(sorted(cli.SCHEMES)), min_size=1, max_size=2),
+    "seed": st.sampled_from([0, 1, 2**40]),
+    "out": st.just("unused"),  # --out overrides it; the field is still checked
+    "paper_scale": st.booleans(),
+    "rho": st.sampled_from([0.5, 1e-3, 4]),
+    "solver": _SOLVER,
+}
+_FIELDS = {
+    "target": {"preset": st.sampled_from(["sum", "saddle", "artificial"]),
+               "n": st.sampled_from([1, 2, 3])},
+    "sympev": {"preset": st.just("spsd"), "n": st.sampled_from([8, 10]),
+               "m": st.sampled_from([1, 2]), "k": st.sampled_from([1, 2, 3])},
+    "mor": {"model": st.sampled_from(sorted(cli.MOR_MODELS)),
+            "n": st.sampled_from([4, 6]), "t_final": st.sampled_from([0.2, 0.4]),
+            "h_t": st.sampled_from([0.05, 0.1]), "snapshots": st.sampled_from([2, 3]),
+            "k_values": st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+            "nonlin": st.sampled_from(list(hamiltonian.NONLIN_TREATMENTS)),
+            "deim_variants": st.lists(st.sampled_from(list(hamiltonian.NONLIN_TREATMENTS)),
+                                      max_size=2)},
+}
+
+
+@st.composite
+def _configs(draw):
+    app = draw(st.sampled_from(sorted(_FIELDS)))
+    fields = {**_COMMON, **_FIELDS[app]}
+    cfg = {name: draw(strategy) for name, strategy in fields.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
+        cfg[name] = draw(_EDGE_VALUES)
+    return app, cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_configs())
+    def test_every_config_exits_0_2_or_3(self, drawn):
+        app, cfg = drawn
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            rc = main([app, "--config", str(path), "--out", str(Path(tmp) / "o")])
+        assert rc in (0, 2, 3)
+        if rc:
+            assert err.getvalue().startswith(
+                "config error: " if rc == 2 else "numerical failure: ")

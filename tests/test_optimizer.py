@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spopt.applications import TargetProblem, sum_gate
-from spopt.core import SymplecticPoint
+from spopt.core import NumericalFailure, SymplecticPoint
 from spopt.geometry import Metric
 from spopt.optimizer import (
     Evaluation,
@@ -161,6 +161,21 @@ class TestRejectionLogging:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_cost_raises(self, value):
+        # a NaN target used to return line-search-failed after 0 iterations
+        w = sum_gate().entries.copy()
+        w[0, 1] = value
+        x0 = SymplecticPoint.from_entries(np.eye(4))
+        with pytest.raises(NumericalFailure, match="non-finite initial cost"):
+            minimize(TargetProblem(w), x0)
+
+    def test_non_finite_initial_gradient_raises(self, rng):
+        x0 = random_point(3, 1, rng)
+        problem = Callables(lambda m: 1.0, lambda m: np.full_like(m, np.nan))
+        with pytest.raises(NumericalFailure, match="gradient norm nan"):
+            minimize(problem, x0)
+
     def test_critical_start_returns_immediately(self, rng):
         w = sum_gate()
         prob = TargetProblem(w.entries)
