@@ -340,6 +340,8 @@ def run_mor(config: ExperimentConfig) -> dict:
     options = _options_by_scheme(config, solver)
 
     system = construct(n, config.seed)
+    if system.is_linear and any(var != "exact" for var in variants):
+        raise ConfigError(f"{system.name} is linear; no term to interpolate")
     iopts = IntegratorOptions(h_t, t_final)
     fom = crank_nicolson(system, system.x0, iopts)
     snaps = extract_snapshots(fom, n_snapshots)

@@ -13,6 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,21 +60,31 @@ def poisson(n: int) -> np.ndarray:
 
 def jmul(a: np.ndarray) -> np.ndarray:
     """J @ a without forming J; `a` (a matrix or a vector) has an even number
-    of rows."""
+    of rows.  The J swaps return the bits and layout of the np.concatenate
+    form: `a`'s layout, but C order when a half is one row (column) wide."""
     m = a.shape[0] // 2
-    return np.concatenate([a[m:], -a[:m]], axis=0)
+    out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
+    out[:m] = a[m:]
+    np.negative(a[:m], out=out[m:])
+    return out
 
 
 def jtmul(a: np.ndarray) -> np.ndarray:
     """J^T @ a = -J @ a without forming J."""
     m = a.shape[0] // 2
-    return np.concatenate([-a[m:], a[:m]], axis=0)
+    out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
+    np.negative(a[m:], out=out[:m])
+    out[m:] = a[:m]
+    return out
 
 
 def mulj(a: np.ndarray) -> np.ndarray:
     """a @ J without forming J; `a` has an even number of columns."""
     m = a.shape[1] // 2
-    return np.concatenate([-a[:, m:], a[:, :m]], axis=1)
+    out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
+    np.negative(a[:, m:], out=out[:, :m])
+    out[:, m:] = a[:, :m]
+    return out
 
 
 def nonfinite_note(*arrays) -> str:
@@ -107,17 +118,17 @@ def _dims_of(entries: np.ndarray) -> tuple[int, int]:
 
 
 def symplecticity_residual(x) -> float:
-    """Feasibility violation ||X^T J_{2n} X - J_{2k}||_F of a 2n-by-2k matrix."""
-    e = np.asarray(getattr(x, "entries", x), dtype=float)
-    _, k = _dims_of(e)
-    m = e.T @ jmul(e)
-    # subtract J_{2k} in place: on the row-major flat view, its +1 entries
-    # (i, k + i) sit at k + i (2k + 1) and its -1 entries (k + i, i) at
-    # 2k^2 + i (2k + 1), for i < k
-    flat = m.reshape(-1)
+    """Feasibility violation ||X^T J_{2n} X - J_{2k}||_F of a 2n-by-2k matrix or a point."""
+    if not isinstance(x, SymplecticPoint):
+        x = SymplecticPoint(np.asarray(getattr(x, "entries", x), dtype=float))
+    _, k = _dims_of(x.entries)
+    # subtract J_{2k} in place from a row-major copy: on its flat view, the
+    # +1 entries (i, k + i) sit at k + i (2k + 1) and the -1 entries
+    # (k + i, i) at 2k^2 + i (2k + 1), for i < k
+    flat = x.xtjx.copy().reshape(-1)
     flat[k:2 * k * k:2 * k + 1] -= 1.0
     flat[2 * k * k::2 * k + 1] += 1.0
-    return float(np.linalg.norm(m))
+    return math.sqrt(flat.dot(flat))  # np.linalg.norm's arithmetic
 
 
 def tangency_residual(x, z) -> float:
@@ -150,7 +161,8 @@ def _check_residual(kind: str, residual: float, tol: float, *operands) -> None:
 class SymplecticPoint:
     """A 2n-by-2k matrix on (or numerically near) Sp(2k, 2n).
 
-    Values are immutable by convention; no method mutates ``entries``.
+    Values are immutable by convention: nothing mutates ``entries`` or the
+    J X and X^T J X formed on first access and shared by every later reader.
     """
 
     entries: np.ndarray
@@ -159,10 +171,11 @@ class SymplecticPoint:
     def from_entries(cls, entries, check: bool = True) -> "SymplecticPoint":
         e = np.ascontiguousarray(entries, dtype=float)
         _dims_of(e)
+        point = cls(e)
         if check:
-            _check_residual("symplecticity", symplecticity_residual(e),
+            _check_residual("symplecticity", symplecticity_residual(point),
                             DEFAULT_FEAS_TOL, e)
-        return cls(e)
+        return point
 
     @property
     def n(self) -> int:
@@ -171,6 +184,14 @@ class SymplecticPoint:
     @property
     def k(self) -> int:
         return self.entries.shape[1] // 2
+
+    @cached_property
+    def jx(self) -> np.ndarray:
+        return jmul(self.entries)
+
+    @cached_property
+    def xtjx(self) -> np.ndarray:
+        return self.entries.T.dot(self.jx)
 
 
 @dataclass(frozen=True)
@@ -192,7 +213,8 @@ class TangentVector:
         return cls(base, e)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        v = self.entries.ravel(order="K")
+        return math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic
 
 
 def canonical_point(n: int, k: int) -> SymplecticPoint:

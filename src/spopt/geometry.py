@@ -28,6 +28,7 @@ oracles in :mod:`spopt.oracles`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,33 +88,33 @@ def solve_skew_lyapunov(p: np.ndarray, c: np.ndarray) -> np.ndarray:
     lam, u, info = lapack.dsyevd(p, lower=1)
     if info != 0 or not lam.min() > 0.0:
         raise NotSPD(f"smallest eigenvalue {lam.min():.3e} (dsyevd info={info})")
-    ct = u.T @ c @ u
-    omega = u @ (ct / (lam[:, None] + lam[None, :])) @ u.T
+    ct = u.T.dot(c).dot(u)
+    omega = u.dot(ct / (lam[:, None] + lam[None, :])).dot(u.T)
     return skew_part(omega)
 
 
 def euclidean_normal_coefficient(x: SymplecticPoint, y: np.ndarray) -> np.ndarray:
     """The skew Omega with P_e^perp(Y) = J X Omega, from the Lyapunov equation."""
     e = x.entries
-    m = jmul(e).T @ y  # X^T J^T Y
-    return solve_skew_lyapunov(e.T @ e, m - m.T)
+    m = x.jx.T.dot(y)  # X^T J^T Y
+    return solve_skew_lyapunov(e.T.dot(e), m - m.T)
 
 
-# The canonical-metric helpers below take jx = J X besides X; products with
-# X J are rewritten through J X and 2k-by-2k swaps (X^T J^T Y = (J X)^T Y,
-# X J M = X (J M)), so J X is the only 2n-by-2k block swap they form.
+# The canonical-metric helpers below read J X and X^T J X from the point;
+# products with X J are rewritten through J X and 2k-by-2k swaps (X^T J^T Y =
+# (J X)^T Y, X J M = X (J M)), so they form no other 2n-by-2k block swap.
 
 
-def _apply_gx(e: np.ndarray, jx: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _apply_gx(x: SymplecticPoint, y: np.ndarray) -> np.ndarray:
     # G_X y = y - (1/2) X J_{2k} X^T J_{2n}^T y
-    return y - e @ jmul(0.5 * (jx.T @ y))
+    return y - x.entries.dot(jmul(0.5 * x.jx.T.dot(y)))
 
 
-def _sxy_times_jx(e: np.ndarray, jx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+def _sxy_times_jx(x: SymplecticPoint, gy: np.ndarray) -> np.ndarray:
     # S J X with S = gy (XJ)^T + XJ gy^T, using only tall-skinny products:
     # (XJ)^T J X = J^T (X^T J X) and XJ gy^T J X = X J (gy^T J X)
-    out = gy @ jtmul(e.T @ jx)
-    out += e @ jmul(gy.T @ jx)
+    out = gy.dot(jtmul(x.xtjx))
+    out += x.entries.dot(jmul(gy.T.dot(x.jx)))
     return out
 
 
@@ -124,13 +125,11 @@ def project_tangent(metric: Metric, x: SymplecticPoint, y) -> TangentVector:
     Euclidean: P(Y) = Y - J X Omega_{X,Y}.
     """
     ye = np.asarray(getattr(y, "entries", y), dtype=float)
-    e = x.entries
     if metric.kind is MetricKind.EUCLIDEAN:
         omega = euclidean_normal_coefficient(x, ye)
-        z = ye - jmul(e @ omega)
+        z = ye - jmul(x.entries.dot(omega))
     else:
-        jx = jmul(e)
-        z = _sxy_times_jx(e, jx, _apply_gx(e, jx, ye))
+        z = _sxy_times_jx(x, _apply_gx(x, ye))
     return TangentVector(x, z)
 
 
@@ -148,16 +147,15 @@ def riemannian_gradient(metric: Metric, x: SymplecticPoint,
     """
     if metric.kind is MetricKind.EUCLIDEAN:
         return project_tangent(metric, x, egrad)
-    e = x.entries
+    e, jx = x.entries, x.jx
     g = np.asarray(egrad, dtype=float)
-    jx = jmul(e)
-    chol, info = lapack.dpotrf(e.T @ e)
+    chol, info = lapack.dpotrf(e.T.dot(e))
     # a NaN passes dpotrf with info = 0 but reaches the factor's diagonal
-    if info != 0 or not np.isfinite(chol.trace()):
+    if info != 0 or not math.isfinite(chol.trace()):
         raise NotSPD(f"X^T X is not positive definite (dpotrf info={info})")
-    coef, _ = lapack.dpotrs(chol, jx.T @ g)  # (X^T X)^{-1} X^T J^T egrad
+    coef, _ = lapack.dpotrs(chol, jx.T.dot(g))  # (X^T X)^{-1} X^T J^T egrad
     # H_X egrad = (rho/2) X X^T egrad + egrad - J X coef
-    hg = e @ ((0.5 * metric.rho) * (e.T @ g))
+    hg = e.dot((0.5 * metric.rho) * e.T.dot(g))
     hg += g
-    hg -= jx @ coef
-    return TangentVector(x, _sxy_times_jx(e, jx, hg))
+    hg -= jx.dot(coef)
+    return TangentVector(x, _sxy_times_jx(x, hg))

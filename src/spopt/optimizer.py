@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
@@ -155,12 +156,12 @@ def bb_trial_step(i: int, w_prev: np.ndarray, y_prev: np.ndarray,
     if i < 1:
         raise ValueError("the BB step needs at least one completed iteration")
     wy = abs(float(np.vdot(w_prev, y_prev)))
-    yy = float(np.vdot(y_prev, y_prev))
     if i % 2 == 1:
         gamma = float(np.vdot(w_prev, w_prev)) / wy if wy > 0.0 else gamma_min
     else:
+        yy = float(np.vdot(y_prev, y_prev))
         gamma = wy / yy if yy > 0.0 else gamma_min
-    if not np.isfinite(gamma):
+    if not math.isfinite(gamma):
         gamma = gamma_min
     return float(min(max(gamma, gamma_min), gamma_max))
 
@@ -186,10 +187,10 @@ def nonmonotone_search(problem: Objective, retraction: RetractionKind,
                          ell, tau, type(exc).__name__)
             continue
         ev = problem.evaluate(x_next.entries)
-        if np.isfinite(ev.cost) and ev.cost <= c_ref + beta * tau * slope:
+        if math.isfinite(ev.cost) and ev.cost <= c_ref + beta * tau * slope:
             return SearchResult(tau, x_next, ev, ell)
         logger.debug("backtrack %d, tau=%.3e rejected: %s", ell, tau,
-                     "insufficient decrease" if np.isfinite(ev.cost)
+                     "insufficient decrease" if math.isfinite(ev.cost)
                      else "non-finite cost")
     raise LineSearchError(
         f"no acceptable step within {max_backtracks} backtracks (gamma={gamma:.3e})"
@@ -202,7 +203,7 @@ def minimize(problem: Objective, x0: SymplecticPoint,
 
     Stops when ||grad f(X_i)||_F <= gtol or after ``niter`` iterations;
     a failed line search surfaces in ``status`` with the last iterate kept.
-    A non-finite cost or gradient norm at ``x0`` raises
+    A non-finite cost or gradient at ``x0`` raises
     :class:`~spopt.core.NumericalFailure`.
     """
     opts = options or SolverOptions()
@@ -211,13 +212,17 @@ def minimize(problem: Objective, x0: SymplecticPoint,
     x = x0
     ev = problem.evaluate(x.entries)
     f, egrad = ev.cost, ev.gradient()
+    # checked first: the Riemannian gradient warns on non-finite input
+    if not (math.isfinite(f) and np.isfinite(egrad).all()):
+        raise NumericalFailure(f"non-finite initial cost {f} or Euclidean gradient "
+                               f"norm {np.linalg.norm(egrad)}")
     grad = riemannian_gradient(opts.metric, x, egrad)
     gnorm = grad.norm()
-    if not (np.isfinite(f) and np.isfinite(gnorm)):
+    if not math.isfinite(gnorm):
         raise NumericalFailure(f"non-finite initial cost {f} or gradient norm {gnorm}")
 
     trace = SolverTrace()
-    trace.records.append(TraceRecord(0, f, gnorm, symplecticity_residual(x.entries),
+    trace.records.append(TraceRecord(0, f, gnorm, symplecticity_residual(x),
                                      0.0, 0, 0.0))
     q, c = 1.0, f
     prev_x = prev_z = None
@@ -251,7 +256,7 @@ def minimize(problem: Objective, x0: SymplecticPoint,
         grad = riemannian_gradient(opts.metric, x, egrad)
         gnorm = grad.norm()
         trace.records.append(TraceRecord(
-            i + 1, f, gnorm, symplecticity_residual(x.entries),
+            i + 1, f, gnorm, symplecticity_residual(x),
             step.tau, step.backtracks, time.perf_counter() - start,
         ))
     else:

@@ -134,7 +134,7 @@ def canonical_gradient_qr(metric: Metric, x: SymplecticPoint,
     q, _ = np.linalg.qr(e)
     proj = v - q @ (q.T @ v)
     hg = 0.5 * metric.rho * e @ (e.T @ g) + jmul(proj)
-    return TangentVector(x, _sxy_times_jx(e, jmul(e), hg))
+    return TangentVector(x, _sxy_times_jx(x, hg))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ call and keeps iterates symplectic to factorization accuracy whenever
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +42,7 @@ def _inverse_checked(a: np.ndarray, operands) -> np.ndarray:
         raise SingularCayley(f"LU factorization failed (info={info})"
                              + nonfinite_note(*operands))
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < 1e-14:
+    if info != 0 or not math.isfinite(rcond) or rcond < 1e-14:
         raise SingularCayley(f"condition estimate {1.0 / max(rcond, 1e-300):.3e}"
                              + nonfinite_note(*operands))
     inv, info = lapack.dgetri(lu, piv, overwrite_lu=True)
@@ -61,12 +62,12 @@ def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPo
     e = x.entries
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
     k2 = e.shape[1]
-    jtw = jtmul(e.T @ jmul(ze))  # J^T X^T J Z
-    h = ze - e @ jtw
-    inner = 0.25 * jtmul(h.T @ jmul(h)) - 0.5 * jtw
+    jtw = jtmul(e.T.dot(jmul(ze)))  # J^T X^T J Z
+    h = ze - e.dot(jtw)
+    inner = 0.25 * jtmul(h.T.dot(jmul(h))) - 0.5 * jtw
     inner.flat[::k2 + 1] += 1.0
     h += 2.0 * e
-    out = h @ _inverse_checked(inner, (e, ze))
+    out = h.dot(_inverse_checked(inner, (e, ze)))
     out -= e
     return SymplecticPoint.from_entries(out, check=check)
 
@@ -82,14 +83,14 @@ def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
     k2 = e.shape[1]
     jz = jmul(ze)
-    jw = jmul(e.T @ jz)
+    jw = jmul(e.T.dot(jz))
     block = np.zeros((2 * k2, 2 * k2))
     np.negative(jw, out=block[:k2, :k2])
-    block[:k2, k2:] = jmul(ze.T @ jz)
+    block[:k2, k2:] = jmul(ze.T.dot(jz))
     block[k2:, :k2].flat[::k2 + 1] = 1.0
     block[k2:, k2:] = block[:k2, :k2]
-    left = np.column_stack([e, ze]) @ scipy.linalg.expm(block)[:, :k2]
-    out = left @ scipy.linalg.expm(jw)
+    left = np.concatenate([e, ze], axis=1).dot(scipy.linalg.expm(block)[:, :k2])
+    out = left.dot(scipy.linalg.expm(jw))
     return SymplecticPoint.from_entries(out, check=check)
 
 

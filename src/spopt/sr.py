@@ -42,6 +42,7 @@ classical-order Gram-Schmidt) live in :mod:`spopt.oracles`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -176,19 +177,19 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
 
 class _Layout(NamedTuple):
     """Index helpers of one k, built once: the shuffle, the column order of
-    B = A P^T, the pivot vector of a 2k-by-2k LU without row interchanges,
+    B = A P^T, the pivot bytes of a 2k-by-2k LU without row interchanges,
     and the mask of the strictly lower triangle of a 2k-by-2k matrix."""
 
     shuffle: PerfectShuffle
     to_shuffled: np.ndarray
-    no_interchange: np.ndarray
+    no_interchange: bytes
     strictly_lower: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(k: int) -> _Layout:
     shuffle = perfect_shuffle(k)
-    return _Layout(shuffle, shuffle.inverse, np.arange(2 * k, dtype=np.int32),
+    return _Layout(shuffle, shuffle.inverse, np.arange(2 * k, dtype=np.int32).tobytes(),
                    np.tri(2 * k, k=-1, dtype=bool))
 
 
@@ -208,10 +209,10 @@ def _gram_pass(b: np.ndarray) -> PspsFactors | None:
     layout = _layout(k2 // 2)
     m = b[:n].T @ b[n:]  # G = m - m^T exactly skew
     h = np.empty((k2, k2), order="F")
-    h[0::2] = m.T[1::2] - m[1::2]
-    h[1::2] = m[0::2] - m.T[0::2]
+    np.subtract(m.T[1::2], m[1::2], out=h[0::2])
+    np.subtract(m[0::2], m.T[0::2], out=h[1::2])
     lu, piv, info = lapack.dgetrf(h, overwrite_a=True)
-    if info != 0 or (piv != layout.no_interchange).any():
+    if info != 0 or piv.tobytes() != layout.no_interchange:
         return None
     # column-major view of the Fortran-ordered LU: flat[i + j k2] = lu[i, j];
     # with step 2(k2 + 1), offsets 0, k2 + 1 and k2 select the entries
@@ -220,7 +221,7 @@ def _gram_pass(b: np.ndarray) -> PspsFactors | None:
     step = 2 * (k2 + 1)
     omega = flat[::step]
     r11 = np.sqrt(np.abs(omega))
-    if not (r11.min() > 0.0 and r11.max() < np.inf):
+    if not all(0.0 < r < math.inf for r in r11.tolist()):  # NaN fails too
         return None
     r22 = np.sign(omega) * r11
     d = np.empty(k2)

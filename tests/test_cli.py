@@ -150,6 +150,23 @@ class TestArgumentHandling:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: " + message)
 
+    @pytest.mark.parametrize("params", [
+        {"nonlin": "psd-deim"},
+        {"nonlin": "structure-preserving"},
+        {"deim_variants": ["exact", "psd-deim"]},
+    ])
+    def test_interpolation_on_linear_model_exits_2_before_fom(self, params, tmp_path,
+                                                              monkeypatch, capsys):
+        # used to simulate the full model and leave an empty output directory
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        cfg = write_cfg(tmp_path, {"model": "wave", "n": 12, "k_values": [2], **params})
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: wave is linear; no term to interpolate\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("app, params, name", [
         # a list solver, preset or model and a numeric out used to end in a
         # TypeError traceback

@@ -161,6 +161,9 @@ class TestRejectionLogging:
 
 
 class TestMinimize:
+    # warnings as errors: the start is checked before the gradient's LAPACK
+    # calls, which used to warn about the non-finite input first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_initial_cost_raises(self, value):
         # a NaN target used to return line-search-failed after 0 iterations
@@ -170,6 +173,7 @@ class TestMinimize:
         with pytest.raises(NumericalFailure, match="non-finite initial cost"):
             minimize(TargetProblem(w), x0)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_initial_gradient_raises(self, rng):
         x0 = random_point(3, 1, rng)
         problem = Callables(lambda m: 1.0, lambda m: np.full_like(m, np.nan))
