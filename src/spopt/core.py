@@ -58,6 +58,22 @@ def poisson(n: int) -> np.ndarray:
     return J
 
 
+def _negate_into(dst: np.ndarray, src: np.ndarray, contiguous: bool) -> None:
+    """dst = -src, for a half `src` of an array that is `contiguous` or not.
+
+    Some numpy builds (seen with 2.4.6 on AVX-512) negate an input strided by
+    exactly 64 bytes into a strided output wrongly, reading it as if it were
+    contiguous.  A half of a C- or F-contiguous array never has that stride in
+    its inner loop; any other half is copied first and negated in place, where
+    the inner stride is that of the new array (8 or 16 bytes).
+    """
+    if contiguous:
+        np.negative(src, out=dst)
+    else:
+        dst[...] = src
+        np.negative(dst, out=dst)
+
+
 def jmul(a: np.ndarray) -> np.ndarray:
     """J @ a without forming J; `a` (a matrix or a vector) has an even number
     of rows.  The J swaps return the bits and layout of the np.concatenate
@@ -65,7 +81,7 @@ def jmul(a: np.ndarray) -> np.ndarray:
     m = a.shape[0] // 2
     out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
     out[:m] = a[m:]
-    np.negative(a[:m], out=out[m:])
+    _negate_into(out[m:], a[:m], a.flags.forc)
     return out
 
 
@@ -73,7 +89,7 @@ def jtmul(a: np.ndarray) -> np.ndarray:
     """J^T @ a = -J @ a without forming J."""
     m = a.shape[0] // 2
     out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
-    np.negative(a[m:], out=out[:m])
+    _negate_into(out[:m], a[m:], a.flags.forc)
     out[m:] = a[:m]
     return out
 
@@ -82,7 +98,7 @@ def mulj(a: np.ndarray) -> np.ndarray:
     """a @ J without forming J; `a` has an even number of columns."""
     m = a.shape[1] // 2
     out = np.empty_like(a) if m > 1 else np.empty(a.shape, a.dtype)
-    np.negative(a[:, m:], out=out[:, :m])
+    _negate_into(out[:, :m], a[:, m:], a.flags.forc)
     out[:, m:] = a[:, :m]
     return out
 

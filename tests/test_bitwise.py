@@ -214,6 +214,22 @@ class TestJSwaps:
         if a.flags.c_contiguous:
             assert out.flags.c_contiguous
 
+    @pytest.mark.parametrize("swap, ref", [(jmul, jmul_ref), (jtmul, jtmul_ref),
+                                           (mulj, mulj_ref)])
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (4, 2), (10, 2), (2, 4), (6, 6)])
+    def test_sixty_four_byte_strides(self, swap, ref, rows, cols):
+        # a half whose inner stride is 64 bytes: some numpy builds negate such
+        # an input into a strided output as if it were contiguous
+        base = np.arange(1.0, 1.0 + 64 * rows * cols).reshape(8 * rows, 8 * cols)
+        views = [base[::8, :cols], base[:rows, ::8], np.asfortranarray(base)[:rows, ::8],
+                 np.asfortranarray(base)[::8, :cols], base[:cols, ::8].T]
+        if swap is not mulj:
+            views += [base.ravel()[:8 * rows:8], base[:rows, 0], base[::8, 0]]
+        for a in views:
+            if a.ndim == 1 and a.shape[0] % 2:
+                continue
+            assert_same_bits(swap(a), ref(a))
+
 
 class TestSymplecticityResidual:
     @settings(max_examples=40, deadline=None)
