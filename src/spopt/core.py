@@ -61,11 +61,12 @@ def poisson(n: int) -> np.ndarray:
 def _negate_into(dst: np.ndarray, src: np.ndarray, contiguous: bool) -> None:
     """dst = -src, for a half `src` of an array that is `contiguous` or not.
 
-    Some numpy builds (seen with 2.4.6 on AVX-512) negate an input strided by
-    exactly 64 bytes into a strided output wrongly, reading it as if it were
-    contiguous.  A half of a C- or F-contiguous array never has that stride in
-    its inner loop; any other half is copied first and negated in place, where
-    the inner stride is that of the new array (8 or 16 bytes).
+    Some numpy builds (seen with 2.4.6, also with its AVX-512 and AVX2
+    dispatch targets disabled) negate an input strided by exactly 64 bytes
+    into a strided output wrongly, reading it as if it were contiguous.  A
+    half of a C- or F-contiguous array never has that stride in its inner
+    loop; any other half is copied first and negated in place, where the
+    inner stride is that of the new array (8 or 16 bytes).
     """
     if contiguous:
         np.negative(src, out=dst)

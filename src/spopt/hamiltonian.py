@@ -149,9 +149,9 @@ class SiteBlocks:
 
 
 class _SiteSolver:
-    """(I + t J G)^{-1} res for the :class:`SiteBlocks` G of one run, by
-    Cramer's rule on the sites' blocks [[1 + t g_pq, t g_pp], [-t g_qq,
-    1 - t g_qp]].
+    """Factorizations of I + t J G for the :class:`SiteBlocks` G of one run:
+    the sites' blocks [[1 + t g_pq, t g_pp], [-t g_qq, 1 - t g_qp]] and their
+    determinants, solved by Cramer's rule.
 
     The entries made from rows that are M's alone, and the determinant's
     products of two such entries, are formed once; an update computes the
@@ -173,7 +173,7 @@ class _SiteSolver:
         self.off_det = a[3] * a[0] if fixed[3] and fixed[0] else None
         self.unit_diag = self.diag_det is not None and bool((self.diag == 1.0).all())
 
-    def __call__(self, g: SiteBlocks, res: np.ndarray, where: str) -> np.ndarray:
+    def factor(self, g: SiteBlocks, where: str):
         rows = g.rows
         if g.mass is not self.mass or [row is None for row in rows] != self.fixed:
             self.__init__(g, self.t)
@@ -187,11 +187,16 @@ class _SiteSolver:
         if np.count_nonzero(det) < det.size:  # a NaN passes, and ends as a non-finite residual
             site = np.flatnonzero(det == 0.0)[0]
             raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
-        r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = (a_pp, a_qq) r - (a_qp, a_pq) (r_p; r_q)
-        x = self.off * r[::-1]
-        np.subtract(r if self.unit_diag else self.diag * r, x, out=x)
-        x /= det
-        return x.ravel()
+        diag, off = (None if self.unit_diag else self.diag), self.off
+
+        def solve(res: np.ndarray) -> np.ndarray:
+            r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = (a_pp, a_qq) r - (a_qp, a_pq) (r_p; r_q)
+            x = off * r[::-1]
+            np.subtract(r if diag is None else diag * r, x, out=x)
+            x /= det
+            return x.ravel()
+
+        return solve
 
 
 def _site_row(a, u, b, w, v, out: np.ndarray) -> None:
@@ -363,8 +368,8 @@ class Trajectory:
     states: np.ndarray  # (dim, steps + 1)
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
-    # how the Newton matrices were solved: "site-blocks", "superlu" or
-    # "lapack"; None if the run solved none
+    # the run's factorization of its Newton matrices, or of a linear step's
+    # matrix: "site-blocks", "superlu" or "lapack"; None if it factored none
     solver: str | None = None
 
     @property
@@ -375,15 +380,21 @@ class Trajectory:
 
 
 class _ShiftedJ:
-    """I + t J G for a sparse G, on a CSC pattern built once for G's pattern.
+    """I + t J G for sparse Jacobians G, on a CSC pattern built once per
+    pattern of G.
 
-    Each call gathers G's data onto the pattern with the signs of J, so a
-    Newton update assembles no sparse structure.  The values and the pattern
-    equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps an
-    entry; an entry of G that is exactly zero stays stored here.
+    :meth:`matrix` gathers G's data onto the pattern with the signs of J, so
+    a Newton update assembles no sparse structure.  The values and the
+    pattern equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps
+    an entry; an entry of G that is exactly zero stays stored here.
     """
 
-    def __init__(self, g: sp.csc_matrix, t: float):
+    def __init__(self, t: float):
+        self.t = t
+        self.indptr = self.indices = None
+
+    def _refit(self, g: sp.csc_matrix) -> None:
+        t = self.t
         self.indptr, self.indices = g.indptr, g.indices
         dim = g.shape[0]
         n = dim // 2
@@ -402,62 +413,54 @@ class _ShiftedJ:
         self.scale[target] = np.where(rows >= n, t, -t)
         self.diag = _entry_positions(self.mat, diag, diag)
 
-    def fits(self, g: sp.csc_matrix) -> bool:
-        same = lambda a, b: a is b or np.array_equal(a, b)
-        return same(g.indptr, self.indptr) and same(g.indices, self.indices)
-
-    def __call__(self, g: sp.csc_matrix) -> sp.csc_matrix:
+    def matrix(self, g) -> sp.csc_matrix:
         """The matrix for G's data; it is overwritten by the next call."""
+        g = g.tocsc()
+        if not g.has_canonical_format:  # duplicate entries would share one slot of the gather
+            g = g.tocoo().tocsc()
+        same = lambda a, b: a is b or np.array_equal(a, b)
+        if not (same(g.indptr, self.indptr) and same(g.indices, self.indices)):
+            self._refit(g)
         np.multiply(self.scale, g.data[self.gather], out=self.mat.data)
         self.mat.data[self.diag] += 1.0
         return self.mat
 
-
-def _canonical_csc(g) -> sp.csc_matrix:
-    # duplicate entries of G would share one slot of the gather
-    g = g.tocsc()
-    return g if g.has_canonical_format else g.tocoo().tocsc()
-
-
-def _sparse_lu(a: sp.csc_matrix, where: str):
-    try:
-        return splu(a)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
+    def factor(self, g, where: str):
+        a = self.matrix(g)
+        try:
+            return splu(a).solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
 
 
-def _dense_shift(dim: int, t: float):
-    """The row order and the scale column by which I + t J G = G[rows] * scale + I."""
-    half = dim // 2
-    return np.r_[half:dim, :half], np.repeat([t, -t], half)[:, None]
-
-
-def _shifted_dense(g: np.ndarray, shift) -> np.ndarray:
-    """I + t J G for a dense G and ``shift = _dense_shift(dim, t)``, as a new
-    array: one row gather and one scaling, bit for bit J G times t."""
-    rows, scale = shift
-    a = g.take(rows, axis=0)
-    a *= scale
+def _shifted_dense(g: np.ndarray, t: float) -> np.ndarray:
+    """I + t J G for a dense G, as a new array: one row gather and one
+    scaling, bit for bit J G times t."""
+    half = g.shape[0] // 2
+    a = np.asarray(g).take(np.r_[half:2 * half, :half], axis=0)
+    a *= np.repeat([t, -t], half)[:, None]
     a.ravel()[::a.shape[0] + 1] += 1.0
     return a
 
 
-def _singular(info: int, where: str) -> None:
+def _shifted(g, t: float):
+    """I + t J G as a matrix to multiply by: CSR for a sparse G."""
+    return _ShiftedJ(t).matrix(g).tocsr() if sp.issparse(g) else _shifted_dense(g, t)
+
+
+def _lu(a: np.ndarray, where: str):
+    """The solve b -> a^{-1} b by one LAPACK ``dgetrf`` of ``a``, which is
+    overwritten, and one ``dgetrs`` per call."""
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
     if info > 0:
         raise NewtonDivergence(f"{where}: singular Newton matrix (pivot {info} is exactly zero)")
-
-
-def _dense_solve(a: np.ndarray, b: np.ndarray, where: str) -> np.ndarray:
-    """a^{-1} b by one LAPACK ``dgesv``; ``a`` is overwritten."""
-    _, _, x, info = lapack.dgesv(a, b, overwrite_a=True)
-    _singular(info, where)
-    return x
+    return lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
 class _DeimSolver:
-    """(I + t J G)^{-1} res for the ROM Jacobians G = U^T M U + B rows
-    (:class:`~spopt.applications.DeimJacobian`) of one run, by one
-    ``dgesv`` per update.
+    """Factorizations of I + t J G for the ROM Jacobians G = U^T M U + B rows
+    (:class:`~spopt.applications.DeimJacobian`) of one run, by one LAPACK
+    LU per update.
 
     J U^T M U and J B are formed once, J B in the column-major order of B.
     An update forms J G = J U^T M U + (J B) rows, scales it by t and adds I:
@@ -472,36 +475,28 @@ class _DeimSolver:
         self.j_mass = jmul(op.reduced_mass)
         self.j_oblique = np.asfortranarray(jmul(op.oblique))
 
-    def __call__(self, g: DeimJacobian, res: np.ndarray, where: str) -> np.ndarray:
+    def factor(self, g: DeimJacobian, where: str):
         if g.op is not self.op:
             self.__init__(g.op, self.t)
         a = self.j_oblique.dot(g.rows)
         a += self.j_mass
         a *= self.t
         a.ravel()[::a.shape[0] + 1] += 1.0
-        return _dense_solve(a, res, where)
+        return _lu(a, where)
 
 
-def _newton_solver(g, t: float, dim: int):
-    """The solve (G, res, where) -> (I + t J G)^{-1} res for the Jacobians of
-    one run, picked by the type of its first Jacobian G, and its name."""
+def _pick_factor(g, t: float):
+    """The factorization (G, where) -> solve of I + t J G for the Jacobians of
+    one run, picked by the type of its first Jacobian G, and its name.  A
+    solve b -> (I + t J G)^{-1} b stays valid until the next factorization;
+    ``where`` leads the message of a singular matrix."""
     if isinstance(g, SiteBlocks):
-        return _SiteSolver(g, t), "site-blocks"
+        return _SiteSolver(g, t).factor, "site-blocks"
     if isinstance(g, DeimJacobian):
-        return _DeimSolver(g.op, t), "lapack"
+        return _DeimSolver(g.op, t).factor, "lapack"
     if sp.issparse(g):
-        shifted = None
-
-        def sparse_solve(g, res, where):
-            nonlocal shifted
-            g = _canonical_csc(g)
-            if shifted is None or not shifted.fits(g):
-                shifted = _ShiftedJ(g, t)
-            return _sparse_lu(shifted(g), where).solve(res)
-
-        return sparse_solve, "superlu"
-    shift = _dense_shift(dim, t)
-    return (lambda g, res, where: _dense_solve(_shifted_dense(g, shift), res, where)), "lapack"
+        return _ShiftedJ(t).factor, "superlu"
+    return (lambda g, where: _lu(_shifted_dense(g, t), where)), "lapack"
 
 
 #: Converged Newton states per block that :func:`crank_nicolson` stores at once.
@@ -527,17 +522,21 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     reused as the next step's J grad H(x_m), so a run makes
     steps + updates + 1 ``system.flow`` calls.
 
-    The first Jacobian's type picks the run's solver, recorded as
-    ``Trajectory.solver``, which is built once and keeps what is fixed for
-    the run: a :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is
-    solved as n 2 x 2 blocks by Cramer's rule with M's share of each block
-    formed once ("site-blocks"); a sparse one (sites coupled by M, as in
-    sine-Gordon and Schroedinger) is gathered onto a CSC pattern fixed once
-    per Jacobian pattern and factored by SuperLU ("superlu"); a ROM's
-    :class:`~spopt.applications.DeimJacobian`, or any dense one, is solved
-    by one LAPACK call ("lapack").  Exceeding the budget of
-    :data:`NEWTON_MAXIT` iterations, a non-finite residual or a singular Newton
-    matrix raises :class:`NewtonDivergence`.
+    Every solve goes through one factor/solve protocol: the first Jacobian's
+    type picks the run's factorization ``factor(G, where) -> solve``,
+    recorded as ``Trajectory.solver``, which is built once and keeps what is
+    fixed for the run.  A Newton update factors its own I - (h/2) J G and
+    solves once; a linear run factors I - (h/2) J M once and solves once per
+    step.  A ``solve`` stays valid until the next ``factor`` call.  A
+    :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is factored as n
+    2 x 2 blocks with M's share of each block formed once and solved by
+    Cramer's rule ("site-blocks"); a sparse one (sites coupled by M, as in
+    sine-Gordon and Schroedinger, or a linear full model) is gathered onto a
+    CSC pattern fixed once per Jacobian pattern and factored by SuperLU
+    ("superlu"); a ROM's :class:`~spopt.applications.DeimJacobian`, or any
+    dense one, by LAPACK ``dgetrf`` and solved by ``dgetrs`` ("lapack").
+    Exceeding the budget of :data:`NEWTON_MAXIT` iterations, a non-finite
+    residual or a singular Newton matrix raises :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
     dim = system.dim
@@ -562,19 +561,9 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
 
     if system.is_linear:
         g = system.grad_jacobian(x0)
-        if sp.issparse(g):
-            g = _canonical_csc(g)
-            solve = _sparse_lu(_ShiftedJ(g, -c)(g), "linear step").solve
-            rhs_mat = _ShiftedJ(g, c)(g).tocsr()
-            solver = "superlu"
-        else:
-            g = np.asarray(g)
-            lu, piv, info = lapack.dgetrf(_shifted_dense(g, _dense_shift(dim, -c)),
-                                          overwrite_a=True)
-            _singular(info, "linear step")
-            solve = lambda b: lapack.dgetrs(lu, piv, b)[0]
-            rhs_mat = _shifted_dense(g, _dense_shift(dim, c))
-            solver = "lapack"
+        factor, solver = _pick_factor(g, -c)
+        solve = factor(g, "linear step")
+        rhs_mat = _shifted(g, c)
         for m in range(steps):
             x = solve(rhs_mat @ x)
             store(m, x)
@@ -585,7 +574,7 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 if first else "initial state is non-finite")
     else:
         flow, jacobian = system.flow, system.grad_jacobian
-        solve = None
+        factor = None
         fx = flow(x)
         for m in range(steps):
             y = x + h * fx
@@ -605,9 +594,9 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                     raise NewtonDivergence(f"step {m}: non-finite Newton residual norm {norm}")
                 g = jacobian(y)
                 updates += 1
-                if solve is None:
-                    solve, solver = _newton_solver(g, -c, dim)
-                y = y - solve(g, res, f"step {m}")
+                if factor is None:
+                    factor, solver = _pick_factor(g, -c)
+                y = y - factor(g, f"step {m}")(res)
             if not converged:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "

@@ -295,6 +295,17 @@ class TestCrankNicolson:
         with pytest.raises(NewtonDivergence, match="step 0: singular"):
             crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
 
+    @pytest.mark.parametrize("linear, where", [(True, "linear step"), (False, "step 0")])
+    def test_superlu_singular_matrix_raises_newton_divergence(self, linear, where):
+        # a CSR Jacobian with I - (h/2) J G = diag(0, 1), for the linear
+        # branch's one factorization and for a Newton update's
+        h = 0.5
+        g = sp.csr_matrix(np.array([[0.0, 0.0], [2.0 / h, 0.0]]))
+        sysm = SimpleNamespace(dim=2, is_linear=linear, flow=jmul, grad_jacobian=lambda x: g)
+        with pytest.raises(NewtonDivergence, match=rf"^{where}: singular Newton matrix "
+                                                   r"\(Factor is exactly singular\)$"):
+            crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
+
     def test_linear_non_finite_state_names_its_step(self):
         # H = (p^2 - q^2)/2 grows like e^t, so a huge start overflows after
         # a few dozen steps; the message names the step that overflowed
@@ -792,7 +803,7 @@ def reference_crank_nicolson(system, x0, opts):
     h, c, dim = opts.h_t, 0.5 * opts.h_t, system.dim
     states = np.empty((dim, opts.steps + 1))
     states[:, 0] = x = np.asarray(x0, dtype=float)
-    shifted = None
+    shifted = hamiltonian._ShiftedJ(-c)
     for m in range(opts.steps):
         fx = jmul(system.grad(x))
         y = x + h * fx
@@ -802,10 +813,7 @@ def reference_crank_nicolson(system, x0, opts):
                 break
             g = system.grad_jacobian(y)
             if sp.issparse(g):
-                g = hamiltonian._canonical_csc(g)
-                if shifted is None or not shifted.fits(g):
-                    shifted = hamiltonian._ShiftedJ(g, -c)
-                y = y - hamiltonian.splu(shifted(g)).solve(res)
+                y = y - hamiltonian.splu(shifted.matrix(g)).solve(res)
             else:
                 a = -c * jmul(g)
                 a.flat[::dim + 1] += 1.0
@@ -823,9 +831,8 @@ def reference_linear_crank_nicolson(system, x0, opts):
     c, dim = 0.5 * opts.h_t, system.dim
     g = system.grad_jacobian(x0)
     if sp.issparse(g):
-        g = hamiltonian._canonical_csc(g)
-        solve = hamiltonian.splu(hamiltonian._ShiftedJ(g, -c)(g)).solve
-        rhs_mat = hamiltonian._ShiftedJ(g, c)(g).tocsr()
+        solve = hamiltonian.splu(hamiltonian._ShiftedJ(-c).matrix(g)).solve
+        rhs_mat = hamiltonian._ShiftedJ(c).matrix(g).tocsr()
     else:
         a, rhs_mat = -c * jmul(g), c * jmul(g)
         a.flat[::dim + 1] += 1.0
@@ -868,15 +875,15 @@ def capture_site_blocks(monkeypatch, system, x0, opts):
     a_qp, a_pq of the Newton blocks I + t J G of the Jacobian and the t it
     was handed, in call order.  SuperLU must not be reached."""
     blocks = []
-    real_solve = hamiltonian._SiteSolver.__call__
+    real_factor = hamiltonian._SiteSolver.factor
 
-    def spy(self, g, res, where):
+    def spy(self, g, where):
         g_qq, g_qp, g_pq, g_pp = (m if row is None else row for row, m in zip(g.rows, g.mass))
         t = self.t
         blocks.append((1.0 - t * g_qp, 1.0 + t * g_pq, t * g_pp, -t * g_qq))
-        return real_solve(self, g, res, where)
+        return real_factor(self, g, where)
 
-    monkeypatch.setattr(hamiltonian._SiteSolver, "__call__", spy)
+    monkeypatch.setattr(hamiltonian._SiteSolver, "factor", spy)
     _, states, matrices = capture_newton(monkeypatch, system, x0, opts)
     assert not matrices
     return states, blocks
@@ -1244,7 +1251,7 @@ class TestSiteSolve:
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
         ref = np.linalg.solve(a, res)
-        x = hamiltonian._SiteSolver(g, -c)(g, res, "test")
+        x = hamiltonian._SiteSolver(g, -c).factor(g, "test")(res)
         assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     def test_singular_block_names_its_site(self):
@@ -1535,7 +1542,7 @@ class TestRunSolvers:
     @given(case=site_blocks_with_fixed_rows())
     def test_site_solver_matches_dense_and_full_formula(self, case):
         calls, c, residuals = case
-        solve = hamiltonian._SiteSolver(calls[0], -c)
+        factor = hamiltonian._SiteSolver(calls[0], -c).factor
         for g, res in zip(calls, residuals):
             dense = g.toarray()
             a = np.eye(res.size) - c * jmul(dense)
@@ -1543,14 +1550,14 @@ class TestRunSolvers:
             if not (np.isfinite(cond) and cond < 1e12):
                 continue
             ref = np.linalg.solve(a, res)
-            x = solve(g, res, "test")
+            x = factor(g, "test")(res)
             assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
             # every row handed in as varying: the same bits
             n = res.size // 2
             q, p = np.arange(n), np.arange(n) + n
             full = hamiltonian.SiteBlocks(
                 [dense[r, s] for r, s in [(q, q), (q, p), (p, q), (p, p)]], g.mass)
-            assert np.array_equal(x, hamiltonian._SiteSolver(full, -c)(full, res, "test"))
+            assert np.array_equal(x, hamiltonian._SiteSolver(full, -c).factor(full, "test")(res))
 
     @settings(max_examples=60, deadline=None)
     @given(case=deim_jacobians())
@@ -1560,13 +1567,13 @@ class TestRunSolvers:
         a = np.eye(res.size) - c * jmul(dense)
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
-        x = hamiltonian._DeimSolver(g.op, -c)(g, res, "test")
+        x = hamiltonian._DeimSolver(g.op, -c).factor(g, "test")(res)
         ref = np.linalg.solve(a, res)
         assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
-        # the row gather of the assembled Jacobian that a dense G takes
-        shift = hamiltonian._dense_shift(res.size, -c)
-        gathered = hamiltonian._dense_solve(hamiltonian._shifted_dense(dense, shift), res, "test")
-        assert np.array_equal(x, gathered)
+        # the row gather of the assembled Jacobian that a dense G takes,
+        # solved by one LAPACK dgesv: the LU solve keeps its bits
+        gathered = hamiltonian._shifted_dense(dense, -c)
+        assert np.array_equal(x, scipy.linalg.lapack.dgesv(gathered, res)[2])
 
     def test_deim_solver_singular_and_nan(self):
         # G = U^T M U = [[0, 0], [2/h, 0]] and zero rows: I - (h/2) J G = diag(0, 1) ...
@@ -1591,11 +1598,11 @@ class TestRunSolvers:
         first = hamiltonian.SiteBlocks([rng.standard_normal(n), None, None, None], mass)
         other = hamiltonian.SiteBlocks([None, rng.standard_normal(n), None, None], mass)
         moved = hamiltonian.SiteBlocks(first.rows, mass + 1.0)
-        solve = hamiltonian._SiteSolver(first, -0.01)
+        factor = hamiltonian._SiteSolver(first, -0.01).factor
         res = rng.standard_normal(2 * n)
         for g in (first, other, moved, first):
-            assert np.array_equal(solve(g, res, "test"),
-                                  hamiltonian._SiteSolver(g, -0.01)(g, res, "test"))
+            assert np.array_equal(factor(g, "test")(res),
+                                  hamiltonian._SiteSolver(g, -0.01).factor(g, "test")(res))
 
 
 FLOW_MODELS = {

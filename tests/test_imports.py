@@ -1,6 +1,8 @@
 """The test-scale oracles stay out of the modules the solver imports, every
 name a module exports through ``__all__`` exists, and every name the
-benchmark in ``perfbench/`` imports or probes exists.
+benchmark in ``perfbench/`` imports or probes exists, and
+``crank_nicolson`` reaches a factorization only through its run's
+``factor``.
 
 Only the package ``__init__`` may import ``spopt.oracles`` (to re-export
 its names); every other module of ``src/spopt`` is scanned for an import of
@@ -83,3 +85,15 @@ def test_benchmark_names_resolve(monkeypatch):
                 break
             owner = vars(owner)[part]
     assert missing == []
+
+
+def test_crank_nicolson_factors_only_through_the_protocol():
+    # every solve goes through the run's factor(G, where) -> solve: the
+    # integrator names no factorization routine and no Newton matrix builder
+    tree = ast.parse((SRC / "hamiltonian.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "crank_nicolson")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert names & {"splu", "lapack", "_ShiftedJ", "_shifted_dense"} == set()
+    assert "_pick_factor" in names
