@@ -1,13 +1,12 @@
 """Riemannian optimization on the symplectic Stiefel manifold.
 
-Library layers: ``core`` (Poisson matrix, shuffles, residuals), ``sr``
+Library layers: ``core`` (J products, shuffles, residuals), ``sr``
 (symplectic Gram-Schmidt SR factorization), ``geometry`` (metrics,
 projections, gradients), ``retractions`` (Cayley, quasi-geodesic, SR),
 ``optimizer`` (non-monotone BB gradient descent), ``applications`` (target /
 trace / PSD costs, Williamson post-processing, DEIM), ``hamiltonian``
 (semi-discrete models, Crank-Nicolson, ROM assembly), and ``cli`` (the
-``spopt`` experiment harness).  ``oracles`` holds the test-scale reference
-forms the suite checks the fast kernels against.
+``spopt`` experiment harness).
 """
 
 from .core import (
@@ -18,7 +17,6 @@ from .core import (
     TangentVector,
     canonical_point,
     perfect_shuffle,
-    poisson,
     symplectic_inverse,
     symplecticity_residual,
     tangency_residual,
@@ -39,18 +37,6 @@ from .optimizer import (
     bb_trial_step,
     minimize,
     nonmonotone_search,
-)
-from .oracles import (
-    ComplementBasis,
-    TangentCoordinates,
-    canonical_gradient_qr,
-    cayley_full,
-    even_minor_check,
-    in_normalized_triangular_set,
-    metric_inner,
-    orthonormal_complement,
-    sgs_basic,
-    tangent_coordinates,
 )
 from .retractions import (
     RetractionKind,

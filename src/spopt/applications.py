@@ -270,11 +270,10 @@ def williamson_small(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, 1.0 / mus
 
 
-def williamson_spsd(m: np.ndarray, null_tol: float = NULL_TOL,
-                    scale_hint: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def williamson_spsd(m: np.ndarray, scale_hint: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Williamson form extended to SPSD matrices with a symplectic null space.
 
-    Eigenvectors below ``null_tol`` relative to max(largest eigenvalue,
+    Eigenvectors below ``NULL_TOL`` relative to max(largest eigenvalue,
     ``scale_hint``) are treated as the null space, whose odd count moves to
     the neighbouring even count with the wider eigenvalue gap.  They are
     symplectically normalized by an SR factorization, the problem is deflated
@@ -288,7 +287,7 @@ def williamson_spsd(m: np.ndarray, null_tol: float = NULL_TOL,
     m = sym_part(np.asarray(m, dtype=float))
     lam, u = np.linalg.eigh(m)
     scale = max(float(lam[-1]), float(scale_hint), 0.0)
-    m_null = int(np.sum(lam <= null_tol * scale))
+    m_null = int(np.sum(lam <= NULL_TOL * scale))
     if m_null % 2:
         # an odd count splits a pair: cut where the eigenvalue ratio is larger,
         # eigenvalues floored at roundoff and bounded by the floor and the scale
@@ -551,16 +550,13 @@ class DeimOperator:
 class DeimJacobian:
     """The Jacobian U^T M U + B rows of a :class:`DeimOperator` at one xt:
     ``rows`` = a R_q + b R_p is the part that depends on xt, and ``op``
-    holds the rest.  :meth:`toarray` is the dense 2k x 2k matrix."""
+    holds the rest."""
 
     __slots__ = ("rows", "op")
 
     def __init__(self, rows: np.ndarray, op: DeimOperator):
         self.rows = rows
         self.op = op
-
-    def toarray(self) -> np.ndarray:
-        return self.op.reduced_mass + self.op.oblique @ self.rows
 
 
 def _is_scalar_zero(v) -> bool:

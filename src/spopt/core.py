@@ -3,8 +3,7 @@
 A point of the symplectic Stiefel manifold Sp(2k, 2n) is a real 2n-by-2k
 matrix X with X^T J_{2n} X = J_{2k}, where J = [[0, I], [-I, 0]] is the
 Poisson matrix.  Throughout the package J is applied as a signed block swap
-and the perfect shuffle as an index permutation; neither is materialized in
-hot paths.
+and the perfect shuffle as an index permutation; neither is materialized.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ def checked_number(name: str, value, kind=float):
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return kind(value)
-
-
-def poisson(n: int) -> np.ndarray:
-    """Dense Poisson matrix J_{2n} = [[0, I_n], [-I_n, 0]]."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
 
 
 def _negate_into(dst: np.ndarray, src: np.ndarray, contiguous: bool) -> None:
@@ -266,21 +255,9 @@ class PerfectShuffle:
     def inverse(self) -> np.ndarray:
         return np.argsort(self.permutation)
 
-    def matrix(self) -> np.ndarray:
-        return np.eye(2 * self.k)[:, self.permutation]
-
-    def shuffle_cols(self, a: np.ndarray) -> np.ndarray:
-        """a @ P^T: reorders columns so symplectic pairs (j, k+j) become adjacent."""
-        return a[:, self.inverse]
-
     def unshuffle_cols(self, a: np.ndarray) -> np.ndarray:
         """a @ P."""
         return a[:, self.permutation]
-
-    def conjugate(self, r: np.ndarray) -> np.ndarray:
-        """P r P^T."""
-        ix = self.inverse
-        return r[np.ix_(ix, ix)]
 
     def unconjugate(self, r_hat: np.ndarray) -> np.ndarray:
         """P^T r_hat P."""

@@ -22,7 +22,7 @@ explicit complement is ever formed.  Every 2k-by-2k factorization is one
 direct LAPACK call; a failed one raises :class:`NotSPD`.  The explicit
 complement, the (W, K) coordinate extraction, the metric inner products
 built on it and the thin-QR form of the canonical gradient are test-scale
-oracles in :mod:`spopt.oracles`.
+oracles kept in the test suite, not in the package.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def riemannian_gradient(metric: Metric, x: SymplecticPoint,
     with H_X in place of G_X, where J Xperp Xperp^T J^T egrad = egrad -
     J X (X^T X)^{-1} X^T J^T egrad is applied through the Cholesky factor of
     X^T X (``dpotrf``/``dpotrs``).  Its error grows like cond(X)^2 eps, against
-    cond(X) eps for the thin-QR form :func:`spopt.oracles.canonical_gradient_qr`.
+    cond(X) eps for the thin-QR form the test suite checks it against.
     Raises :class:`NotSPD` when X^T X is not numerically positive definite.
     """
     if metric.kind is MetricKind.EUCLIDEAN:

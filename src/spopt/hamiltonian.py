@@ -128,9 +128,8 @@ class SiteBlocks:
     p_i only.  ``mass`` holds M's rows g_qq, g_qp, g_pq, g_pp over the sites
     (0 where M stores nothing), fixed for the system; ``rows`` holds, in
     that order, each row the curvature changes and None for a row that is
-    M's alone (Vlasov: only g_qq varies).  :meth:`toarray` is the dense
-    2n x 2n matrix; :class:`_SiteSolver` solves the Newton systems of
-    :func:`crank_nicolson`.
+    M's alone (Vlasov: only g_qq varies).  :class:`_SiteSolver` solves the
+    Newton systems of :func:`crank_nicolson`.
     """
 
     __slots__ = ("rows", "mass")
@@ -138,14 +137,6 @@ class SiteBlocks:
     def __init__(self, rows, mass: np.ndarray):
         self.rows = rows
         self.mass = mass
-
-    def toarray(self) -> np.ndarray:
-        n = self.mass.shape[1]
-        q, p = np.arange(n), np.arange(n) + n
-        dense = np.zeros((2 * n, 2 * n))
-        for (r, c), row, m in zip([(q, q), (q, p), (p, q), (p, p)], self.rows, self.mass):
-            dense[r, c] = m if row is None else row
-        return dense
 
 
 class _SiteSolver:
@@ -224,8 +215,7 @@ class HamiltonianSystem:
     """Semi-discrete system xdot = J grad H, H(x) = x^T M x / 2 + h(x).
 
     :meth:`energies` is the one source of H: it evaluates a block of states
-    (columns) by one sparse product M X and one vectorized potential, and
-    :meth:`hamiltonian` is its one-column call.
+    (columns) by one sparse product M X and one vectorized potential.
 
     A nonlinear system whose M, like its Hessian, couples each q_i with its
     own p_i only (Vlasov: M = diag(0, I)) is site-local: ``flow`` and
@@ -254,9 +244,6 @@ class HamiltonianSystem:
         if self.nonlin is not None:
             h += self.nonlin.value(states)
         return h
-
-    def hamiltonian(self, x: np.ndarray) -> float:
-        return float(self.energies(x[:, None])[0])
 
     @cached_property
     def _site_mass(self):
@@ -886,9 +873,6 @@ class ReducedSystem:
             return (_quadratic(xt, self.reduced_mass @ xt)
                     + self.full.nonlin.value(self.deim.state(xt)))
         return self.full.energies(self.reconstruct(xt) if states is None else states)
-
-    def reduced_hamiltonian(self, xt: np.ndarray) -> float:
-        return float(self.energies(xt[:, None])[0])
 
     def reconstruct(self, states: np.ndarray) -> np.ndarray:
         return self.basis.entries @ states

@@ -2,7 +2,7 @@
 
 All three maps satisfy R_X(0) = X and d/dt R_X(tZ)|_0 = Z.  The Cayley
 retraction is the economical form, with one 2k-by-2k LAPACK inverse; the
-full form, with a 2n-by-2n one, is the oracle ``spopt.oracles.cayley_full``.
+full form, with a 2n-by-2n one, is a test-scale oracle of the test suite.
 The quasi-geodesic map is globally defined but lets feasibility drift
 accumulate over many steps; the SR retraction re-factorizes X + Z at every
 call and keeps iterates symplectic to factorization accuracy whenever

@@ -36,7 +36,7 @@ triangular factors and forms R = P^T R_hat P on first access.
 Existence for the full matrix is equivalent to all even leading minors of
 the shuffled Gram matrix P A^T J A P^T being nonzero.  The small-scale
 oracles that check this module (that condition, the normalization of R and
-classical-order Gram-Schmidt) live in :mod:`spopt.oracles`.
+classical-order Gram-Schmidt) live in the test suite, not in the package.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
 
     As soon as a pair is finalized, all remaining columns are orthogonalized
     against it, so later coefficients are computed from already-reduced
-    columns.  Algebraically identical to :func:`spopt.oracles.sgs_basic`;
+    columns.  Algebraically identical to classical-order Gram-Schmidt;
     numerically the better-behaved variant and the one :func:`sgs` falls
     back to.
     """

@@ -1,9 +1,10 @@
 """Test-scale oracles: dense reference forms the fast kernels are checked
 against on small instances (SR existence and normalization, classical-order
 Gram-Schmidt, the full Cayley transform, the thin-QR canonical gradient, and
-the (W, K) tangent coordinates with the metrics evaluated through them).
-Only the package ``__init__`` imports this module; the solver path never
-does.
+the (W, K) tangent coordinates with the metrics evaluated through them), and
+the dense views the package never forms (the Poisson matrix, the perfect
+shuffle as a matrix, a site-local or DEIM Jacobian as an array, the
+Hamiltonian at one state).  The package never imports this module.
 """
 
 from __future__ import annotations
@@ -13,12 +14,62 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .core import (NumericalFailure, SymplecticPoint, TangentVector, jmul, jtmul,
-                   mulj, perfect_shuffle, sym_part, symplectic_inverse)
-from .geometry import Metric, MetricKind, _sxy_times_jx
-from .retractions import _inverse_checked
-from .sr import PspsFactors, _check_shape, _desr_pair, _j2t
+from spopt.applications import DeimJacobian
+from spopt.core import (NumericalFailure, PerfectShuffle, SymplecticPoint, TangentVector,
+                        jmul, jtmul, mulj, perfect_shuffle, sym_part, symplectic_inverse)
+from spopt.geometry import Metric, MetricKind, _sxy_times_jx
+from spopt.hamiltonian import SiteBlocks
+from spopt.retractions import _inverse_checked
+from spopt.sr import PspsFactors, _check_shape, _desr_pair, _j2t
+
+
+def poisson(n: int) -> np.ndarray:
+    """Dense Poisson matrix J_{2n} = [[0, I_n], [-I_n, 0]]."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = np.eye(n)
+    J[n:, :n] = -np.eye(n)
+    return J
+
+
+def shuffle_matrix(k: int) -> np.ndarray:
+    """The perfect shuffle P_{2k} as a dense matrix: I[:, permutation]."""
+    return np.eye(2 * k)[:, perfect_shuffle(k).permutation]
+
+
+def shuffle_cols(p: PerfectShuffle, a: np.ndarray) -> np.ndarray:
+    """a @ P^T: reorders columns so symplectic pairs (j, k+j) become adjacent."""
+    return a[:, p.inverse]
+
+
+def conjugate(p: PerfectShuffle, r: np.ndarray) -> np.ndarray:
+    """P r P^T."""
+    ix = p.inverse
+    return r[np.ix_(ix, ix)]
+
+
+def dense_jacobian(g) -> np.ndarray:
+    """A Jacobian of a full or reduced model as a dense array: a
+    :class:`DeimJacobian` as U^T M U + B rows, a :class:`SiteBlocks` from its
+    rows and M's, a sparse matrix through ``toarray``, an array as it is."""
+    if isinstance(g, DeimJacobian):
+        return g.op.reduced_mass + g.op.oblique @ g.rows
+    if not isinstance(g, SiteBlocks):
+        return g.toarray() if sp.issparse(g) else np.asarray(g)
+    n = g.mass.shape[1]
+    q, p = np.arange(n), np.arange(n) + n
+    dense = np.zeros((2 * n, 2 * n))
+    for (r, c), row, m in zip([(q, q), (q, p), (p, q), (p, p)], g.rows, g.mass):
+        dense[r, c] = m if row is None else row
+    return dense
+
+
+def hamiltonian(system, x: np.ndarray) -> float:
+    """H (or the reduced Ht) of a full or reduced system at one state."""
+    return float(system.energies(x[:, None])[0])
 
 
 class RankDeficient(NumericalFailure):
@@ -65,7 +116,7 @@ def even_minor_check(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
     a = _check_shape(a)
     k = a.shape[1] // 2
     gram = a.T @ jmul(a)
-    b = perfect_shuffle(k).conjugate(gram)
+    b = conjugate(perfect_shuffle(k), gram)
     scale = np.linalg.norm(gram, 2)
     if scale == 0.0:
         return False
@@ -86,7 +137,7 @@ def in_normalized_triangular_set(r: np.ndarray, atol: float = 0.0) -> bool:
     """
     r = np.asarray(r, dtype=float)
     k = r.shape[0] // 2
-    r_hat = perfect_shuffle(k).conjugate(r)
+    r_hat = conjugate(perfect_shuffle(k), r)
     if not np.allclose(r_hat, np.triu(r_hat), atol=atol, rtol=0.0):
         return False
     for j in range(k):

@@ -23,7 +23,6 @@ from spopt.core import (
     jtmul,
     mulj,
     perfect_shuffle,
-    poisson,
     skew_part,
     symplecticity_residual,
 )
@@ -37,6 +36,7 @@ from spopt.retractions import (
 from spopt.sr import DEFAULT_BREAKDOWN_TOL, sgs_modified
 
 from conftest import random_tangent
+from oracles import poisson
 
 
 def jmul_ref(a):

@@ -18,7 +18,6 @@ from spopt.core import FeasibilityError, NumericalFailure, SymplecticPoint
 from spopt.geometry import NotSPD
 from spopt.hamiltonian import GridMismatch, NewtonDivergence
 from spopt.optimizer import LineSearchError
-from spopt.oracles import RankDeficient, SingularSystem
 from spopt.retractions import RetractionKind, SingularCayley
 from spopt.sr import Breakdown
 
@@ -490,8 +489,7 @@ class TestNumericalFailureExit:
 
     def test_taxonomy(self):
         for cls in (Breakdown, SingularCayley, SingularSelection, NotSPD,
-                    RankDeficient, SingularSystem, GridMismatch,
-                    NewtonDivergence, LineSearchError, FeasibilityError):
+                    GridMismatch, NewtonDivergence, LineSearchError, FeasibilityError):
             assert issubclass(cls, NumericalFailure)
         # callers that catch ValueError for an off-manifold input still do
         with pytest.raises(ValueError):

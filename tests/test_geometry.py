@@ -7,7 +7,6 @@ from spopt.core import (
     canonical_point,
     jmul,
     mulj,
-    poisson,
     skew_part,
     tangency_residual,
 )
@@ -20,15 +19,16 @@ from spopt.geometry import (
     riemannian_gradient,
     solve_skew_lyapunov,
 )
-from spopt.oracles import (
+
+from conftest import random_point, random_tangent
+from oracles import (
     RankDeficient,
     canonical_gradient_qr,
     metric_inner,
     orthonormal_complement,
+    poisson,
     tangent_coordinates,
 )
-
-from conftest import random_point, random_tangent
 
 EUCLID = Metric.euclidean()
 CANON = Metric.canonical_like(0.5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from spopt import hamiltonian
 from spopt.applications import (_sampled_operator, deim_reduced_rhs, deim_select,
                                 random_symplectic_point)
-from spopt.core import jmul, jtmul, poisson, symplecticity_residual
+from spopt.core import jmul, jtmul, symplecticity_residual
 from spopt.hamiltonian import (
     NONLIN_TREATMENTS,
     GridMismatch,
@@ -37,6 +37,9 @@ from spopt.hamiltonian import (
 )
 from spopt.optimizer import SolverOptions
 import scipy.sparse as sp
+
+import oracles
+
 
 def gradient(model, x):
     """grad H(x) of a full or reduced model: J^T times its vector field,
@@ -63,15 +66,15 @@ class TestModelConsistency:
         for i in range(sysm.dim):
             e = np.zeros(sysm.dim)
             e[i] = h
-            fd[i] = (sysm.hamiltonian(x + e) - sysm.hamiltonian(x - e)) / (2 * h)
+            fd[i] = (oracles.hamiltonian(sysm, x + e)
+                     - oracles.hamiltonian(sysm, x - e)) / (2 * h)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     @pytest.mark.parametrize("factory", ALL_MODELS)
     def test_hessian_matches_gradient_differences(self, factory, rng):
         sysm = factory()
         x = 0.3 * rng.standard_normal(sysm.dim)
-        jac = sysm.grad_jacobian(x)
-        jac = jac.toarray() if hasattr(jac, "toarray") else np.asarray(jac)
+        jac = oracles.dense_jacobian(sysm.grad_jacobian(x))
         h = 1e-6
         for i in (0, sysm.n - 1, sysm.n, sysm.dim - 1):
             e = np.zeros(sysm.dim)
@@ -90,21 +93,21 @@ class TestModelConsistency:
         idx = rng.choice(sysm.dim, size=9, replace=False)
         op = sampled_at(sysm, idx)
         assert np.allclose(jtmul(op(x))[idx], sysm.nonlin.gradient(x)[idx], atol=1e-13)
-        hess = sysm.grad_jacobian(x).toarray() - sysm.mass.toarray()
-        assert np.allclose(op.jacobian(x).toarray()[idx], hess[idx], atol=1e-13)
+        hess = oracles.dense_jacobian(sysm.grad_jacobian(x)) - sysm.mass.toarray()
+        assert np.allclose(oracles.dense_jacobian(op.jacobian(x))[idx], hess[idx], atol=1e-13)
 
 
 class TestWaveModel:
     def test_zero_state(self):
         w = wave_system(16)
-        assert w.hamiltonian(np.zeros(w.dim)) == 0.0
+        assert oracles.hamiltonian(w, np.zeros(w.dim)) == 0.0
         assert np.linalg.norm(gradient(w, np.zeros(w.dim))) == 0.0
 
     def test_rhs_matches_direct_assembly(self, rng):
         w = wave_system(20)
         x = rng.standard_normal(w.dim)
         dense_m = w.mass.toarray()
-        expected = poisson(w.n) @ (dense_m @ x)
+        expected = oracles.poisson(w.n) @ (dense_m @ x)
         assert (np.linalg.norm(w.flow(x) - expected)
                 <= 1e-13 * max(1.0, np.linalg.norm(expected)))
 
@@ -159,7 +162,7 @@ class TestSchrodingerModel:
         s = schrodinger_system(16, eps=1e-30)
         x = rng.standard_normal(s.dim)
         quad = 0.5 * x @ (s.mass @ x)
-        assert np.isclose(s.hamiltonian(x), quad, rtol=1e-12)
+        assert np.isclose(oracles.hamiltonian(s, x), quad, rtol=1e-12)
 
     def test_consistency_on_random_states(self, rng):
         # J grad H is the complex form zdot = i (D z + eps |z|^2 z), z = q + i p
@@ -191,8 +194,8 @@ class TestVlasovModel:
     def test_energy_conservation(self):
         v = vlasov_system(64, seed=2)
         traj = crank_nicolson(v, v.x0, IntegratorOptions(1e-4, 0.2))
-        h0 = v.hamiltonian(v.x0)
-        hs = np.array([v.hamiltonian(traj.states[:, j])
+        h0 = oracles.hamiltonian(v, v.x0)
+        hs = np.array([oracles.hamiltonian(v, traj.states[:, j])
                        for j in range(0, traj.states.shape[1], 50)])
         assert np.abs(hs - h0).max() <= 1e-7 * abs(h0)
 
@@ -233,13 +236,27 @@ class TestVlasovSampling:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+#: A Newton iterate of crank_nicolson is accepted once its residual norm is
+#: at most this.
+NEWTON_TOL = 1e-10
+
+#: Desk-size full models with the h_t of their ``spopt mor`` setup, and a
+#: number of steps.
+REVERSIBLE_RUNS = {
+    "wave": (lambda: wave_system(250), 0.01, 100),
+    "sine-gordon": (lambda: sine_gordon_system(200), 0.05, 40),
+    "schrodinger": (lambda: schrodinger_system(128), 0.01, 50),
+    "vlasov": (lambda: vlasov_system(200, seed=0), 1e-4, 200),
+}
+
+
 class TestCrankNicolson:
     def test_linear_wave_energy_drift(self):
         w = wave_system(100)
         traj = crank_nicolson(w, w.x0, IntegratorOptions(0.01, 25.0))
         assert traj.newton_updates == 0
-        h0 = w.hamiltonian(w.x0)
-        hs = np.array([w.hamiltonian(traj.states[:, j])
+        h0 = oracles.hamiltonian(w, w.x0)
+        hs = np.array([oracles.hamiltonian(w, traj.states[:, j])
                        for j in range(0, traj.states.shape[1], 100)])
         assert np.abs(hs - h0).max() <= 1e-10 * abs(h0)
 
@@ -263,6 +280,22 @@ class TestCrankNicolson:
 
         ratio = err(0.1) / err(0.05)
         assert 3.5 <= ratio <= 4.5
+
+    @pytest.mark.parametrize("model", sorted(REVERSIBLE_RUNS))
+    def test_whole_runs_are_reversible(self, model):
+        # every model has H(q, -p) = H(q, p) and the trapezoidal step is
+        # symmetric: flipping p, running again and flipping p back returns
+        # x0.  Each step solves its equation to within the Newton test, so
+        # the two runs drift by at most that much per step.
+        factory, h_t, steps = REVERSIBLE_RUNS[model]
+        sysm = factory()
+        opts = IntegratorOptions(h_t, steps * h_t)
+        flip = np.repeat([1.0, -1.0], sysm.n)
+        there = crank_nicolson(sysm, sysm.x0, opts).states[:, -1]
+        back = flip * crank_nicolson(sysm, flip * there, opts).states[:, -1]
+        tol = 2 * steps * NEWTON_TOL
+        assert np.linalg.norm(there - sysm.x0) > 1e4 * tol
+        assert np.linalg.norm(back - sysm.x0) <= tol
 
     def test_newton_divergence_raises(self, monkeypatch):
         monkeypatch.setattr(hamiltonian, "NEWTON_MAXIT", 1)
@@ -429,10 +462,10 @@ class TestRomAssembly:
         w, opts, traj, snaps = wave_setup
         rom = build_rom(w, snaps, 6, reduction="cotlift")
         rt = crank_nicolson(rom, rom.x0_reduced, opts)
-        dh = np.array([w.hamiltonian(traj.states[:, j])
-                       - rom.reduced_hamiltonian(rt.states[:, j])
+        dh = np.array([oracles.hamiltonian(w, traj.states[:, j])
+                       - oracles.hamiltonian(rom, rt.states[:, j])
                        for j in range(0, traj.states.shape[1], 10)])
-        h0 = abs(w.hamiltonian(w.x0))
+        h0 = abs(oracles.hamiltonian(w, w.x0))
         assert np.std(dh) <= 1e-8 * h0
         assert np.abs(dh).max() <= 1e-8 * h0
 
@@ -497,7 +530,7 @@ class TestRomAssembly:
         snaps = extract_snapshots(traj, 40)
         rom = build_rom(sysm, snaps, 4, nonlin=variant)
         xt = rom.x0_reduced + 0.1 * rng.standard_normal(rom.dim)
-        jac = rom.grad_jacobian(xt).toarray()
+        jac = oracles.dense_jacobian(rom.grad_jacobian(xt))
         h = 1e-6
         for i in range(rom.dim):
             e = np.zeros(rom.dim)
@@ -656,7 +689,7 @@ class TestBlockedErrors:
             states = 0.5 * rng.standard_normal((sysm.dim, cols))
             ref = [reference_hamiltonian(sysm, x) for x in states.T]
             np.testing.assert_allclose(sysm.energies(states), ref, rtol=1e-13, atol=1e-13)
-            assert sysm.hamiltonian(states[:, 0]) == sysm.energies(states[:, :1])[0]
+            assert oracles.hamiltonian(sysm, states[:, 0]) == sysm.energies(states[:, :1])[0]
 
     def test_peak_allocation_independent_of_steps(self):
         # the parent's evaluation held three 2n x (steps + 1) arrays at once
@@ -691,7 +724,7 @@ def sampled_at(sysm, idx):
 
     On the identity basis component j of ``jtmul(op(x))`` is the
     interpolated gradient component itself, so ``jtmul(op(x))[idx]`` and
-    ``op.jacobian(x).toarray()[idx]`` are grad h and Hess h rows at idx.
+    ``dense_jacobian(op.jacobian(x))[idx]`` are grad h and Hess h rows at idx.
     """
     eye = np.eye(sysm.dim)
     zero_mass = np.zeros((sysm.dim, sysm.dim))
@@ -1063,10 +1096,10 @@ class TestNonlinearity:
         for x in self.states(sysm.dim, rng):
             assert np.array_equal(new.gradient(x), ref.gradient(x))
             assert np.array_equal(jtmul(op(x))[idx], ref.gradient_at(idx, x))
-            assert np.array_equal(op.jacobian(x).toarray()[idx],
+            assert np.array_equal(oracles.dense_jacobian(op.jacobian(x))[idx],
                                   ref.jacobian_rows(idx, x).toarray())
             total, ref_total = sysm.grad_jacobian(x), sysm.mass + ref.hessian(x)
-            assert np.array_equal(total.toarray(), ref_total.toarray())
+            assert np.array_equal(oracles.dense_jacobian(total), ref_total.toarray())
             assert np.isclose(new.value(x), ref.value(x), rtol=value_rtol, atol=0.0)
 
     @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
@@ -1247,7 +1280,7 @@ class TestSiteSolve:
     @given(case=site_local_systems())
     def test_matches_dense_solve(self, case):
         g, c, res = case
-        a = np.eye(res.size) - c * jmul(g.toarray())
+        a = np.eye(res.size) - c * jmul(oracles.dense_jacobian(g))
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
         ref = np.linalg.solve(a, res)
@@ -1292,7 +1325,7 @@ class TestSiteSolve:
 
         def pruned(model, x):
             # the Jacobian as CSC, exact zeros eliminated
-            return sp.csc_matrix(model.grad_jacobian(x).toarray())
+            return sp.csc_matrix(oracles.dense_jacobian(model.grad_jacobian(x)))
 
         q = np.arange(10)
         g = pruned(sysm, x0)
@@ -1355,7 +1388,8 @@ class TestSiteLocalSystems:
             assert np.array_equal(sysm.flow(x), jmul(sysm.mass @ x + sysm.nonlin.gradient(x)))
             g = sysm.grad_jacobian(x)
             assert isinstance(g, hamiltonian.SiteBlocks)
-            assert np.array_equal(g.toarray(), reference_jacobian(sysm, x).toarray())
+            assert np.array_equal(oracles.dense_jacobian(g),
+                                  reference_jacobian(sysm, x).toarray())
 
     def test_trajectory_matches_reference_loop(self, monkeypatch):
         sysm = synthetic_site_system()
@@ -1424,7 +1458,7 @@ class TestDeimJacobian:
         rng = np.random.default_rng(3)
         for _ in range(3):
             xt = rng.standard_normal(6)
-            jac = op.jacobian(xt).toarray()
+            jac = oracles.dense_jacobian(op.jacobian(xt))
             ref = reference_deim_jacobian(rom, xt)
             assert np.allclose(jac, ref, rtol=0.0, atol=1e-13 * max(1.0, np.abs(ref).max()))
             h = 1e-6
@@ -1468,7 +1502,7 @@ class TestDeimSelections:
         assert op._half == (None if half == "mixed" else half)
         for x in TestNonlinearity.states(sysm.dim, rng):
             assert np.array_equal(jtmul(op(x))[idx], ref.gradient_at(idx, x))
-            assert np.array_equal(op.jacobian(x).toarray()[idx],
+            assert np.array_equal(oracles.dense_jacobian(op.jacobian(x))[idx],
                                   reference_rows(sysm.nonlin, idx, x).toarray())
 
     @pytest.mark.parametrize("variant", ["psd-deim", "structure-preserving"])
@@ -1484,7 +1518,8 @@ class TestDeimSelections:
         for _ in range(3):
             xt = rng.standard_normal(6)
             assert np.array_equal(jtmul(op(xt)), where_deim_gradient(op, xt))
-            assert np.array_equal(op.jacobian(xt).toarray(), where_deim_jacobian(op, xt))
+            assert np.array_equal(oracles.dense_jacobian(op.jacobian(xt)),
+                                  where_deim_jacobian(op, xt))
 
 
 # ---------------------------------------------------------------------------
@@ -1544,7 +1579,7 @@ class TestRunSolvers:
         calls, c, residuals = case
         factor = hamiltonian._SiteSolver(calls[0], -c).factor
         for g, res in zip(calls, residuals):
-            dense = g.toarray()
+            dense = oracles.dense_jacobian(g)
             a = np.eye(res.size) - c * jmul(dense)
             cond = np.linalg.cond(a)
             if not (np.isfinite(cond) and cond < 1e12):
@@ -1563,7 +1598,7 @@ class TestRunSolvers:
     @given(case=deim_jacobians())
     def test_deim_solver_matches_dense_and_row_gather(self, case):
         g, c, res = case
-        dense = g.toarray()
+        dense = oracles.dense_jacobian(g)
         a = np.eye(res.size) - c * jmul(dense)
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
@@ -1645,5 +1680,5 @@ class TestVectorField:
                     every = _sampled_operator(
                         rom.reduced_mass, u.T, np.arange(sysm.dim), u, sysm.nonlin)
                     assert np.array_equal(rom.flow(xt), jmul(where_deim_gradient(every, xt)))
-                    assert np.array_equal(rom.grad_jacobian(xt).toarray(),
+                    assert np.array_equal(oracles.dense_jacobian(rom.grad_jacobian(xt)),
                                           where_deim_jacobian(every, xt))

@@ -1,13 +1,13 @@
-"""The test-scale oracles stay out of the modules the solver imports, every
-name a module exports through ``__all__`` exists, and every name the
-benchmark in ``perfbench/`` imports or probes exists, and
-``crank_nicolson`` reaches a factorization only through its run's
-``factor``.
+"""The test-scale oracles stay out of the package, every name a module
+exports through ``__all__`` exists, and every name the benchmark in
+``perfbench/`` imports or probes exists, and ``crank_nicolson`` reaches a
+factorization only through its run's ``factor``.
 
-Only the package ``__init__`` may import ``spopt.oracles`` (to re-export
-its names); every other module of ``src/spopt`` is scanned for an import of
-it in any form (``from .oracles import ...``, ``from . import oracles``,
-``import spopt.oracles``).
+No module of ``src/spopt`` imports an ``oracles`` module in any form
+(``from .oracles import ...``, ``from . import oracles``,
+``import spopt.oracles``, ``from oracles import ...``), and none defines,
+at top level or as a class member, a name that ``tests/oracles.py``
+defines.
 """
 
 import ast
@@ -36,16 +36,39 @@ def imported_names(path: Path) -> set[str]:
     return names
 
 
-def test_scanner_sees_the_reexport():
-    assert "spopt.oracles" in imported_names(SRC / "__init__.py")
+def defined_names(path: Path) -> set[str]:
+    """Names a module defines at top level (functions, classes, assigned
+    names), together with the members its classes define."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        scopes = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        for item in scopes:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
-def test_only_the_package_init_imports_oracles():
+def test_no_package_module_imports_oracles():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 2
+    assert "spopt.core.jmul" in imported_names(SRC / "sr.py")
     offenders = [p.name for p in modules
-                 if p.name != "__init__.py" and "spopt.oracles" in imported_names(p)]
+                 if any("oracles" in name.split(".") for name in imported_names(p))]
     assert offenders == []
+
+
+def test_no_package_module_defines_an_oracle_name():
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text()).body
+    oracle_names = {node.name for node in oracles
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"sgs_basic", "poisson", "dense_jacobian", "RankDeficient"} <= oracle_names
+    assert {"PerfectShuffle", "unshuffle_cols"} <= defined_names(SRC / "core.py")
+    clashes = {p.name: sorted(defined_names(p) & oracle_names)
+               for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in clashes.items() if found} == {}
 
 
 def test_every_exported_name_resolves():

@@ -16,7 +16,6 @@ from spopt.core import (
     mulj,
     symplecticity_residual,
 )
-from spopt.oracles import cayley_full
 from spopt.retractions import (
     RetractionKind,
     SingularCayley,
@@ -29,6 +28,7 @@ from spopt.retractions import (
 from spopt.sr import Breakdown
 
 from conftest import random_point, random_tangent, random_tangent_spectral
+from oracles import cayley_full, poisson
 
 # the solver's retractions through ``retract``, and the full Cayley oracle
 RETRACTIONS = [pytest.param(partial(retract, kind), id=str(kind)) for kind in RetractionKind]
@@ -182,7 +182,7 @@ class TestCayley:
         # scale a direction until 2 becomes an eigenvalue of the Hamiltonian
         # matrix of the transform; exactly at that scale both forms must
         # report a singular resolvent
-        from spopt.core import jtmul, poisson
+        from spopt.core import jtmul
 
         for seed in range(40):
             rng = np.random.default_rng(seed)

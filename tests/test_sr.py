@@ -11,13 +11,13 @@ from spopt.core import (
     canonical_point,
     jmul,
     perfect_shuffle,
-    poisson,
     symplecticity_residual,
 )
-from spopt.oracles import even_minor_check, in_normalized_triangular_set, sgs_basic
 from spopt.sr import Breakdown, desr, sgs, sgs_modified
 
 from conftest import random_point, random_tangent, random_tangent_spectral
+from oracles import (even_minor_check, in_normalized_triangular_set, poisson, sgs_basic,
+                     shuffle_cols, shuffle_matrix)
 
 
 def unit(n2, i):
@@ -66,7 +66,7 @@ class TestDesr:
 def brute_force_minors_nonzero(a):
     """Independent oracle: evaluate the even leading minors with plain det."""
     k = a.shape[1] // 2
-    p = perfect_shuffle(k).matrix()
+    p = shuffle_matrix(k)
     gram = p @ (a.T @ jmul(a)) @ p.T
     scale = max(np.linalg.norm(gram, 2), 1e-300)
     return all(
@@ -79,14 +79,14 @@ class TestSgsBasic:
     def test_psps_input_identity(self, rng):
         x = random_point(6, 3, rng)
         shuffle = perfect_shuffle(3)
-        psps = shuffle.shuffle_cols(x.entries)
+        psps = shuffle_cols(shuffle, x.entries)
         f = sgs_basic(psps)
         assert np.allclose(f.s_hat, psps, atol=1e-12)
         assert np.allclose(f.r_hat, np.eye(6), atol=1e-12)
 
     def test_shuffled_canonical_point(self):
         e = canonical_point(5, 2)
-        psps = perfect_shuffle(2).shuffle_cols(e.entries)
+        psps = shuffle_cols(perfect_shuffle(2), e.entries)
         f = sgs_basic(psps)
         assert np.allclose(f.r_hat, np.eye(4), atol=1e-14)
 
@@ -126,7 +126,7 @@ class TestSgsModified:
 
     def test_psps_input_identity(self, rng):
         x = random_point(7, 2, rng)
-        psps = perfect_shuffle(2).shuffle_cols(x.entries)
+        psps = shuffle_cols(perfect_shuffle(2), x.entries)
         f = sgs_modified(psps)
         assert np.allclose(f.s_hat, psps, atol=1e-12)
         assert np.allclose(f.r_hat, np.eye(4), atol=1e-12)
@@ -216,7 +216,7 @@ def unit_ball_step(n, k, seed, norm2):
 def modified_factors(a):
     """sgs computed by the Gram-Schmidt path alone."""
     shuffle = perfect_shuffle(a.shape[1] // 2)
-    f = sgs_modified(shuffle.shuffle_cols(a))
+    f = sgs_modified(shuffle_cols(shuffle, a))
     return shuffle.unshuffle_cols(f.s_hat), shuffle.unconjugate(f.r_hat)
 
 
@@ -245,7 +245,7 @@ class TestGramPath:
         assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
         assert in_normalized_triangular_set(f.r)  # exact zeros and |r22| = r11
         shuffle = perfect_shuffle(k)
-        basic = sgs_basic(shuffle.shuffle_cols(a))
+        basic = sgs_basic(shuffle_cols(shuffle, a))
         assert np.allclose(f.s.entries, shuffle.unshuffle_cols(basic.s_hat),
                            rtol=1e-10, atol=1e-12)
         assert np.allclose(f.r, shuffle.unconjugate(basic.r_hat), rtol=1e-10, atol=1e-12)
@@ -277,7 +277,7 @@ class TestGramPath:
     def test_interchange_falls_back_exactly(self, kind, rng):
         for _ in range(5):
             a = self._interchanging(kind, rng)
-            assert sr._sgs_gram(perfect_shuffle(3).shuffle_cols(a)) is None
+            assert sr._sgs_gram(shuffle_cols(perfect_shuffle(3), a)) is None
             f = sgs(a, check=False)
             s_ref, r_ref = modified_factors(a)
             assert np.array_equal(f.s.entries, s_ref)
@@ -289,7 +289,7 @@ class TestGramPath:
         # cond(B) ~ 8e5 costs a single pass about cond^2 eps of feasibility
         n, k = 40, 12
         shuffle = perfect_shuffle(k)
-        s = shuffle.shuffle_cols(orthosymplectic_point(n, k, seed=3).entries)
+        s = shuffle_cols(shuffle, orthosymplectic_point(n, k, seed=3).entries)
         u = np.triu(np.ones((2 * k, 2 * k)), 1)
         u[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
         a = shuffle.unshuffle_cols(s @ (np.eye(2 * k) - 0.9 * u))
@@ -310,7 +310,7 @@ class TestGramPath:
         a[:, 2] = unit(2 * n, 1) + 1e-15 * unit(2 * n, n)
         a[:, 1] = unit(2 * n, 2)
         a[:, 3] = unit(2 * n, n + 2)
-        b = perfect_shuffle(2).shuffle_cols(a)
+        b = shuffle_cols(perfect_shuffle(2), a)
         assert sr._gram_pass(b) is not None
         with pytest.raises(Breakdown):
             sgs(a)
@@ -319,7 +319,7 @@ class TestGramPath:
         # R = P^T (R_hat_2 R_hat_1) P, formed on first read of ``r``
         a = unit_ball_step(30, 6, seed=5, norm2=0.9)
         shuffle = perfect_shuffle(6)
-        first = sr._gram_pass(shuffle.shuffle_cols(a))
+        first = sr._gram_pass(shuffle_cols(shuffle, a))
         second = sr._gram_pass(first.s_hat.copy())
         f = sgs(a)
         assert np.array_equal(f.s.entries, shuffle.unshuffle_cols(second.s_hat))
@@ -337,7 +337,7 @@ class TestGramPath:
     def test_non_finite_entry_rejected(self, bad):
         a = unit_ball_step(6, 2, seed=0, norm2=0.5)
         a[2, 1] = bad
-        assert sr._sgs_gram(perfect_shuffle(2).shuffle_cols(a)) is None
+        assert sr._sgs_gram(shuffle_cols(perfect_shuffle(2), a)) is None
         with pytest.raises(FeasibilityError):
             sgs(a)
 
