@@ -40,7 +40,7 @@ __all__ = [
     "gauss_transform", "random_symplectic_orthogonal", "spsd_test_matrix",
     "williamson_small", "williamson_spsd", "symplectic_eigenpairs",
     "cotangent_lift", "deim_select", "deim_reduced_rhs", "exact_reduced_rhs",
-    "DeimOperator", "DeimJacobian", "random_symplectic_point", "SingularSelection",
+    "DeimOperator", "random_symplectic_point", "SingularSelection",
 ]
 
 
@@ -444,10 +444,12 @@ class DeimOperator:
     two m x 2k maps R_q, R_p from xt to (q_i, p_i) at the sites of the m
     selected components, stacked in ``sample``.  Online, ``__call__``
     evaluates the slope on those m pairs and returns the vector field
-    J (U^T M U xt + B gradh), and :meth:`jacobian` evaluates the curvature,
-    so neither costs O(n).  A selection of q-components only (as Vlasov's,
-    whose gradient has no p-half) or of p-components only reads the
-    matching derivative without a per-component ``np.where``.
+    J (U^T M U xt + B gradh), and :meth:`jacobian` evaluates the curvature
+    and returns the Jacobian as a plain dense 2k x 2k array, so neither
+    costs O(n) and a reduced Newton matrix is factored as any dense one is.
+    A selection of q-components only (as Vlasov's, whose gradient has no
+    p-half) or of p-components only reads the matching derivative without
+    a per-component ``np.where``.
 
     J is applied by negating rows in place and swapping the halves of the
     result, never by moving a row of a matrix: a BLAS matrix-vector product
@@ -528,8 +530,9 @@ class DeimOperator:
         k = g.size // 2
         return np.concatenate((g[k:], g[:k]))
 
-    def jacobian(self, xt: np.ndarray) -> DeimJacobian:
-        """U^T M U + B (a R_q + b R_p), the row scalings from one curvature call.
+    def jacobian(self, xt: np.ndarray) -> np.ndarray:
+        """The dense 2k x 2k Jacobian U^T M U + B (a R_q + b R_p), the row
+        scalings from one curvature call.
 
         R_q, R_p are the two halves of ``sample``; a, b are the derivatives of
         each selected component by the q and the p of its site.  A scalar
@@ -544,19 +547,9 @@ class DeimOperator:
         rows = r_q * a
         if not _is_scalar_zero(b):
             rows += r_p * b
-        return DeimJacobian(rows.T, self)
-
-
-class DeimJacobian:
-    """The Jacobian U^T M U + B rows of a :class:`DeimOperator` at one xt:
-    ``rows`` = a R_q + b R_p is the part that depends on xt, and ``op``
-    holds the rest."""
-
-    __slots__ = ("rows", "op")
-
-    def __init__(self, rows: np.ndarray, op: DeimOperator):
-        self.rows = rows
-        self.op = op
+        g = self.oblique.dot(rows.T)
+        g += self.reduced_mass
+        return g
 
 
 def _is_scalar_zero(v) -> bool:

@@ -33,10 +33,10 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .core import NumericalFailure, SymplecticPoint, jmul, symplectic_inverse
-from .applications import (DeimJacobian, DeimOperator, PsdProblem, _block_diag_lift,
-                           _is_scalar_zero, _psd_residual, cotangent_lift, deim_reduced_rhs,
-                           deim_select, exact_reduced_rhs)
+from .core import NumericalFailure, SymplecticPoint, checked_number, jmul, symplectic_inverse
+from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _is_scalar_zero,
+                           _psd_residual, cotangent_lift, deim_reduced_rhs, deim_select,
+                           exact_reduced_rhs)
 from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
@@ -338,6 +338,8 @@ class IntegratorOptions:
     t_final: float
 
     def __post_init__(self):
+        for name in ("h_t", "t_final"):
+            checked_number(name, getattr(self, name))
         if self.h_t <= 0 or self.t_final <= 0:
             raise ValueError("h_t and t_final must be positive")
         steps = self.t_final / self.h_t
@@ -420,19 +422,26 @@ class _ShiftedJ:
             raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
 
 
-def _shifted_dense(g: np.ndarray, t: float) -> np.ndarray:
-    """I + t J G for a dense G, as a new array: one row gather and one
-    scaling, bit for bit J G times t."""
-    half = g.shape[0] // 2
-    a = np.asarray(g).take(np.r_[half:2 * half, :half], axis=0)
-    a *= np.repeat([t, -t], half)[:, None]
-    a.ravel()[::a.shape[0] + 1] += 1.0
-    return a
+def _shifted_dense(t: float, dim: int):
+    """The map G -> I + t J G for a dense dim x dim G, each call a new array:
+    one row gather and one scaling, bit for bit J G times t.  The row order
+    and the signs are formed once."""
+    half = dim // 2
+    order = np.r_[half:dim, :half]
+    signs = np.repeat([t, -t], half)[:, None]
+
+    def shifted(g: np.ndarray) -> np.ndarray:
+        a = g.take(order, axis=0)
+        a *= signs
+        a.ravel()[::dim + 1] += 1.0
+        return a
+
+    return shifted
 
 
 def _shifted(g, t: float):
     """I + t J G as a matrix to multiply by: CSR for a sparse G."""
-    return _ShiftedJ(t).matrix(g).tocsr() if sp.issparse(g) else _shifted_dense(g, t)
+    return _ShiftedJ(t).matrix(g).tocsr() if sp.issparse(g) else _shifted_dense(t, g.shape[0])(g)
 
 
 def _lu(a: np.ndarray, where: str):
@@ -444,34 +453,6 @@ def _lu(a: np.ndarray, where: str):
     return lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
-class _DeimSolver:
-    """Factorizations of I + t J G for the ROM Jacobians G = U^T M U + B rows
-    (:class:`~spopt.applications.DeimJacobian`) of one run, by one LAPACK
-    LU per update.
-
-    J U^T M U and J B are formed once, J B in the column-major order of B.
-    An update forms J G = J U^T M U + (J B) rows, scales it by t and adds I:
-    the values a row gather of the assembled G gives, because a
-    matrix-matrix product computes each entry of (J B) rows as the entry of
-    B rows it comes from, wherever its row sits (the tests check the two
-    bit for bit).
-    """
-
-    def __init__(self, op, t: float):
-        self.op, self.t = op, t
-        self.j_mass = jmul(op.reduced_mass)
-        self.j_oblique = np.asfortranarray(jmul(op.oblique))
-
-    def factor(self, g: DeimJacobian, where: str):
-        if g.op is not self.op:
-            self.__init__(g.op, self.t)
-        a = self.j_oblique.dot(g.rows)
-        a += self.j_mass
-        a *= self.t
-        a.ravel()[::a.shape[0] + 1] += 1.0
-        return _lu(a, where)
-
-
 def _pick_factor(g, t: float):
     """The factorization (G, where) -> solve of I + t J G for the Jacobians of
     one run, picked by the type of its first Jacobian G, and its name.  A
@@ -479,11 +460,10 @@ def _pick_factor(g, t: float):
     ``where`` leads the message of a singular matrix."""
     if isinstance(g, SiteBlocks):
         return _SiteSolver(g, t).factor, "site-blocks"
-    if isinstance(g, DeimJacobian):
-        return _DeimSolver(g.op, t).factor, "lapack"
     if sp.issparse(g):
         return _ShiftedJ(t).factor, "superlu"
-    return (lambda g, where: _lu(_shifted_dense(g, t), where)), "lapack"
+    shifted = _shifted_dense(t, g.shape[0])
+    return (lambda g, where: _lu(shifted(g), where)), "lapack"
 
 
 #: Converged Newton states per block that :func:`crank_nicolson` stores at once.
@@ -520,8 +500,10 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     Cramer's rule ("site-blocks"); a sparse one (sites coupled by M, as in
     sine-Gordon and Schroedinger, or a linear full model) is gathered onto a
     CSC pattern fixed once per Jacobian pattern and factored by SuperLU
-    ("superlu"); a ROM's :class:`~spopt.applications.DeimJacobian`, or any
-    dense one, by LAPACK ``dgetrf`` and solved by ``dgetrs`` ("lapack").
+    ("superlu"); a dense one, which every ROM's is (U^T M U, or the
+    :meth:`~spopt.applications.DeimOperator.jacobian` of a nonlinear ROM),
+    is factored by LAPACK ``dgetrf`` with the row order and signs of J
+    formed once, and solved by ``dgetrs`` ("lapack").
     Exceeding the budget of :data:`NEWTON_MAXIT` iterations, a non-finite
     residual or a singular Newton matrix raises :class:`NewtonDivergence`.
     """
@@ -661,11 +643,12 @@ def sine_gordon_system(n: int, a: float = 0.0, b: float = 50.0, v: float = 0.2,
     p0 = -4.0 * v * ex / (gamma * (1.0 + ex**2))
     x0 = np.concatenate([q0, p0])
 
-    # the frozen boundary values couple to the first and last interior sites
+    # the frozen boundary values couple to the first and last interior sites,
+    # both to the one site when n = 1, so their terms are accumulated
     force = np.zeros(n)
     offset = np.zeros(n)
-    force[0], force[-1] = ca, cb
-    offset[0], offset[-1] = phi_a**2 / (2 * h_xi**2), phi_b**2 / (2 * h_xi**2)
+    np.add.at(force, [0, -1], [ca, cb])
+    np.add.at(offset, [0, -1], [phi_a**2 / (2 * h_xi**2), phi_b**2 / (2 * h_xi**2)])
     nl = Nonlinearity(
         n,
         potential=lambda q, p, i: 1.0 - np.cos(q) - force[i] * q + offset[i],

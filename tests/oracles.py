@@ -3,7 +3,7 @@ against on small instances (SR existence and normalization, classical-order
 Gram-Schmidt, the full Cayley transform, the thin-QR canonical gradient, and
 the (W, K) tangent coordinates with the metrics evaluated through them), and
 the dense views the package never forms (the Poisson matrix, the perfect
-shuffle as a matrix, a site-local or DEIM Jacobian as an array, the
+shuffle as a matrix, a site-local Jacobian as an array, the
 Hamiltonian at one state).  The package never imports this module.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from spopt.applications import DeimJacobian
 from spopt.core import (NumericalFailure, PerfectShuffle, SymplecticPoint, TangentVector,
                         jmul, jtmul, mulj, perfect_shuffle, sym_part, symplectic_inverse)
 from spopt.geometry import Metric, MetricKind, _sxy_times_jx
@@ -53,10 +52,8 @@ def conjugate(p: PerfectShuffle, r: np.ndarray) -> np.ndarray:
 
 def dense_jacobian(g) -> np.ndarray:
     """A Jacobian of a full or reduced model as a dense array: a
-    :class:`DeimJacobian` as U^T M U + B rows, a :class:`SiteBlocks` from its
-    rows and M's, a sparse matrix through ``toarray``, an array as it is."""
-    if isinstance(g, DeimJacobian):
-        return g.op.reduced_mass + g.op.oblique @ g.rows
+    :class:`SiteBlocks` from its rows and M's, a sparse matrix through
+    ``toarray``, an array (every reduced model's) as it is."""
     if not isinstance(g, SiteBlocks):
         return g.toarray() if sp.issparse(g) else np.asarray(g)
     n = g.mass.shape[1]

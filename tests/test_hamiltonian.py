@@ -151,6 +151,19 @@ class TestSineGordonModel:
         r1, r2 = residual(400), residual(800)
         assert 3.0 <= r1 / r2 <= 5.0
 
+    def test_one_site_carries_both_boundary_terms(self):
+        # with n = 1 the one interior site couples to both frozen values; a
+        # short domain makes phi_a and phi_b of the same order
+        sg = sine_gordon_system(1, b=4.0, xi0=2.0)
+        h2, phi_a, phi_b = sg.meta["h_xi"] ** 2, sg.meta["phi_a"], sg.meta["phi_b"]
+        q = 0.3
+        x = np.array([q, 0.7])
+        slope = np.sin(q) - (phi_a + phi_b) / h2
+        energy = 1.0 - np.cos(q) - (phi_a + phi_b) / h2 * q + (phi_a**2 + phi_b**2) / (2 * h2)
+        assert np.isclose(sg.nonlin.gradient(x)[0], slope, rtol=1e-14, atol=0.0)
+        assert sg.nonlin.gradient(x)[1] == 0.0
+        assert np.isclose(sg.nonlin.value(x), energy, rtol=1e-14, atol=0.0)
+
     def test_full_scale_parameters_stored(self):
         sg = sine_gordon_system(100, v=0.2, xi0=10.0)
         assert sg.meta["v"] == 0.2
@@ -249,6 +262,23 @@ REVERSIBLE_RUNS = {
     "vlasov": (lambda: vlasov_system(200, seed=0), 1e-4, 200),
 }
 
+#: (model, variant) of the cotangent-lift ROMs whose runs are reversible:
+#: all of them but Schroedinger's psd-deim and structure-preserving ROMs.
+#: There V_p is not zero and the DEIM projector mixes the q and p halves,
+#: so p -> -p is no symmetry of the reduced model.
+REVERSIBLE_ROMS = [(model, variant) for model in sorted(REVERSIBLE_RUNS)
+                   for variant in (("exact",) if model == "wave" else NONLIN_TREATMENTS)
+                   if model != "schrodinger" or variant == "exact"]
+
+
+@functools.cache
+def reversible_snapshots(model):
+    """The full model of ``REVERSIBLE_RUNS``, its options and 40 snapshots."""
+    factory, h_t, steps = REVERSIBLE_RUNS[model]
+    sysm = factory()
+    opts = IntegratorOptions(h_t, steps * h_t)
+    return sysm, opts, extract_snapshots(crank_nicolson(sysm, sysm.x0, opts), 40)
+
 
 class TestCrankNicolson:
     def test_linear_wave_energy_drift(self):
@@ -296,6 +326,20 @@ class TestCrankNicolson:
         tol = 2 * steps * NEWTON_TOL
         assert np.linalg.norm(there - sysm.x0) > 1e4 * tol
         assert np.linalg.norm(back - sysm.x0) <= tol
+
+    @pytest.mark.parametrize("model,variant", REVERSIBLE_ROMS)
+    def test_whole_reduced_runs_are_reversible(self, model, variant):
+        # a cotangent lift diag(X, X) keeps H(q, -p) = H(q, p) in the reduced
+        # coordinates, and a q-only DEIM selection keeps it too
+        sysm, opts, snaps = reversible_snapshots(model)
+        rom = build_rom(sysm, snaps, 6, nonlin=variant)
+        flip = np.repeat([1.0, -1.0], rom.k)
+        x0 = rom.x0_reduced
+        there = crank_nicolson(rom, x0, opts).states[:, -1]
+        back = flip * crank_nicolson(rom, flip * there, opts).states[:, -1]
+        tol = 2 * opts.steps * NEWTON_TOL
+        assert np.linalg.norm(there - x0) > 1e4 * tol
+        assert np.linalg.norm(back - x0) <= tol
 
     def test_newton_divergence_raises(self, monkeypatch):
         monkeypatch.setattr(hamiltonian, "NEWTON_MAXIT", 1)
@@ -415,6 +459,12 @@ class TestCrankNicolson:
             IntegratorOptions(0.3, 1.0)  # not integral
         with pytest.raises(ValueError):
             IntegratorOptions(-0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_options_rejected(self, bad):
+        for args in ((bad, 1.0), (1e-3, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                IntegratorOptions(*args)
 
     def test_fewer_than_one_step_rejected(self):
         # t_final/h_t = 2e-13 used to pass as 0 steps, and a ROM run then
@@ -1602,12 +1652,14 @@ class TestRunSolvers:
         a = np.eye(res.size) - c * jmul(dense)
         cond = np.linalg.cond(a)
         assume(np.isfinite(cond) and cond < 1e12)
-        x = hamiltonian._DeimSolver(g.op, -c).factor(g, "test")(res)
+        factor, solver = hamiltonian._pick_factor(g, -c)
+        assert solver == "lapack"
+        x = factor(g, "test")(res)
         ref = np.linalg.solve(a, res)
         assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
-        # the row gather of the assembled Jacobian that a dense G takes,
-        # solved by one LAPACK dgesv: the LU solve keeps its bits
-        gathered = hamiltonian._shifted_dense(dense, -c)
+        # the row gather of the assembled Jacobian, solved by one LAPACK
+        # dgesv: the LU solve keeps its bits
+        gathered = hamiltonian._shifted_dense(-c, res.size)(dense)
         assert np.array_equal(x, scipy.linalg.lapack.dgesv(gathered, res)[2])
 
     def test_deim_solver_singular_and_nan(self):
@@ -1616,12 +1668,12 @@ class TestRunSolvers:
         sysm = schrodinger_system(3)
         op = deim_reduced_rhs(np.eye(6)[:, [0, 3]], np.array([[0.0, 0.0], [2.0 / h, 0.0]]),
                               np.eye(6)[:, [0]], np.array([0]), sysm.nonlin)
-        g = hamiltonian.DeimJacobian(np.zeros((1, 2)), op)
+        g = op.reduced_mass + op.oblique @ np.zeros((1, 2))
         model = SimpleNamespace(dim=2, is_linear=False, flow=jmul, grad_jacobian=lambda x: g)
         with pytest.raises(NewtonDivergence, match=r"step 0: singular Newton matrix \(pivot"):
             crank_nicolson(model, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
         # ... and a NaN in the Jacobian ends as a non-finite residual
-        nan = hamiltonian.DeimJacobian(np.full((1, 2), np.nan), op)
+        nan = op.reduced_mass + op.oblique @ np.full((1, 2), np.nan)
         model.grad_jacobian = lambda x: nan
         with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
             crank_nicolson(model, np.array([1.0, 0.0]), IntegratorOptions(1e-3, 0.01))

@@ -1,7 +1,8 @@
 """The test-scale oracles stay out of the package, every name a module
 exports through ``__all__`` exists, and every name the benchmark in
-``perfbench/`` imports or probes exists, and ``crank_nicolson`` reaches a
-factorization only through its run's ``factor``.
+``perfbench/`` imports or probes exists, ``crank_nicolson`` reaches a
+factorization only through its run's ``factor``, and that factorization is
+picked by no reduced-model type.
 
 No module of ``src/spopt`` imports an ``oracles`` module in any form
 (``from .oracles import ...``, ``from . import oracles``,
@@ -110,13 +111,30 @@ def test_benchmark_names_resolve(monkeypatch):
     assert missing == []
 
 
+def names_used_by(function: str) -> set[str]:
+    """Names and attribute names in the body of a top-level function of
+    ``hamiltonian``."""
+    tree = ast.parse((SRC / "hamiltonian.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+
+
 def test_crank_nicolson_factors_only_through_the_protocol():
     # every solve goes through the run's factor(G, where) -> solve: the
     # integrator names no factorization routine and no Newton matrix builder
-    tree = ast.parse((SRC / "hamiltonian.py").read_text())
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "crank_nicolson")
-    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    names = names_used_by("crank_nicolson")
     assert names & {"splu", "lapack", "_ShiftedJ", "_shifted_dense"} == set()
     assert "_pick_factor" in names
+
+
+def test_reduced_jacobians_are_plain_arrays():
+    # the factorization is picked by the Jacobian's representation, and a
+    # ROM's is a dense array: no branch names a class of ``applications``
+    tree = ast.parse((SRC / "applications.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert {"DeimOperator", "PsdProblem"} <= classes
+    names = names_used_by("_pick_factor")
+    assert "SiteBlocks" in names
+    assert names & classes == set()
