@@ -1,6 +1,6 @@
 """Riemannian optimization on the symplectic Stiefel manifold.
 
-Library layers: ``core`` (J products, shuffles, residuals), ``sr``
+Library layers: ``core`` (J products, residuals, point types), ``sr``
 (symplectic Gram-Schmidt SR factorization), ``geometry`` (metrics,
 projections, gradients), ``retractions`` (Cayley, quasi-geodesic, SR),
 ``optimizer`` (non-monotone BB gradient descent), ``applications`` (target /
@@ -12,11 +12,9 @@ trace / PSD costs, Williamson post-processing, DEIM), ``hamiltonian``
 from .core import (
     FeasibilityError,
     NumericalFailure,
-    PerfectShuffle,
     SymplecticPoint,
     TangentVector,
     canonical_point,
-    perfect_shuffle,
     symplectic_inverse,
     symplecticity_residual,
     tangency_residual,
@@ -48,8 +46,6 @@ from .retractions import (
 )
 from .sr import (
     Breakdown,
-    DesrFactors,
-    PspsFactors,
     SrFactors,
     desr,
     sgs,

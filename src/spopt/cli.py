@@ -10,8 +10,9 @@ empty object is a valid config.  Scheme names combine a retraction (Cayley,
 QGeo, SR) with a metric suffix (C = canonical-like with rho = 1/2,
 E = Euclidean): CayleyC, CayleyE, QGeoC, QGeoE, SRC, SRE.  Every field,
 and ``--schemes``, is read by :func:`_field`; a value of another JSON type,
-a non-finite number or an unknown name is a config error naming the field,
-raised before any output is written.  A flag overrides a checked field.
+a non-finite number, an unknown name or a field the command does not read
+is a config error naming the field, raised before any output is written.
+A flag overrides a checked field.
 
 Independent cells, one per scheme (``mor``: one per (k, scheme, nonlinearity
 treatment), which builds, simulates and scores its ROM), run one at a time
@@ -98,6 +99,12 @@ MOR_MODELS = {
 TARGET_SOLVER = {"sum": dict(gtol=1e-12, niter=500),
                  "saddle": dict(gtol=1e-12, niter=2000),
                  "artificial": dict(gtol=1e-10, niter=1000)}
+
+#: The config fields every command reads, and those each command adds.
+COMMON_FIELDS = ("schemes", "seed", "out", "paper_scale", "rho", "solver")
+COMMAND_FIELDS = {"target": ("preset", "n"), "sympev": ("preset", "n", "m", "k"),
+                  "mor": ("model", "n", "t_final", "h_t", "snapshots", "k_values", "nonlin",
+                          "deim_variants")}
 
 _JSON_TYPES = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
 
@@ -327,6 +334,10 @@ def run_mor(config: ExperimentConfig) -> dict:
     n_snapshots = _field(setup, "snapshots", None, int)
     k_values = [_field({"k_values entry": k}, "k_values entry", None, int)
                 for k in _field(setup, "k_values", None, list)]
+    iopts = IntegratorOptions(h_t, t_final)
+    if not 1 <= n_snapshots <= iopts.steps + 1:
+        raise ConfigError(f"snapshots must satisfy 1 <= snapshots <= steps + 1 = "
+                          f"{iopts.steps + 1}, got {n_snapshots}")
     k_max = min(n, n_snapshots)
     for k in k_values:
         if not 1 <= k <= k_max:
@@ -342,7 +353,6 @@ def run_mor(config: ExperimentConfig) -> dict:
     system = construct(n, config.seed)
     if system.is_linear and any(var != "exact" for var in variants):
         raise ConfigError(f"{system.name} is linear; no term to interpolate")
-    iopts = IntegratorOptions(h_t, t_final)
     fom = crank_nicolson(system, system.x0, iopts)
     snaps = extract_snapshots(fom, n_snapshots)
 
@@ -359,6 +369,9 @@ def run_mor(config: ExperimentConfig) -> dict:
         else:
             rom = build_rom(system, snaps, k, reduction="optimized",
                             solver_options=options[scheme], nonlin=var)
+        # why an optimization stopped, in summary.json only
+        stopped = {key: rom.diagnostics[key] for key in ("solver_status", "solver_iterations")
+                   if key in rom.diagnostics}
         rom_traj = crank_nicolson(rom, rom.x0_reduced, iopts)
         report = relative_errors(fom, rom, rom_traj)
         _write_csv(out / f"mor_{model}_k{k}_{scheme}_{var}_series.csv",
@@ -368,7 +381,8 @@ def run_mor(config: ExperimentConfig) -> dict:
         return {"model": model, "k": k, "scheme": scheme, "nonlin": var,
                 "re_x": report.re_x, "re_h": report.re_h, "rom_time_s": rom_traj.wall_time,
                 "newton_updates": rom_traj.newton_updates, "solver": rom_traj.solver,
-                "cost_cotlift": cost, "cost_final": rom.diagnostics.get("cost_restored", cost)}
+                "cost_cotlift": cost, "cost_final": rom.diagnostics.get("cost_restored", cost),
+                **stopped}
 
     rows, failures = _map_cells(cell, cases, label=lambda case: "k={} {} {}".format(*case))
 
@@ -436,6 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config)
+    known = COMMON_FIELDS + COMMAND_FIELDS[args.application]
+    for name in cfg:
+        if name not in known:
+            raise ConfigError(f"unknown field {name!r}; spopt {args.application} reads "
+                              + ", ".join(sorted(known)))
     schemes = _field(cfg, "schemes", list(SCHEMES), list, SCHEMES)
     if args.schemes:
         flag = [s.strip() for s in args.schemes.split(",") if s.strip()]

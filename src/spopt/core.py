@@ -112,10 +112,9 @@ def sym_part(a: np.ndarray) -> np.ndarray:
 
 def _dims_of(entries: np.ndarray) -> tuple[int, int]:
     """Half-dimensions (n, k) of a 2n-by-2k matrix, with 1 <= k <= n."""
-    rows, cols = entries.shape
-    if rows % 2 or cols % 2:
+    if entries.ndim != 2 or entries.shape[0] % 2 or entries.shape[1] % 2:
         raise ValueError(f"shape {entries.shape} is not (2n, 2k)")
-    n, k = rows // 2, cols // 2
+    n, k = entries.shape[0] // 2, entries.shape[1] // 2
     if n < 1 or k < 1:
         raise ValueError(f"dimensions must be positive, got n={n}, k={k}")
     if k > n:
@@ -238,35 +237,3 @@ def symplectic_inverse(x) -> np.ndarray:
     e = np.asarray(getattr(x, "entries", x), dtype=float)
     xt_j = jtmul(e).T  # X^T J_{2n} = (J_{2n}^T X)^T
     return jtmul(xt_j)
-
-
-@dataclass(frozen=True)
-class PerfectShuffle:
-    """Perfect shuffle permutation P_{2k} = [e_1, e_3, ..., e_{2k-1}, e_2, ..., e_{2k}].
-
-    ``permutation`` holds the column indices: P = I[:, permutation].
-    Conjugation by P sends J_{2k} to diag(J_2, ..., J_2).
-    """
-
-    k: int
-    permutation: np.ndarray
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.argsort(self.permutation)
-
-    def unshuffle_cols(self, a: np.ndarray) -> np.ndarray:
-        """a @ P."""
-        return a[:, self.permutation]
-
-    def unconjugate(self, r_hat: np.ndarray) -> np.ndarray:
-        """P^T r_hat P."""
-        p = self.permutation
-        return r_hat[np.ix_(p, p)]
-
-
-def perfect_shuffle(k: int) -> PerfectShuffle:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    perm = np.concatenate([np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)])
-    return PerfectShuffle(k, perm)

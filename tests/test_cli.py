@@ -17,7 +17,7 @@ from spopt.cli import ConfigError, ExperimentConfig, main, scheme_options
 from spopt.core import FeasibilityError, NumericalFailure, SymplecticPoint
 from spopt.geometry import NotSPD
 from spopt.hamiltonian import GridMismatch, NewtonDivergence
-from spopt.optimizer import LineSearchError
+from spopt.optimizer import LineSearchError, SolverStatus
 from spopt.retractions import RetractionKind, SingularCayley
 from spopt.sr import Breakdown
 
@@ -201,6 +201,27 @@ class TestArgumentHandling:
         assert "Traceback" not in err
         assert list(cwd.iterdir()) == []
 
+    @pytest.mark.parametrize("app, params, name", [
+        # each used to be ignored: the default preset, k or model ran
+        ("target", {"presett": "saddle"}, "presett"),
+        ("sympev", {"n": 8, "m": 1, "kk": 2}, "kk"),
+        ("mor", {"model": "vlasov", "k_value": [3]}, "k_value"),
+        # a field of another command
+        ("target", {"model": "wave"}, "model"),
+        ("sympev", {"snapshots": 4}, "snapshots"),
+        ("mor", {"m": 2}, "m"),
+    ])
+    def test_unknown_field_exits_2_before_output(self, app, params, name, tmp_path,
+                                                 monkeypatch, capsys):
+        for runner in ("crank_nicolson", "minimize", "symplectic_eigenpairs"):
+            monkeypatch.setattr(cli, runner, _must_not_run)
+        rc = main([app, "--config", write_cfg(tmp_path, params), "--schemes", "SRE",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown field {name!r}; spopt {app} reads ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("app, params", [
         ("sympev", {"n": 8, "m": 1, "k": 10**12}),
         ("mor", {"model": "vlasov", "n": 10**12}),
@@ -318,6 +339,11 @@ class TestMorRuns:
         # the sparse full model is factored by SuperLU, the dense ROMs by LAPACK
         assert summary["fom_solver"] == "superlu"
         assert [info["solver"] for info in summary["rows"]] == ["lapack", "lapack"]
+        # why the basis optimization stopped, on the optimized row only
+        cotlift, sre = summary["rows"]
+        assert "solver_status" not in cotlift and "solver_iterations" not in cotlift
+        assert sre["solver_status"] in {status.value for status in SolverStatus}
+        assert 1 <= sre["solver_iterations"] <= 100
         series = (out / "mor_wave_k4_CotLift_exact_series.csv").read_text()
         assert series.splitlines()[0] == "t,state_err,energy_err"
         printed = capsys.readouterr().out.splitlines()
@@ -357,6 +383,22 @@ class TestMorRuns:
         assert capsys.readouterr().err.startswith(
             f"config error: k_values entry must satisfy 1 <= k <= min(n, snapshots) "
             f"= {limit}, got {bad}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snapshots", [15, 0])
+    def test_snapshots_out_of_range_exit_2_before_fom(self, snapshots, tmp_path, monkeypatch,
+                                                      capsys):
+        # 10 steps store 11 states; 15 snapshots used to fail only after the
+        # full model had run
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        out = tmp_path / "mor"
+        cfg = write_cfg(tmp_path, {"model": "wave", "n": 20, "t_final": 0.1, "h_t": 0.01,
+                                   "snapshots": snapshots, "k_values": [2]})
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: snapshots must satisfy 1 <= snapshots <= steps + 1 = 11, "
+            f"got {snapshots}\n")
         assert not out.exists()
 
     def test_vlasov_deim_variants(self, tmp_path):

@@ -10,12 +10,12 @@ from spopt.core import (
     jmul,
     jtmul,
     mulj,
-    perfect_shuffle,
     symplectic_inverse,
     symplecticity_residual,
     tangency_residual,
 )
 from spopt.geometry import Metric, project_tangent
+from spopt.sr import _layout
 
 from conftest import random_point
 from oracles import conjugate, poisson, shuffle_cols, shuffle_matrix
@@ -56,6 +56,8 @@ class TestAppliedJ:
 
 
 class TestPerfectShuffle:
+    # the package keeps P_{2k} as the index arrays of sr._layout(k):
+    # A P = a[:, order], A P^T = a[:, inverse]
     def test_k2_column_order(self):
         p = shuffle_matrix(2)
         e = np.eye(4)
@@ -64,30 +66,38 @@ class TestPerfectShuffle:
 
     def test_k1_identity(self):
         assert np.array_equal(shuffle_matrix(1), np.eye(2))
+        assert _layout(1).order.tolist() == _layout(1).inverse.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 33])
+    def test_layout_matches_dense(self, k):
+        layout = _layout(k)
+        eye = np.eye(2 * k)
+        assert np.array_equal(eye[:, layout.order], shuffle_matrix(k))
+        assert np.array_equal(eye[:, layout.inverse], shuffle_matrix(k).T)
 
     def test_k3_conjugation(self):
-        p = perfect_shuffle(3)
         target = np.zeros((6, 6))
         for j in range(3):
             target[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = poisson(1)
         assert np.array_equal(shuffle_matrix(3) @ poisson(3) @ shuffle_matrix(3).T, target)
-        assert np.array_equal(conjugate(p, poisson(3)), target)
+        assert np.array_equal(conjugate(3, poisson(3)), target)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 33, 64])
     def test_conjugation_exact_all_k(self, k):
-        p = perfect_shuffle(k)
-        hat = conjugate(p, poisson(k))
+        hat = conjugate(k, poisson(k))
         target = np.zeros((2 * k, 2 * k))
         for j in range(k):
             target[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = poisson(1)
         assert np.array_equal(hat, target)
-        assert np.array_equal(p.unconjugate(hat), poisson(k))
+        p = _layout(k).order
+        assert np.array_equal(hat[np.ix_(p, p)], poisson(k))
 
     def test_shuffle_matches_dense(self, rng):
-        p = perfect_shuffle(3)
+        layout = _layout(3)
         a = rng.standard_normal((4, 6))
-        assert np.allclose(shuffle_cols(p, a), a @ shuffle_matrix(3).T)
-        assert np.allclose(p.unshuffle_cols(shuffle_cols(p, a)), a)
+        assert np.allclose(shuffle_cols(3, a), a @ shuffle_matrix(3).T)
+        assert np.array_equal(a[:, layout.inverse], shuffle_cols(3, a))
+        assert np.array_equal(a[:, layout.inverse][:, layout.order], a)
 
     def test_orthogonal_permutation(self):
         p = shuffle_matrix(5)

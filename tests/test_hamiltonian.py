@@ -568,7 +568,7 @@ class TestRomAssembly:
         traj = crank_nicolson(v, v.x0, IntegratorOptions(1e-3, 0.1))
         snaps = extract_snapshots(traj, 60)
         rom = build_rom(v, snaps, 4, nonlin="psd-deim")
-        assert rom.diagnostics["deim_modes"] == 10  # round(2.5 * 4)
+        assert rom.deim.indices.size == 10  # round(2.5 * 4) modes
 
     @pytest.mark.parametrize("variant", ["exact", "psd-deim", "structure-preserving"])
     @pytest.mark.parametrize("factory", [lambda: vlasov_system(48, seed=3),

@@ -1,5 +1,5 @@
-"""The test-scale oracles stay out of the package, every name a module
-exports through ``__all__`` exists, and every name the benchmark in
+"""The test-scale oracles stay out of the package, the SR layer has one
+factor type, every name a module exports through ``__all__`` exists, and every name the benchmark in
 ``perfbench/`` imports or probes exists, ``crank_nicolson`` reaches a
 factorization only through its run's ``factor``, and that factorization is
 picked by no reduced-model type.
@@ -66,10 +66,22 @@ def test_no_package_module_defines_an_oracle_name():
     oracle_names = {node.name for node in oracles
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {"sgs_basic", "poisson", "dense_jacobian", "RankDeficient"} <= oracle_names
-    assert {"PerfectShuffle", "unshuffle_cols"} <= defined_names(SRC / "core.py")
+    assert {"SymplecticPoint", "jx", "jmul"} <= defined_names(SRC / "core.py")
     clashes = {p.name: sorted(defined_names(p) & oracle_names)
                for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in clashes.items() if found} == {}
+
+
+def test_sr_results_have_one_factor_type():
+    # the SR layer works on plain arrays: SrFactors is its one result type,
+    # and the perfect shuffle is an index array of sr._layout, not a type
+    classes = {p.stem: {node.name for node in ast.parse(p.read_text()).body
+                        if isinstance(node, ast.ClassDef)}
+               for p in sorted(SRC.glob("*.py"))}
+    factor_types = {f"{module}.{name}" for module, names in classes.items()
+                    for name in names if name.endswith("Factors")}
+    assert factor_types == {"sr.SrFactors"}
+    assert not any("PerfectShuffle" in names for names in classes.values())
 
 
 def test_every_exported_name_resolves():

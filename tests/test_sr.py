@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,13 @@ from spopt.core import (
     SymplecticPoint,
     canonical_point,
     jmul,
-    perfect_shuffle,
     symplecticity_residual,
 )
 from spopt.sr import Breakdown, desr, sgs, sgs_modified
 
 from conftest import random_point, random_tangent, random_tangent_spectral
 from oracles import (even_minor_check, in_normalized_triangular_set, poisson, sgs_basic,
-                     shuffle_cols, shuffle_matrix)
+                     shuffle_cols, shuffle_matrix, unconjugate, unshuffle_cols)
 
 
 def unit(n2, i):
@@ -31,26 +32,28 @@ class TestDesr:
         n = 4
         a = np.column_stack([unit(2 * n, 0), unit(2 * n, n)])
         f = desr(a)
-        assert np.allclose(f.s(), a)
-        assert np.allclose(f.r(), np.eye(2))
+        assert np.allclose(f.s.entries, a)
+        assert np.allclose(f.r, np.eye(2))
 
     def test_scaled_pair(self):
         n = 3
         a = np.column_stack([2 * unit(2 * n, 0), 3 * unit(2 * n, n)])
         f = desr(a)
-        assert np.isclose(f.omega, 6.0)
-        assert np.isclose(f.r11, np.sqrt(6.0))
-        assert np.isclose(f.r22, np.sqrt(6.0))
-        assert np.allclose(f.s1, 2 * unit(6, 0) / np.sqrt(6.0))
-        assert np.allclose(f.s2, 3 * unit(6, 3) / np.sqrt(6.0))
-        assert np.allclose(f.s() @ f.r(), a)
+        (r11, r12), (r21, r22) = f.r
+        assert r12 == 0.0 and r21 == 0.0
+        assert np.isclose(r11 * r22, 6.0)  # omega
+        assert np.isclose(r11, np.sqrt(6.0))
+        assert np.isclose(r22, np.sqrt(6.0))
+        assert np.allclose(f.s.entries[:, 0], 2 * unit(6, 0) / np.sqrt(6.0))
+        assert np.allclose(f.s.entries[:, 1], 3 * unit(6, 3) / np.sqrt(6.0))
+        assert np.allclose(f.s.entries @ f.r, a)
 
     def test_negative_omega(self):
         n = 3
         a = np.column_stack([unit(2 * n, n), unit(2 * n, 0)])  # omega = -1
         f = desr(a)
-        assert f.r22 == -f.r11
-        assert np.allclose(f.s() @ f.r(), a)
+        assert f.r[1, 1] == -f.r[0, 0]
+        assert np.allclose(f.s.entries @ f.r, a)
 
     def test_isotropic_breaks(self):
         a = np.column_stack([unit(6, 0), unit(6, 1)])
@@ -78,37 +81,36 @@ def brute_force_minors_nonzero(a):
 class TestSgsBasic:
     def test_psps_input_identity(self, rng):
         x = random_point(6, 3, rng)
-        shuffle = perfect_shuffle(3)
-        psps = shuffle_cols(shuffle, x.entries)
-        f = sgs_basic(psps)
-        assert np.allclose(f.s_hat, psps, atol=1e-12)
-        assert np.allclose(f.r_hat, np.eye(6), atol=1e-12)
+        psps = shuffle_cols(3, x.entries)
+        s_hat, r_hat = sgs_basic(psps)
+        assert np.allclose(s_hat, psps, atol=1e-12)
+        assert np.allclose(r_hat, np.eye(6), atol=1e-12)
 
     def test_shuffled_canonical_point(self):
         e = canonical_point(5, 2)
-        psps = shuffle_cols(perfect_shuffle(2), e.entries)
-        f = sgs_basic(psps)
-        assert np.allclose(f.r_hat, np.eye(4), atol=1e-14)
+        psps = shuffle_cols(2, e.entries)
+        _, r_hat = sgs_basic(psps)
+        assert np.allclose(r_hat, np.eye(4), atol=1e-14)
 
     def test_random_reconstruction_with_minor_oracle(self, rng):
         a = rng.standard_normal((8, 4))
         assert brute_force_minors_nonzero(a)
-        f = sgs_basic(a)
-        assert np.linalg.norm(a - f.s_hat @ f.r_hat) <= 1e-12 * np.linalg.norm(a)
+        s_hat, r_hat = sgs_basic(a)
+        assert np.linalg.norm(a - s_hat @ r_hat) <= 1e-12 * np.linalg.norm(a)
 
     def test_psps_invariant_of_output(self, rng):
         a = rng.standard_normal((12, 6))
-        f = sgs_basic(a)
+        s_hat, _ = sgs_basic(a)
         hat = np.zeros((6, 6))
         for j in range(3):
             hat[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = poisson(1)
-        assert np.linalg.norm(f.s_hat.T @ jmul(f.s_hat) - hat) <= 1e-10
+        assert np.linalg.norm(s_hat.T @ jmul(s_hat) - hat) <= 1e-10
 
     def test_r_hat_block_structure(self, rng):
         # upper triangular with diagonal 2x2 blocks: zero off-entries,
         # positive first entry, matched absolute values
         a = rng.standard_normal((12, 6))
-        r = sgs_basic(a).r_hat
+        _, r = sgs_basic(a)
         assert np.array_equal(r, np.triu(r))
         for j in range(3):
             block = r[2 * j: 2 * j + 2, 2 * j: 2 * j + 2]
@@ -120,16 +122,16 @@ class TestSgsBasic:
 class TestSgsModified:
     def test_agrees_with_basic(self, rng):
         a = rng.standard_normal((10, 6))
-        fb, fm = sgs_basic(a), sgs_modified(a)
-        assert np.allclose(fb.s_hat, fm.s_hat, atol=1e-10)
-        assert np.allclose(fb.r_hat, fm.r_hat, atol=1e-10)
+        (sb, rb), (sm, rm) = sgs_basic(a), sgs_modified(a)
+        assert np.allclose(sb, sm, atol=1e-10)
+        assert np.allclose(rb, rm, atol=1e-10)
 
     def test_psps_input_identity(self, rng):
         x = random_point(7, 2, rng)
-        psps = shuffle_cols(perfect_shuffle(2), x.entries)
-        f = sgs_modified(psps)
-        assert np.allclose(f.s_hat, psps, atol=1e-12)
-        assert np.allclose(f.r_hat, np.eye(4), atol=1e-12)
+        psps = shuffle_cols(2, x.entries)
+        s_hat, r_hat = sgs_modified(psps)
+        assert np.allclose(s_hat, psps, atol=1e-12)
+        assert np.allclose(r_hat, np.eye(4), atol=1e-12)
 
     def test_graded_columns_not_worse_than_basic(self, rng):
         # columns with norms 1, 1e-4, 1e-8: the modified ordering must not
@@ -145,8 +147,8 @@ class TestSgsModified:
 
 
 def _recon_residual(factor, a):
-    f = factor(a)
-    return np.linalg.norm(a - f.s_hat @ f.r_hat) / np.linalg.norm(a)
+    s_hat, r_hat = factor(a)
+    return np.linalg.norm(a - s_hat @ r_hat) / np.linalg.norm(a)
 
 
 class TestSgs:
@@ -191,6 +193,15 @@ class TestSgs:
         with pytest.raises(ValueError):
             sgs(rng.standard_normal((4, 6)))
 
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 2), (4, 0), (4,), (2, 2, 2)])
+    def test_shape_rule_shared_with_points(self, shape):
+        # sgs, sgs_modified and SymplecticPoint reject a shape with one message
+        with pytest.raises(ValueError) as expected:
+            SymplecticPoint.from_entries(np.ones(shape))
+        for factor in (sgs, sgs_modified):
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                factor(np.ones(shape))
+
     def test_tangent_perturbation_domain(self, rng):
         # spectral radius below one guarantees factorizability
         x = random_point(10, 3, rng)
@@ -215,9 +226,9 @@ def unit_ball_step(n, k, seed, norm2):
 
 def modified_factors(a):
     """sgs computed by the Gram-Schmidt path alone."""
-    shuffle = perfect_shuffle(a.shape[1] // 2)
-    f = sgs_modified(shuffle_cols(shuffle, a))
-    return shuffle.unshuffle_cols(f.s_hat), shuffle.unconjugate(f.r_hat)
+    k = a.shape[1] // 2
+    s_hat, r_hat = sgs_modified(shuffle_cols(k, a))
+    return unshuffle_cols(k, s_hat), unconjugate(k, r_hat)
 
 
 def forbid_fallback(monkeypatch):
@@ -244,11 +255,9 @@ class TestGramPath:
         f = sgs(a)
         assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
         assert in_normalized_triangular_set(f.r)  # exact zeros and |r22| = r11
-        shuffle = perfect_shuffle(k)
-        basic = sgs_basic(shuffle_cols(shuffle, a))
-        assert np.allclose(f.s.entries, shuffle.unshuffle_cols(basic.s_hat),
-                           rtol=1e-10, atol=1e-12)
-        assert np.allclose(f.r, shuffle.unconjugate(basic.r_hat), rtol=1e-10, atol=1e-12)
+        s_basic, r_basic = sgs_basic(shuffle_cols(k, a))
+        assert np.allclose(f.s.entries, unshuffle_cols(k, s_basic), rtol=1e-10, atol=1e-12)
+        assert np.allclose(f.r, unconjugate(k, r_basic), rtol=1e-10, atol=1e-12)
         s_modified, _ = modified_factors(a)
         eps = np.finfo(float).eps
         assert (symplecticity_residual(f.s)
@@ -277,7 +286,7 @@ class TestGramPath:
     def test_interchange_falls_back_exactly(self, kind, rng):
         for _ in range(5):
             a = self._interchanging(kind, rng)
-            assert sr._sgs_gram(shuffle_cols(perfect_shuffle(3), a)) is None
+            assert sr._sgs_gram(shuffle_cols(3, a)) is None
             f = sgs(a, check=False)
             s_ref, r_ref = modified_factors(a)
             assert np.array_equal(f.s.entries, s_ref)
@@ -288,11 +297,10 @@ class TestGramPath:
         # ones): every LU multiplier is below 1, so nothing pivots, and
         # cond(B) ~ 8e5 costs a single pass about cond^2 eps of feasibility
         n, k = 40, 12
-        shuffle = perfect_shuffle(k)
-        s = shuffle_cols(shuffle, orthosymplectic_point(n, k, seed=3).entries)
+        s = shuffle_cols(k, orthosymplectic_point(n, k, seed=3).entries)
         u = np.triu(np.ones((2 * k, 2 * k)), 1)
         u[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
-        a = shuffle.unshuffle_cols(s @ (np.eye(2 * k) - 0.9 * u))
+        a = unshuffle_cols(k, s @ (np.eye(2 * k) - 0.9 * u))
         s_modified, _ = modified_factors(a)
         forbid_fallback(monkeypatch)
         f = sgs(a)
@@ -310,7 +318,7 @@ class TestGramPath:
         a[:, 2] = unit(2 * n, 1) + 1e-15 * unit(2 * n, n)
         a[:, 1] = unit(2 * n, 2)
         a[:, 3] = unit(2 * n, n + 2)
-        b = shuffle_cols(perfect_shuffle(2), a)
+        b = shuffle_cols(2, a)
         assert sr._gram_pass(b) is not None
         with pytest.raises(Breakdown):
             sgs(a)
@@ -318,12 +326,11 @@ class TestGramPath:
     def test_lazy_r_equals_eager_product(self):
         # R = P^T (R_hat_2 R_hat_1) P, formed on first read of ``r``
         a = unit_ball_step(30, 6, seed=5, norm2=0.9)
-        shuffle = perfect_shuffle(6)
-        first = sr._gram_pass(shuffle_cols(shuffle, a))
-        second = sr._gram_pass(first.s_hat.copy())
+        s_1, r_hat_1 = sr._gram_pass(shuffle_cols(6, a))
+        s_2, r_hat_2 = sr._gram_pass(s_1.copy())
         f = sgs(a)
-        assert np.array_equal(f.s.entries, shuffle.unshuffle_cols(second.s_hat))
-        assert np.array_equal(f.r, shuffle.unconjugate(second.r_hat @ first.r_hat))
+        assert np.array_equal(f.s.entries, unshuffle_cols(6, s_2))
+        assert np.array_equal(f.r, unconjugate(6, r_hat_2 @ r_hat_1))
         assert f.r is f.r
 
     def test_deterministic_bitwise(self):
@@ -337,7 +344,7 @@ class TestGramPath:
     def test_non_finite_entry_rejected(self, bad):
         a = unit_ball_step(6, 2, seed=0, norm2=0.5)
         a[2, 1] = bad
-        assert sr._sgs_gram(shuffle_cols(perfect_shuffle(2), a)) is None
+        assert sr._sgs_gram(shuffle_cols(2, a)) is None
         with pytest.raises(FeasibilityError):
             sgs(a)
 
