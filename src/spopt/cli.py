@@ -343,6 +343,12 @@ def run_mor(config: ExperimentConfig) -> dict:
         if not 1 <= k <= k_max:
             raise ConfigError(f"k_values entry must satisfy 1 <= k <= min(n, snapshots) "
                               f"= {k_max}, got {k}")
+    # states and snapshots are allocated lazily: a run beyond memory would be killed
+    need = 16 * n * (iopts.steps + 1 + n_snapshots)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"n = {n} and steps = {iopts.steps} need {need / 1e9:.3g} GB for "
+                          f"states and snapshots, over {have / 1e9:.3g} GB of physical memory")
     nonlin = _field(p, "nonlin", "exact" if model == "wave" else "psd-deim", str,
                     NONLIN_TREATMENTS)
     deim_variants = _field(p, "deim_variants", None, list, NONLIN_TREATMENTS)

@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
 
 from .core import NumericalFailure, SymplecticPoint, checked_number, jmul, symplectic_inverse
 from .applications import (DeimOperator, PsdProblem, _block_diag_lift, _is_scalar_zero,
@@ -357,69 +356,61 @@ class Trajectory:
     states: np.ndarray  # (dim, steps + 1)
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
-    # the run's factorization of its Newton matrices, or of a linear step's
-    # matrix: "site-blocks", "superlu" or "lapack"; None if it factored none
+    # the run's factorization (:func:`_pick_factor`) of its Newton matrices, or
+    # of a linear step's: "site-blocks", "band" or "lapack"; None if it factored none
     solver: str | None = None
 
     @property
     def h_t(self) -> float:
-        if self.times.size < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
+        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-class _ShiftedJ:
-    """I + t J G for sparse Jacobians G, on a CSC pattern built once per
-    pattern of G.
-
-    :meth:`matrix` gathers G's data onto the pattern with the signs of J, so
-    a Newton update assembles no sparse structure.  The values and the
-    pattern equal those of ``(I + t * (J @ G)).tocsc()`` wherever that keeps
-    an entry; an entry of G that is exactly zero stays stored here.
-    """
+class _BandJ:
+    """I + t J G for sparse Jacobians G in LAPACK band storage, rows and
+    columns in the reverse Cuthill-McKee order of its symmetrized pattern.
+    The order, the bandwidths ``kl``, ``ku`` and each stored entry's band
+    slot, with the sign of J, are fixed once per pattern of G; the entries
+    equal those of ``I + t * (J @ G)``."""
 
     def __init__(self, t: float):
-        self.t = t
-        self.indptr = self.indices = None
+        self.t, self.pattern = t, (None, None)
 
     def _refit(self, g: sp.csc_matrix) -> None:
-        t = self.t
-        self.indptr, self.indices = g.indptr, g.indices
-        dim = g.shape[0]
-        n = dim // 2
+        from scipy.sparse.csgraph import reverse_cuthill_mckee  # 1-2 MB: only runs that use it
+        self.pattern, dim = (g.indptr, g.indices), g.shape[0]
         rows, cols = g.indices, np.repeat(np.arange(dim), np.diff(g.indptr))
         # row r of G becomes row r - n of J G if r >= n, else row r + n negated
-        moved = (rows + n) % dim
-        diag = np.arange(dim)
-        self.mat = sp.csc_matrix((np.zeros(rows.size + dim),
-                                  (np.concatenate([moved, diag]), np.concatenate([cols, diag]))),
-                                 shape=(dim, dim))
-        target = _entry_positions(self.mat, moved, cols)
-        # entries fed by I alone gather an arbitrary element with weight 0
-        self.gather = np.zeros(self.mat.nnz, dtype=np.intp)
-        self.gather[target] = np.arange(rows.size)
-        self.scale = np.zeros(self.mat.nnz)
-        self.scale[target] = np.where(rows >= n, t, -t)
-        self.diag = _entry_positions(self.mat, diag, diag)
+        self.scale = np.where(rows >= dim // 2, self.t, -self.t)
+        i, j = np.r_[(rows + dim // 2) % dim, :dim], np.r_[cols, :dim]
+        pattern = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(dim, dim))
+        self.order = reverse_cuthill_mckee(pattern + pattern.T, symmetric_mode=True)
+        self.rank = np.argsort(self.order)
+        i, j = self.rank[i], self.rank[j]
+        self.kl, self.ku = int((i - j).max()), int((j - i).max())
+        # ordered entry (i, j) sits in row kl + ku + i - j of column j of the
+        # (2 kl + ku + 1) x dim band array, which is stored by columns
+        self.height = 2 * self.kl + self.ku + 1
+        slots = j * self.height + (self.kl + self.ku + i - j)
+        self.slots, self.diag = slots[:rows.size], slots[rows.size:]
 
-    def matrix(self, g) -> sp.csc_matrix:
-        """The matrix for G's data; it is overwritten by the next call."""
+    def band(self, g) -> np.ndarray:
+        """A new band array of I + t J G for G's data."""
         g = g.tocsc()
-        if not g.has_canonical_format:  # duplicate entries would share one slot of the gather
+        if not g.has_canonical_format:  # duplicate entries would share one slot
             g = g.tocoo().tocsc()
-        same = lambda a, b: a is b or np.array_equal(a, b)
-        if not (same(g.indptr, self.indptr) and same(g.indices, self.indices)):
+        if not all(a is b or np.array_equal(a, b)
+                   for a, b in zip(self.pattern, (g.indptr, g.indices))):
             self._refit(g)
-        np.multiply(self.scale, g.data[self.gather], out=self.mat.data)
-        self.mat.data[self.diag] += 1.0
-        return self.mat
+        ab = np.zeros(self.rank.size * self.height)
+        ab[self.slots] = self.scale * g.data
+        ab[self.diag] += 1.0
+        return ab.reshape(-1, self.height).T
 
     def factor(self, g, where: str):
-        a = self.matrix(g)
-        try:
-            return splu(a).solve
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NewtonDivergence(f"{where}: singular Newton matrix ({exc})") from None
+        lu, piv, info = lapack.dgbtrf(self.band(g), self.kl, self.ku, overwrite_ab=True)
+        _check_pivots(info, where)
+        kl, ku, order, rank = self.kl, self.ku, self.order, self.rank
+        return lambda b: lapack.dgbtrs(lu, kl, ku, b[order], piv)[0][rank]
 
 
 def _shifted_dense(t: float, dim: int):
@@ -441,27 +432,39 @@ def _shifted_dense(t: float, dim: int):
 
 def _shifted(g, t: float):
     """I + t J G as a matrix to multiply by: CSR for a sparse G."""
-    return _ShiftedJ(t).matrix(g).tocsr() if sp.issparse(g) else _shifted_dense(t, g.shape[0])(g)
+    if not sp.issparse(g):
+        return _shifted_dense(t, g.shape[0])(g)
+    g, n = g.tocsr(), g.shape[0] // 2
+    return sp.eye(2 * n, format="csr") + t * sp.vstack([g[n:], -g[:n]], format="csr")
+
+
+def _check_pivots(info: int, where: str) -> None:
+    """Raise for a LAPACK LU factorization with a pivot ``info`` exactly zero."""
+    if info > 0:
+        raise NewtonDivergence(f"{where}: singular Newton matrix (pivot {info} is exactly zero)")
 
 
 def _lu(a: np.ndarray, where: str):
     """The solve b -> a^{-1} b by one LAPACK ``dgetrf`` of ``a``, which is
     overwritten, and one ``dgetrs`` per call."""
     lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
-    if info > 0:
-        raise NewtonDivergence(f"{where}: singular Newton matrix (pivot {info} is exactly zero)")
+    _check_pivots(info, where)
     return lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
 def _pick_factor(g, t: float):
     """The factorization (G, where) -> solve of I + t J G for the Jacobians of
-    one run, picked by the type of its first Jacobian G, and its name.  A
-    solve b -> (I + t J G)^{-1} b stays valid until the next factorization;
-    ``where`` leads the message of a singular matrix."""
+    one run, picked by the type of its first Jacobian G, and its name:
+    Cramer's rule on the 2 x 2 blocks of :class:`SiteBlocks`, M's share
+    formed once ("site-blocks"); ``dgbtrf``/``dgbtrs`` in the band storage
+    of :class:`_BandJ` for a sparse G ("band"); ``dgetrf``/``dgetrs`` with
+    J's row order and signs formed once for a dense G, which every ROM's is
+    ("lapack").  A solve b -> (I + t J G)^{-1} b stays valid until the next
+    factorization; ``where`` leads the message of a singular matrix."""
     if isinstance(g, SiteBlocks):
         return _SiteSolver(g, t).factor, "site-blocks"
     if sp.issparse(g):
-        return _ShiftedJ(t).factor, "superlu"
+        return _BandJ(t).factor, "band"
     shifted = _shifted_dense(t, g.shape[0])
     return (lambda g, where: _lu(shifted(g), where)), "lapack"
 
@@ -494,30 +497,20 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     recorded as ``Trajectory.solver``, which is built once and keeps what is
     fixed for the run.  A Newton update factors its own I - (h/2) J G and
     solves once; a linear run factors I - (h/2) J M once and solves once per
-    step.  A ``solve`` stays valid until the next ``factor`` call.  A
-    :class:`SiteBlocks` (uncoupled sites, Vlasov particles) is factored as n
-    2 x 2 blocks with M's share of each block formed once and solved by
-    Cramer's rule ("site-blocks"); a sparse one (sites coupled by M, as in
-    sine-Gordon and Schroedinger, or a linear full model) is gathered onto a
-    CSC pattern fixed once per Jacobian pattern and factored by SuperLU
-    ("superlu"); a dense one, which every ROM's is (U^T M U, or the
-    :meth:`~spopt.applications.DeimOperator.jacobian` of a nonlinear ROM),
-    is factored by LAPACK ``dgetrf`` with the row order and signs of J
-    formed once, and solved by ``dgetrs`` ("lapack").
-    Exceeding the budget of :data:`NEWTON_MAXIT` iterations, a non-finite
-    residual or a singular Newton matrix raises :class:`NewtonDivergence`.
+    step.  A ``solve`` stays valid until the next ``factor`` call.  Each is
+    one LAPACK factorization or Cramer's rule on 2 x 2 blocks, picked by
+    :func:`_pick_factor`.  Exceeding the budget of :data:`NEWTON_MAXIT`
+    iterations, a non-finite residual or a singular Newton matrix raises
+    :class:`NewtonDivergence`.
     """
     start = time.perf_counter()
-    dim = system.dim
-    h = opts.h_t
+    dim, h, steps = system.dim, opts.h_t, opts.steps
     c = 0.5 * h
-    steps = opts.steps
     x0 = np.asarray(x0, dtype=float)
     states = np.empty((dim, steps + 1))
     states[:, 0] = x0
     x = x0.copy()
-    updates = 0
-    solver = None
+    updates, solver = 0, None
     # states are written as rows and stored a block of columns at a time:
     # one strided column write per step costs more than a step
     block = np.empty((_STATE_BLOCK, dim))

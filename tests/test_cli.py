@@ -222,18 +222,19 @@ class TestArgumentHandling:
         assert err.startswith(f"config error: unknown field {name!r}; spopt {app} reads ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("app, params", [
-        ("sympev", {"n": 8, "m": 1, "k": 10**12}),
-        ("mor", {"model": "vlasov", "n": 10**12}),
+    @pytest.mark.parametrize("app, params, message", [
+        ("sympev", {"n": 8, "m": 1, "k": 10**12}, "Unable to allocate"),
+        ("mor", {"model": "vlasov", "n": 10**12}, f"n = {10**12} and steps = 2000 need "),
         ("mor", {"model": "wave", "n": 6, "t_final": 10**12, "h_t": 0.05, "snapshots": 3,
-                 "k_values": [2]}),
+                 "k_values": [2]}, f"n = 6 and steps = {2 * 10**13} need "),
     ], ids=["sympev-k", "mor-n", "mor-steps"])
-    def test_unallocatable_size_exits_2(self, app, params, tmp_path, capsys):
-        # used to end in a MemoryError traceback
+    def test_unallocatable_size_exits_2(self, app, params, message, tmp_path, capsys):
+        # used to end in a MemoryError traceback; ``mor`` names the sizes
+        # before it builds the model
         rc = main([app, "--config", write_cfg(tmp_path, params), "--schemes", "SRE",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: Unable to allocate")
+        assert capsys.readouterr().err.startswith("config error: " + message)
 
     def test_overridden_config_fields_still_checked(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"seed": "x", "schemes": "SRE"})
@@ -336,8 +337,9 @@ class TestMorRuns:
         # the wave model is linear: no Newton iteration anywhere
         assert summary["fom_newton_updates"] == 0
         assert [info["newton_updates"] for info in summary["rows"]] == [0, 0]
-        # the sparse full model is factored by SuperLU, the dense ROMs by LAPACK
-        assert summary["fom_solver"] == "superlu"
+        # the sparse full model is factored in LAPACK band storage, the dense
+        # ROMs by LAPACK's general LU
+        assert summary["fom_solver"] == "band"
         assert [info["solver"] for info in summary["rows"]] == ["lapack", "lapack"]
         # why the basis optimization stopped, on the optimized row only
         cotlift, sre = summary["rows"]
@@ -383,6 +385,28 @@ class TestMorRuns:
         assert capsys.readouterr().err.startswith(
             f"config error: k_values entry must satisfy 1 <= k <= min(n, snapshots) "
             f"= {limit}, got {bad}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_final, fits", [(20.0, True), (30.0, False)])
+    def test_states_beyond_physical_memory_exit_2_before_fom(self, t_final, fits, tmp_path,
+                                                             monkeypatch, capsys):
+        # 4.096 MB of physical memory: n = 100 takes 1600 bytes per state,
+        # and 50 snapshots with 2001 states fit, with 3001 states do not
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli, "crank_nicolson", _must_not_run)
+        out = tmp_path / "mor"
+        cfg = write_cfg(tmp_path, {"model": "wave", "n": 100, "t_final": t_final, "h_t": 0.01,
+                                   "snapshots": 50, "k_values": [2]})
+        if fits:
+            with pytest.raises(AssertionError, match="the full-order model ran"):
+                main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+            return
+        rc = main(["mor", "--config", cfg, "--schemes", "SRE", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: n = 100 and steps = 3000 need 0.00488 GB for states and "
+            "snapshots, over 0.0041 GB of physical memory\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("snapshots", [15, 0])

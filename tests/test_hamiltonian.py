@@ -373,14 +373,15 @@ class TestCrankNicolson:
             crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
 
     @pytest.mark.parametrize("linear, where", [(True, "linear step"), (False, "step 0")])
-    def test_superlu_singular_matrix_raises_newton_divergence(self, linear, where):
+    def test_band_singular_matrix_raises_newton_divergence(self, linear, where):
         # a CSR Jacobian with I - (h/2) J G = diag(0, 1), for the linear
-        # branch's one factorization and for a Newton update's
+        # branch's one factorization and for a Newton update's: dgbtrf
+        # reports the zero pivot
         h = 0.5
         g = sp.csr_matrix(np.array([[0.0, 0.0], [2.0 / h, 0.0]]))
         sysm = SimpleNamespace(dim=2, is_linear=linear, flow=jmul, grad_jacobian=lambda x: g)
         with pytest.raises(NewtonDivergence, match=rf"^{where}: singular Newton matrix "
-                                                   r"\(Factor is exactly singular\)$"):
+                                                   r"\(pivot \d is exactly zero\)$"):
             crank_nicolson(sysm, np.array([1.0, 0.0]), IntegratorOptions(h, 1.0))
 
     def test_linear_non_finite_state_names_its_step(self):
@@ -439,8 +440,8 @@ class TestCrankNicolson:
         assert np.array_equal(traj.states, crank_nicolson(model, x0, opts).states)
 
     @pytest.mark.parametrize("model, fom, rom", [
-        ("wave", "superlu", "lapack"), ("sine-gordon", "superlu", "lapack"),
-        ("schrodinger", "superlu", "lapack"), ("vlasov", "site-blocks", "lapack")])
+        ("wave", "band", "lapack"), ("sine-gordon", "band", "lapack"),
+        ("schrodinger", "band", "lapack"), ("vlasov", "site-blocks", "lapack")])
     def test_solver_recorded(self, model, fom, rom):
         sysm = FOUR_MODELS[model]()
         opts = IntegratorOptions(1e-2, 0.1)
@@ -879,14 +880,15 @@ class ReferenceSystem:
 def reference_crank_nicolson(system, x0, opts):
     """Nonlinear Crank-Nicolson as written before the converged gradient was
     carried into the next step: two ``grad`` calls per step plus one per
-    update, SuperLU for a sparse and ``np.linalg.solve`` for a dense Newton
-    matrix.  The model is read through a :class:`ReferenceSystem`."""
+    update, the band factorization for a sparse and ``np.linalg.solve`` for
+    a dense Newton matrix.  The model is read through a
+    :class:`ReferenceSystem`."""
     if not isinstance(system, ReferenceSystem):
         system = ReferenceSystem(system)
     h, c, dim = opts.h_t, 0.5 * opts.h_t, system.dim
     states = np.empty((dim, opts.steps + 1))
     states[:, 0] = x = np.asarray(x0, dtype=float)
-    shifted = hamiltonian._ShiftedJ(-c)
+    band = hamiltonian._BandJ(-c)
     for m in range(opts.steps):
         fx = jmul(system.grad(x))
         y = x + h * fx
@@ -896,7 +898,7 @@ def reference_crank_nicolson(system, x0, opts):
                 break
             g = system.grad_jacobian(y)
             if sp.issparse(g):
-                y = y - hamiltonian.splu(shifted.matrix(g)).solve(res)
+                y = y - band.factor(g, f"step {m}")(res)
             else:
                 a = -c * jmul(g)
                 a.flat[::dim + 1] += 1.0
@@ -908,14 +910,15 @@ def reference_crank_nicolson(system, x0, opts):
 
 
 def reference_linear_crank_nicolson(system, x0, opts):
-    """Linear Crank-Nicolson with one factorization of I - (h/2) J G, SuperLU
-    for a sparse and LAPACK for a dense G, each state written as its own
-    column."""
+    """Linear Crank-Nicolson with one factorization of I - (h/2) J G, the band
+    factorization for a sparse and LAPACK for a dense G, each state written
+    as its own column; the sparse I + (h/2) J G is built as in
+    :func:`reference_newton_matrix`."""
     c, dim = 0.5 * opts.h_t, system.dim
     g = system.grad_jacobian(x0)
     if sp.issparse(g):
-        solve = hamiltonian.splu(hamiltonian._ShiftedJ(-c).matrix(g)).solve
-        rhs_mat = hamiltonian._ShiftedJ(c).matrix(g).tocsr()
+        solve = hamiltonian._BandJ(-c).factor(g, "linear step")
+        rhs_mat = reference_newton_matrix(g, -opts.h_t).tocsr()
     else:
         a, rhs_mat = -c * jmul(g), c * jmul(g)
         a.flat[::dim + 1] += 1.0
@@ -929,15 +932,30 @@ def reference_linear_crank_nicolson(system, x0, opts):
     return states
 
 
-def capture_newton(monkeypatch, system, x0, opts):
-    """Run Crank-Nicolson; return the Jacobian arguments and the matrices
-    handed to SuperLU, in call order."""
-    states, matrices = [], []
-    real_splu = hamiltonian.splu
+def unband(band, ab):
+    """The dense matrix that the band array ``ab`` of the factorization
+    ``band`` holds, rows and columns back in their original order."""
+    kl, ku, dim = band.kl, band.ku, ab.shape[1]
+    i, j = np.indices((dim, dim))
+    inside = (i - j <= kl) & (j - i <= ku)
+    ordered = np.zeros((dim, dim))
+    ordered[inside] = ab[kl + ku + (i - j)[inside], j[inside]]
+    dense = np.empty_like(ordered)
+    dense[np.ix_(band.order, band.order)] = ordered
+    return dense
 
-    def spy(a):
-        matrices.append(a.copy())
-        return real_splu(a)
+
+def capture_newton(monkeypatch, system, x0, opts):
+    """Run Crank-Nicolson; return the Jacobian arguments and, for each band
+    array handed to LAPACK, in call order, the number of Jacobian entries
+    scattered into it and its unfactored matrix in the original order."""
+    states, matrices = [], []
+    real_band = hamiltonian._BandJ.band
+
+    def spy(self, g):
+        ab = real_band(self, g)
+        matrices.append(SimpleNamespace(stored=self.slots.size, dense=unband(self, ab)))
+        return ab
 
     class Recording:
         def __getattr__(self, name):
@@ -947,7 +965,7 @@ def capture_newton(monkeypatch, system, x0, opts):
             states.append(x.copy())
             return system.grad_jacobian(x)
 
-    monkeypatch.setattr(hamiltonian, "splu", spy)
+    monkeypatch.setattr(hamiltonian._BandJ, "band", spy)
     traj = hamiltonian.crank_nicolson(Recording(), x0, opts)
     return traj, states, matrices
 
@@ -956,7 +974,7 @@ def capture_site_blocks(monkeypatch, system, x0, opts):
     """Run Crank-Nicolson on a model with site-local Jacobians; return the
     Jacobian arguments and, for each site-block solve, the rows a_pp, a_qq,
     a_qp, a_pq of the Newton blocks I + t J G of the Jacobian and the t it
-    was handed, in call order.  SuperLU must not be reached."""
+    was handed, in call order.  The band factorization must not be reached."""
     blocks = []
     real_factor = hamiltonian._SiteSolver.factor
 
@@ -983,15 +1001,6 @@ def assert_same_site_blocks(blocks, ref):
         assert np.array_equal(b, dense[r, c])
         rest[r, c] = 0.0
     assert not rest.any()
-
-
-def assert_same_newton_matrix(a, ref):
-    """Equal values bit for bit; equal patterns where ``a`` stores no zero."""
-    assert a.has_sorted_indices and ref.has_sorted_indices
-    assert np.array_equal(a.toarray(), ref.toarray())
-    if np.all(a.data != 0.0):
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, attr), getattr(ref, attr))
 
 
 # Per-model closures as each model wrote them before ``Nonlinearity`` derived
@@ -1207,8 +1216,8 @@ FOUR_MODELS = {
 
 
 class TestNewtonMatrix:
-    """What SuperLU factors, or the site blocks that replace it, equals the
-    sparse-construction reference."""
+    """What LAPACK's band factorization is handed, or the site blocks that
+    replace it, equals the sparse-construction reference."""
 
     @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
     def test_matches_reference_at_random_states(self, model, monkeypatch, rng):
@@ -1227,8 +1236,21 @@ class TestNewtonMatrix:
         for y, a in zip(states, matrices):
             g = sysm.mass if sysm.is_linear else reference_jacobian(sysm, y)
             ref = reference_newton_matrix(g, opts.h_t)
-            assert_same_newton_matrix(a, ref)
-            assert a.nnz == ref.nnz
+            # every band entry bit for bit, zeros included; each stored
+            # entry of the Jacobian handed in is scattered once
+            assert np.array_equal(a.dense, ref.toarray())
+            assert a.stored == sysm.grad_jacobian(y).nnz
+
+    @pytest.mark.parametrize("model, n", [("wave", 250), ("sine-gordon", 200),
+                                          ("schrodinger", 128)])
+    def test_band_stays_narrow(self, model, n):
+        # an ordering that lost the band would factor a dense matrix
+        # without any error
+        sysm = {"wave": wave_system, "sine-gordon": sine_gordon_system,
+                "schrodinger": schrodinger_system}[model](n)
+        band = hamiltonian._BandJ(-5e-3)
+        band.band(sysm.grad_jacobian(sysm.x0))
+        assert band.kl <= 4 and band.ku <= 4
 
     def test_zero_curvature_state(self, monkeypatch, rng):
         # Vlasov particles resting at q = 0 keep q = 0 in the first Newton
@@ -1290,10 +1312,10 @@ class TestNewtonMatrix:
         opts = IntegratorOptions(1e-2, 0.1)
         traj, states, matrices = capture_newton(
             monkeypatch, ReferenceSystem(sysm, alternating), sysm.x0, opts)
-        assert len({a.nnz for a in matrices}) == 2
+        assert len({a.stored for a in matrices}) == 2
         for y, a in zip(states, matrices):
             ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
-            assert np.array_equal(a.toarray(), ref.toarray())
+            assert np.array_equal(a.dense, ref.toarray())
         plain = crank_nicolson(sysm, sysm.x0, opts)
         assert np.allclose(traj.states, plain.states, rtol=0.0, atol=1e-13)
 
@@ -1359,12 +1381,12 @@ class TestSiteSolve:
             g_pq[2] = np.nan  # g_pq of site 2
             return hamiltonian.SiteBlocks([*g.rows[:2], g_pq, g.rows[3]], g.mass)
 
-        monkeypatch.setattr(hamiltonian, "splu", lambda a: pytest.fail("SuperLU"))
+        monkeypatch.setattr(hamiltonian._BandJ, "factor", lambda *a: pytest.fail("band"))
         with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
             crank_nicolson(ReferenceSystem(sysm, poisoned), sysm.x0,
                            IntegratorOptions(1e-3, 0.01))
 
-    def test_missing_site_entry_falls_back_to_superlu(self, monkeypatch):
+    def test_missing_site_entry_falls_back_to_band(self, monkeypatch):
         # exact zeros eliminated: V_qp = V_pp = 0 drops (q_i,p_i) and
         # (p_i,q_i), and the zero curvatures of particles at q = 0 drop
         # (q_i,q_i); a position looked up for an absent entry would read a
@@ -1410,10 +1432,11 @@ def synthetic_site_system(n=12, seed=0, coupling=None):
     return HamiltonianSystem("synthetic", n, mass.tocsr(), rng.standard_normal(2 * n), nl)
 
 
-def cramer_lu(a):
-    """Stands in for SuperLU on a site-local Newton matrix ``a``: Cramer's
-    rule on each site's 2 x 2 block, read from the matrix entries."""
-    dense = a.toarray()
+def cramer_factor(band, g, where):
+    """Stands in for the band factorization of a site-local Newton matrix:
+    Cramer's rule on each site's 2 x 2 block, read from the entries of the
+    band array."""
+    dense = unband(band, band.band(g))
     n = dense.shape[0] // 2
     q, p = np.arange(n), np.arange(n) + n
     a_qq, a_qp, a_pq, a_pp = dense[q, q], dense[q, p], dense[p, q], dense[p, p]
@@ -1423,7 +1446,7 @@ def cramer_lu(a):
         return np.concatenate([(a_pp * r[:n] - a_qp * r[n:]) / det,
                                (a_qq * r[n:] - a_pq * r[:n]) / det])
 
-    return SimpleNamespace(solve=solve)
+    return solve
 
 
 class TestSiteLocalSystems:
@@ -1446,13 +1469,13 @@ class TestSiteLocalSystems:
         opts = IntegratorOptions(5e-2, 1.0)
         traj = crank_nicolson(sysm, sysm.x0, opts)
         assert traj.solver == "site-blocks" and traj.newton_updates >= opts.steps
-        # SuperLU pivots a 2 x 2 block differently from Cramer's rule, so the
-        # SuperLU reference agrees at roundoff
+        # the band LU pivots a 2 x 2 block differently from Cramer's rule,
+        # so the band reference agrees at roundoff
         lu_ref = reference_crank_nicolson(sysm, sysm.x0, opts)
         assert np.allclose(traj.states, lu_ref, rtol=0.0, atol=1e-13)
-        # the reference loop's CSC Newton matrices, solved by Cramer's rule:
-        # bit for bit
-        monkeypatch.setattr(hamiltonian, "splu", cramer_lu)
+        # the reference loop's band Newton matrices, solved by Cramer's
+        # rule: bit for bit
+        monkeypatch.setattr(hamiltonian._BandJ, "factor", cramer_factor)
         assert np.array_equal(traj.states, reference_crank_nicolson(sysm, sysm.x0, opts))
 
     @pytest.mark.parametrize("coupling", [(0, 1), (2, 12 + 5), (12 + 3, 12 + 4)])
@@ -1465,7 +1488,7 @@ class TestSiteLocalSystems:
                               reference_jacobian(sysm, x).toarray())
         opts = IntegratorOptions(5e-2, 0.5)
         traj = crank_nicolson(sysm, x, opts)
-        assert traj.solver == "superlu"
+        assert traj.solver == "band"
         assert np.array_equal(traj.states, reference_crank_nicolson(sysm, x, opts))
 
     def test_entry_stored_at_some_sites_takes_csc_path(self):

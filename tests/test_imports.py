@@ -1,8 +1,8 @@
 """The test-scale oracles stay out of the package, the SR layer has one
 factor type, every name a module exports through ``__all__`` exists, and every name the benchmark in
-``perfbench/`` imports or probes exists, ``crank_nicolson`` reaches a
-factorization only through its run's ``factor``, and that factorization is
-picked by no reduced-model type.
+``perfbench/`` imports or probes exists, no module reaches SuperLU,
+``crank_nicolson`` reaches a factorization only through its run's
+``factor``, and that factorization is picked by no reduced-model type.
 
 No module of ``src/spopt`` imports an ``oracles`` module in any form
 (``from .oracles import ...``, ``from . import oracles``,
@@ -133,11 +133,27 @@ def names_used_by(function: str) -> set[str]:
     return names | {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
 
 
+def test_no_package_module_reaches_superlu():
+    # every Crank-Nicolson solve is a LAPACK factorization or Cramer's rule
+    # on 2 x 2 blocks: no module imports scipy.sparse.linalg or names splu
+    for path in sorted(SRC.glob("*.py")):
+        imported = imported_names(path)
+        assert not any(name == "scipy.sparse.linalg" or name.startswith("scipy.sparse.linalg.")
+                       for name in imported), path.name
+        tree = ast.parse(path.read_text())
+        used = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                | {name.rpartition(".")[2] for name in imported})
+        assert "splu" not in used, path.name
+    assert "scipy.sparse.csgraph.reverse_cuthill_mckee" in imported_names(SRC / "hamiltonian.py")
+
+
 def test_crank_nicolson_factors_only_through_the_protocol():
     # every solve goes through the run's factor(G, where) -> solve: the
     # integrator names no factorization routine and no Newton matrix builder
     names = names_used_by("crank_nicolson")
-    assert names & {"splu", "lapack", "_ShiftedJ", "_shifted_dense"} == set()
+    assert names & {"splu", "lapack", "dgbtrf", "dgbtrs", "_ShiftedJ", "_BandJ",
+                    "_shifted_dense"} == set()
     assert "_pick_factor" in names
 
 
