@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,7 @@ from .optimizer import SolverOptions, minimize
 from .sr import sgs
 
 __all__ = [
-    "Nonlinearity", "HamiltonianSystem", "SiteBlocks", "IntegratorOptions", "Trajectory",
+    "Nonlinearity", "HamiltonianSystem", "Separable", "IntegratorOptions", "Trajectory",
     "ReducedSystem", "NewtonDivergence", "GridMismatch",
     "wave_system", "sine_gordon_system", "schrodinger_system", "vlasov_system",
     "sample_vlasov_ic", "VlasovParams", "sine_gordon_exact",
@@ -116,97 +116,14 @@ def _quadratic(x: np.ndarray, mx: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,ij->j", x, mx)
 
 
-#: Signs of t in the Newton matrix entries a_pq, a_pp - 1, a_qq - 1, a_qp
-#: made from the rows g_qq, g_qp, g_pq, g_pp of a site block.
-_SITE_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+class Separable(NamedTuple):
+    """The Jacobian M + Hess h = diag(K + diag(v_qq), I) of a separable
+    system: ``k`` is K, tridiagonal CSR and shared by every call, and
+    ``v_qq`` the curvature of one call.  :class:`_SchurJ` solves its
+    Newton systems."""
 
-
-class SiteBlocks:
-    """The Jacobian M + Hess h of a site-local system: n uncoupled 2 x 2
-    blocks [[g_qq, g_qp], [g_pq, g_pp]], one per site i, coupling q_i with
-    p_i only.  ``mass`` holds M's rows g_qq, g_qp, g_pq, g_pp over the sites
-    (0 where M stores nothing), fixed for the system; ``rows`` holds, in
-    that order, each row the curvature changes and None for a row that is
-    M's alone (Vlasov: only g_qq varies).  :class:`_SiteSolver` solves the
-    Newton systems of :func:`crank_nicolson`.
-    """
-
-    __slots__ = ("rows", "mass")
-
-    def __init__(self, rows, mass: np.ndarray):
-        self.rows = rows
-        self.mass = mass
-
-
-class _SiteSolver:
-    """Factorizations of I + t J G for the :class:`SiteBlocks` G of one run:
-    the sites' blocks [[1 + t g_pq, t g_pp], [-t g_qq, 1 - t g_qp]] and their
-    determinants, solved by Cramer's rule.
-
-    The entries made from rows that are M's alone, and the determinant's
-    products of two such entries, are formed once; an update computes the
-    others by the same operations as the full formula, so every bit is the
-    same.  Diagonal entries that are all exactly 1 (M stores no g_qp, g_pq)
-    skip their products with the residual, which would change no bit.
-    """
-
-    def __init__(self, g: SiteBlocks, t: float):
-        self.t, self.mass = t, g.mass
-        self.fixed = fixed = [row is None for row in g.rows]
-        self.a = a = g.mass * (t * _SITE_SIGNS)  # rows a_pq, a_pp, a_qq, a_qp
-        a[1:3] += 1.0
-        # each varying row k: its row of a, its sign of t, and whether 1 is added
-        self.varying = [(k, a[k], _SITE_SIGNS[k, 0] * t, k in (1, 2))
-                        for k in range(4) if not fixed[k]]
-        self.diag, self.off = a[1:3], a[3::-3]  # views: (a_pp, a_qq), (a_qp, a_pq)
-        self.diag_det = a[1] * a[2] if fixed[1] and fixed[2] else None
-        self.off_det = a[3] * a[0] if fixed[3] and fixed[0] else None
-        self.unit_diag = self.diag_det is not None and bool((self.diag == 1.0).all())
-
-    def factor(self, g: SiteBlocks, where: str):
-        rows = g.rows
-        if g.mass is not self.mass or [row is None for row in rows] != self.fixed:
-            self.__init__(g, self.t)
-        for k, out, scale, one in self.varying:
-            np.multiply(rows[k], scale, out=out)
-            if one:
-                out += 1.0
-        a = self.a
-        det = a[1] * a[2] if self.diag_det is None else self.diag_det
-        det = det - (a[3] * a[0] if self.off_det is None else self.off_det)
-        if np.count_nonzero(det) < det.size:  # a NaN passes, and ends as a non-finite residual
-            site = np.flatnonzero(det == 0.0)[0]
-            raise NewtonDivergence(f"{where}: singular Newton matrix (block of site {site})")
-        diag, off = (None if self.unit_diag else self.diag), self.off
-
-        def solve(res: np.ndarray) -> np.ndarray:
-            r = res.reshape(2, -1)  # rows r_q, r_p; adj(A) r = (a_pp, a_qq) r - (a_qp, a_pq) (r_p; r_q)
-            x = off * r[::-1]
-            np.subtract(r if diag is None else diag * r, x, out=x)
-            x /= det
-            return x.ravel()
-
-        return solve
-
-
-def _site_row(a, u, b, w, v, out: np.ndarray) -> None:
-    """Write to ``out`` a row of M x + grad h as ``M @ x + nonlin.gradient(x)``
-    sums it: 0 + a u + b w, then + v.  A coefficient is None for an entry M
-    does not store and 1.0 for one it stores as 1 at every site, whose
-    product would change no bit.  Such a sum is never -0, so adding a scalar
-    zero v would change no bit either."""
-    total = 0.0  # until ``out`` holds the sum
-    for coef, val in ((a, u), (b, w), (1.0, v)):
-        if coef is None or _is_scalar_zero(val):
-            continue
-        term = val if isinstance(coef, float) else coef * val
-        if total is None:
-            out += term
-        else:
-            np.add(total, term, out=out)
-            total = None
-    if total is not None:
-        out[:] = total
+    k: sp.csr_matrix
+    v_qq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -216,10 +133,10 @@ class HamiltonianSystem:
     :meth:`energies` is the one source of H: it evaluates a block of states
     (columns) by one sparse product M X and one vectorized potential.
 
-    A nonlinear system whose M, like its Hessian, couples each q_i with its
-    own p_i only (Vlasov: M = diag(0, I)) is site-local: ``flow`` and
-    ``grad_jacobian`` then read M as four per-site arrays, and the Jacobian
-    is a :class:`SiteBlocks`.
+    A nonlinear system is separable when M = diag(K, I) with K tridiagonal
+    and V depends on q alone (sine-Gordon and Vlasov).  ``flow`` then writes
+    [p; -(K q + V_q)] from K's own CSR, and the Jacobian is a
+    :class:`Separable`.
     """
 
     name: str
@@ -245,46 +162,39 @@ class HamiltonianSystem:
         return h
 
     @cached_property
-    def _site_mass(self):
-        """None unless the system is site-local and M, canonical CSR or CSC,
-        stores each of its entries m_qq, m_qp, m_pq, m_pp at every site or
-        at none.  Else the rows g_qq, g_qp, g_pq, g_pp of M's site blocks,
-        each 0 + m (0 where M stores nothing), as a (4, n) array, and the
-        coefficients of ``_site_row``: the same rows as site arrays, None for
-        an entry M never stores and 1.0 for one it stores as 1 at every
-        site."""
-        n, mass = self.n, self.mass
-        if (self.nonlin is None or mass.format not in ("csr", "csc")
-                or not mass.has_canonical_format):
+    def _separable(self):
+        """K as CSR if the system is separable, else None: M is canonical CSR
+        or CSC, its off-diagonal n x n blocks store nothing, its p-block is
+        stored as exactly I, K stores entries only where |i - j| <= 1, and
+        the slope's p-part and the curvature's V_qp, V_pp are scalar zeros."""
+        n, mass, nl = self.n, self.mass, self.nonlin
+        if nl is None or mass.format not in ("csr", "csc") or not mass.has_canonical_format:
             return None
         coo = mass.tocoo()
-        if not np.array_equal(coo.row % n, coo.col % n):
+        on_q, on_p = coo.row < n, coo.row >= n
+        if (not np.array_equal(on_q, coo.col < n)
+                or np.abs(coo.row - coo.col)[on_q].max(initial=0) > 1
+                or np.count_nonzero(on_p) != n
+                or not np.array_equal(coo.row[on_p], coo.col[on_p])
+                or not (coo.data[on_p] == 1.0).all()):
             return None
-        kind = 2 * (coo.row >= n) + (coo.col >= n)
-        counts = np.bincount(kind, minlength=4)
-        if not np.isin(counts, (0, n)).all():
-            return None
-        base = np.zeros((4, n))
-        base[kind, coo.row % n] += coo.data
-        coefs = [None if not count else 1.0 if (row == 1.0).all() else row
-                 for row, count in zip(base, counts)]
-        return base, coefs
+        q, p = self.x0[:n], self.x0[n:]
+        zeros = (nl.slope(q, p, slice(None))[1], *nl.curvature(q, p, slice(None))[1:])
+        return mass[:n, :n].tocsr() if all(map(_is_scalar_zero, zeros)) else None
 
     def flow(self, x: np.ndarray) -> np.ndarray:
-        """The vector field J grad H(x) = J (M x + grad h(x)).  A site-local
-        system writes the p-row of M x + grad h into the upper half and the
-        negated q-row into the lower half."""
-        site = self._site_mass
-        if site is None:
+        """The vector field J grad H(x) = J (M x + grad h(x)).  A separable
+        system writes [0 + p; -(K q + V_q)], the bits of the sparse product
+        and its sums, with K q read as 0 when K is empty."""
+        k = self._separable
+        if k is None:
             g = self.mass @ x
             return jmul(g if self.nonlin is None else g + self.nonlin.gradient(x))
         n = self.n
         q, p = x[:n], x[n:]
-        v_q, v_p = self.nonlin.slope(q, p, slice(None))
-        m_qq, m_qp, m_pq, m_pp = site[1]
         f = np.empty(2 * n)
-        _site_row(m_pq, q, m_pp, p, v_p, f[:n])
-        _site_row(m_qq, q, m_qp, p, v_q, f[n:])
+        np.add(p, 0.0, out=f[:n])
+        np.add(k @ q if k.nnz else 0.0, self.nonlin.slope(q, p, slice(None))[0], out=f[n:])
         np.negative(f[n:], out=f[n:])
         return f
 
@@ -306,20 +216,17 @@ class HamiltonianSystem:
         """M + Hess h(x), each site block M's entries (0 where M stores
         none) plus V's curvature from one ``curvature`` call over all sites.
 
-        A linear system returns M; a site-local one :class:`SiteBlocks`,
-        whose rows M alone gives are shared with every call; any other CSC
-        on a fixed pattern, which stores every site block.
+        A linear system returns M; a separable one a :class:`Separable` of
+        its shared K and this call's V_qq; any other CSC on a fixed pattern,
+        which stores every site block.
         """
         if self.nonlin is None:
             return self.mass
         n = self.n
         v_qq, v_qp, v_pp = self.nonlin.curvature(x[:n], x[n:], slice(None))
-        site = self._site_mass
-        if site is not None:
-            # 0 + m is never -0: adding a scalar 0 would change no bit
-            mass = site[0]
-            return SiteBlocks([None if _is_scalar_zero(v) else m + v
-                               for m, v in zip(mass, (v_qq, v_qp, v_qp, v_pp))], mass)
+        k = self._separable
+        if k is not None:
+            return Separable(k, v_qq)
         pattern, blocks = self._hessian_pattern
         data = pattern.data.copy()
         for pos, v in zip(blocks, (v_qq, v_qp, v_qp, v_pp)):
@@ -357,7 +264,7 @@ class Trajectory:
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
     # the run's factorization (:func:`_pick_factor`) of its Newton matrices, or
-    # of a linear step's: "site-blocks", "band" or "lapack"; None if it factored none
+    # of a linear step's: "schur", "band" or "lapack"; None if it factored none
     solver: str | None = None
 
     @property
@@ -413,6 +320,55 @@ class _BandJ:
         return lambda b: lapack.dgbtrs(lu, kl, ku, b[order], piv)[0][rank]
 
 
+class _SchurJ:
+    """I + t J G for the :class:`Separable` Jacobians G = diag(A, I),
+    A = K + diag(v_qq), of one run.  Its system [[I, t I], [-t A, I]] [u; w]
+    = [r_q; r_p] solves as (I + t^2 A) w = r_p + t A r_q, u = r_q - t w.  The
+    n x n Schur matrix I + t^2 A is tridiagonal, solved by ``dgtsv``, or
+    diagonal when K has no off-diagonal entry (Vlasov), solved by a
+    division.  Its off-diagonals t^2 K are formed once per K."""
+
+    def __init__(self, t: float):
+        self.t, self.k = t, None
+
+    def schur(self, g: Separable):
+        """The diagonal 1 + t^2 (k_ii + v_qq) of I + t^2 A, and the sub- and
+        superdiagonal of t^2 K, or None if both are zero."""
+        t2 = self.t * self.t
+        if g.k is not self.k:
+            self.k, self.k_diag = g.k, g.k.diagonal()
+            off = t2 * g.k.diagonal(-1), t2 * g.k.diagonal(1)
+            self.off = off if off[0].any() or off[1].any() else None
+        d = self.k_diag + g.v_qq
+        d *= t2
+        d += 1.0
+        return d, self.off
+
+    def factor(self, g: Separable, where: str):
+        d, off = self.schur(g)
+        if off is None and not d.all():  # a NaN passes, and ends as a non-finite residual
+            _check_pivots(int(np.flatnonzero(d == 0.0)[0]) + 1, where)
+        t, k, v_qq, n = self.t, g.k, g.v_qq, d.size
+
+        def solve(res: np.ndarray) -> np.ndarray:
+            r_q, x = res[:n], np.empty(2 * n)
+            rhs = v_qq * r_q
+            if k.nnz:
+                rhs += k @ r_q
+            rhs *= t
+            rhs += res[n:]
+            if off is None:
+                w = np.divide(rhs, d, out=x[n:])
+            else:
+                w, info = lapack.dgtsv(off[0], d, off[1], rhs, overwrite_b=True)[3:]
+                _check_pivots(info, where)
+                x[n:] = w
+            np.subtract(r_q, t * w, out=x[:n])
+            return x
+
+        return solve
+
+
 def _shifted_dense(t: float, dim: int):
     """The map G -> I + t J G for a dense dim x dim G, each call a new array:
     one row gather and one scaling, bit for bit J G times t.  The row order
@@ -455,14 +411,14 @@ def _lu(a: np.ndarray, where: str):
 def _pick_factor(g, t: float):
     """The factorization (G, where) -> solve of I + t J G for the Jacobians of
     one run, picked by the type of its first Jacobian G, and its name:
-    Cramer's rule on the 2 x 2 blocks of :class:`SiteBlocks`, M's share
-    formed once ("site-blocks"); ``dgbtrf``/``dgbtrs`` in the band storage
-    of :class:`_BandJ` for a sparse G ("band"); ``dgetrf``/``dgetrs`` with
-    J's row order and signs formed once for a dense G, which every ROM's is
-    ("lapack").  A solve b -> (I + t J G)^{-1} b stays valid until the next
-    factorization; ``where`` leads the message of a singular matrix."""
-    if isinstance(g, SiteBlocks):
-        return _SiteSolver(g, t).factor, "site-blocks"
+    the Schur complement of :class:`_SchurJ` for a :class:`Separable` G
+    ("schur"); ``dgbtrf``/``dgbtrs`` in the band storage of :class:`_BandJ`
+    for a sparse G ("band"); ``dgetrf``/``dgetrs`` with J's row order and
+    signs formed once for a dense G, which every ROM's is ("lapack").  A
+    solve b -> (I + t J G)^{-1} b stays valid until the next factorization;
+    ``where`` leads the message of a singular matrix."""
+    if isinstance(g, Separable):
+        return _SchurJ(t).factor, "schur"
     if sp.issparse(g):
         return _BandJ(t).factor, "band"
     shifted = _shifted_dense(t, g.shape[0])
@@ -498,7 +454,8 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     fixed for the run.  A Newton update factors its own I - (h/2) J G and
     solves once; a linear run factors I - (h/2) J M once and solves once per
     step.  A ``solve`` stays valid until the next ``factor`` call.  Each is
-    one LAPACK factorization or Cramer's rule on 2 x 2 blocks, picked by
+    one LAPACK factorization, or for a separable system one of the n x n
+    Schur complement (a division when it is diagonal), picked by
     :func:`_pick_factor`.  Exceeding the budget of :data:`NEWTON_MAXIT`
     iterations, a non-finite residual or a singular Newton matrix raises
     :class:`NewtonDivergence`.

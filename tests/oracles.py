@@ -3,7 +3,7 @@ against on small instances (SR existence and normalization, classical-order
 Gram-Schmidt, the full Cayley transform, the thin-QR canonical gradient, and
 the (W, K) tangent coordinates with the metrics evaluated through them), and
 the dense views the package never forms (the Poisson matrix, the perfect
-shuffle as a matrix, a site-local Jacobian as an array, the
+shuffle as a matrix, a separable Jacobian as an array, the
 Hamiltonian at one state).  The package never imports this module.
 """
 
@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from spopt.core import (NumericalFailure, SymplecticPoint, TangentVector, jmul, jtmul, mulj,
                         sym_part, symplectic_inverse)
 from spopt.geometry import Metric, MetricKind, _sxy_times_jx
-from spopt.hamiltonian import SiteBlocks
+from spopt.hamiltonian import Separable
 from spopt.retractions import _inverse_checked
 from spopt.sr import Breakdown, _check_shape, desr
 
@@ -69,15 +69,15 @@ def unconjugate(k: int, r_hat: np.ndarray) -> np.ndarray:
 
 def dense_jacobian(g) -> np.ndarray:
     """A Jacobian of a full or reduced model as a dense array: a
-    :class:`SiteBlocks` from its rows and M's, a sparse matrix through
+    :class:`Separable` as diag(K + diag(v_qq), I), a sparse matrix through
     ``toarray``, an array (every reduced model's) as it is."""
-    if not isinstance(g, SiteBlocks):
+    if not isinstance(g, Separable):
         return g.toarray() if sp.issparse(g) else np.asarray(g)
-    n = g.mass.shape[1]
-    q, p = np.arange(n), np.arange(n) + n
+    n = g.k.shape[0]
     dense = np.zeros((2 * n, 2 * n))
-    for (r, c), row, m in zip([(q, q), (q, p), (p, q), (p, p)], g.rows, g.mass):
-        dense[r, c] = m if row is None else row
+    dense[:n, :n] = g.k.toarray()
+    dense[np.arange(n), np.arange(n)] += g.v_qq
+    dense[n:, n:] = np.eye(n)
     return dense
 
 

@@ -441,8 +441,8 @@ class TestMorRuns:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fom_newton_updates"] >= 100
         assert all(info["newton_updates"] >= 100 for info in summary["rows"])
-        # uncoupled particles: the full model's Newton matrices are site blocks
-        assert summary["fom_solver"] == "site-blocks"
+        # uncoupled particles: the full model's Newton matrices are separable
+        assert summary["fom_solver"] == "schur"
         assert all(info["solver"] == "lapack" for info in summary["rows"])
 
 

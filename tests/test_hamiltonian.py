@@ -20,6 +20,7 @@ from spopt.hamiltonian import (
     HamiltonianSystem,
     IntegratorOptions,
     NewtonDivergence,
+    Separable,
     Trajectory,
     VlasovParams,
     build_rom,
@@ -440,8 +441,8 @@ class TestCrankNicolson:
         assert np.array_equal(traj.states, crank_nicolson(model, x0, opts).states)
 
     @pytest.mark.parametrize("model, fom, rom", [
-        ("wave", "band", "lapack"), ("sine-gordon", "band", "lapack"),
-        ("schrodinger", "band", "lapack"), ("vlasov", "site-blocks", "lapack")])
+        ("wave", "band", "lapack"), ("sine-gordon", "schur", "lapack"),
+        ("schrodinger", "band", "lapack"), ("vlasov", "schur", "lapack")])
     def test_solver_recorded(self, model, fom, rom):
         sysm = FOUR_MODELS[model]()
         opts = IntegratorOptions(1e-2, 0.1)
@@ -802,6 +803,14 @@ def reference_jacobian(sysm, x):
     return sysm.mass + reference_rows(sysm.nonlin, np.arange(sysm.dim), x)
 
 
+def reference_separable(sysm, x):
+    """The :class:`Separable` Jacobian from a sparse slice of M and the V_qq
+    of the sparse-addition reference's q-block."""
+    n = sysm.n
+    v_qq = reference_rows(sysm.nonlin, np.arange(n), x).tocsc()[:, :n].diagonal()
+    return Separable(sp.csr_matrix(sysm.mass)[:n, :n], v_qq)
+
+
 def reference_newton_matrix(g, h):
     """(I - (h/2) J G).tocsc() by sparse construction."""
     n = g.shape[0] // 2
@@ -844,19 +853,23 @@ def where_deim_jacobian(op, xt):
 
 
 class ReferenceSystem:
-    """A model that takes none of the site-local or one-half fast paths.
+    """A model that takes none of the separable or one-half fast paths.
 
     A full model's gradient is the sparse M @ x + ``nonlin.gradient(x)`` and
     its Jacobian by default the sparse-addition reference, CSR with exact
-    zeros eliminated, so its pattern can change from call to call.  A ROM's
-    gradient and default Jacobian are the ``np.where`` DEIM formulas.
+    zeros eliminated, so its pattern can change from call to call; a model
+    whose own Jacobian is :class:`Separable` gets :func:`reference_separable`.
+    A ROM's gradient and default Jacobian are the ``np.where`` DEIM formulas.
     """
 
     def __init__(self, model, jacobian=None):
         self.model = model
-        full = isinstance(model, HamiltonianSystem)
-        self.jacobian = jacobian or (
-            reference_jacobian if full else lambda rom, xt: where_deim_jacobian(rom.deim, xt))
+        if jacobian is None and not isinstance(model, HamiltonianSystem):
+            jacobian = lambda rom, xt: where_deim_jacobian(rom.deim, xt)
+        elif jacobian is None:
+            separable = isinstance(model.grad_jacobian(model.x0), Separable)
+            jacobian = reference_separable if separable else reference_jacobian
+        self.jacobian = jacobian
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -880,15 +893,15 @@ class ReferenceSystem:
 def reference_crank_nicolson(system, x0, opts):
     """Nonlinear Crank-Nicolson as written before the converged gradient was
     carried into the next step: two ``grad`` calls per step plus one per
-    update, the band factorization for a sparse and ``np.linalg.solve`` for
-    a dense Newton matrix.  The model is read through a
-    :class:`ReferenceSystem`."""
+    update, the Schur complement for a :class:`Separable` Jacobian, the band
+    factorization for a sparse and ``np.linalg.solve`` for a dense one.  The
+    model is read through a :class:`ReferenceSystem`."""
     if not isinstance(system, ReferenceSystem):
         system = ReferenceSystem(system)
     h, c, dim = opts.h_t, 0.5 * opts.h_t, system.dim
     states = np.empty((dim, opts.steps + 1))
     states[:, 0] = x = np.asarray(x0, dtype=float)
-    band = hamiltonian._BandJ(-c)
+    band, schur = hamiltonian._BandJ(-c), hamiltonian._SchurJ(-c)
     for m in range(opts.steps):
         fx = jmul(system.grad(x))
         y = x + h * fx
@@ -897,7 +910,9 @@ def reference_crank_nicolson(system, x0, opts):
             if np.linalg.norm(res) <= 1e-10:
                 break
             g = system.grad_jacobian(y)
-            if sp.issparse(g):
+            if isinstance(g, Separable):
+                y = y - schur.factor(g, f"step {m}")(res)
+            elif sp.issparse(g):
                 y = y - band.factor(g, f"step {m}")(res)
             else:
                 a = -c * jmul(g)
@@ -970,37 +985,39 @@ def capture_newton(monkeypatch, system, x0, opts):
     return traj, states, matrices
 
 
-def capture_site_blocks(monkeypatch, system, x0, opts):
-    """Run Crank-Nicolson on a model with site-local Jacobians; return the
-    Jacobian arguments and, for each site-block solve, the rows a_pp, a_qq,
-    a_qp, a_pq of the Newton blocks I + t J G of the Jacobian and the t it
-    was handed, in call order.  The band factorization must not be reached."""
-    blocks = []
-    real_factor = hamiltonian._SiteSolver.factor
+def capture_schur(monkeypatch, system, x0, opts):
+    """Run Crank-Nicolson on a separable model; return the Jacobian
+    arguments and, for each Schur factorization, in call order, the diagonal
+    and off-diagonals it formed and the t it was handed.  The band
+    factorization must not be reached."""
+    schurs = []
+    real_schur = hamiltonian._SchurJ.schur
 
-    def spy(self, g, where):
-        g_qq, g_qp, g_pq, g_pp = (m if row is None else row for row, m in zip(g.rows, g.mass))
-        t = self.t
-        blocks.append((1.0 - t * g_qp, 1.0 + t * g_pq, t * g_pp, -t * g_qq))
-        return real_factor(self, g, where)
+    def spy(self, g):
+        d, off = real_schur(self, g)
+        schurs.append((d.copy(), off, self.t))
+        return d, off
 
-    monkeypatch.setattr(hamiltonian._SiteSolver, "factor", spy)
+    monkeypatch.setattr(hamiltonian._SchurJ, "schur", spy)
     _, states, matrices = capture_newton(monkeypatch, system, x0, opts)
     assert not matrices
-    return states, blocks
+    return states, schurs
 
 
-def assert_same_site_blocks(blocks, ref):
-    """The rows a_pp, a_qq, a_qp, a_pq of the site blocks equal the entries
-    of the reference Newton matrix bit for bit, and it has no other entry."""
-    dense = ref.toarray()
+def assert_same_schur(schur, ref):
+    """The reference Jacobian G is diag(A, I) with A tridiagonal, and the
+    Schur matrix I + t^2 A has the diagonal 1 + t^2 (k_ii + v_qq) and the
+    off-diagonals t^2 k of A, bit for bit."""
+    (d, off, t), dense = schur, ref.toarray()
     n = dense.shape[0] // 2
-    q, p = np.arange(n), np.arange(n) + n
-    rest = dense.copy()
-    for b, (r, c) in zip(blocks, [(p, p), (q, q), (q, p), (p, q)]):
-        assert np.array_equal(b, dense[r, c])
-        rest[r, c] = 0.0
-    assert not rest.any()
+    a = dense[:n, :n]
+    assert not dense[:n, n:].any() and not dense[n:, :n].any()
+    assert np.array_equal(dense[n:, n:], np.eye(n))
+    assert not np.triu(a, 2).any() and not np.tril(a, -2).any()
+    t2 = t * t
+    assert np.array_equal(d, 1.0 + t2 * np.diag(a))
+    sub, sup = (np.zeros(n - 1), np.zeros(n - 1)) if off is None else off
+    assert np.array_equal(sub, t2 * np.diag(a, -1)) and np.array_equal(sup, t2 * np.diag(a, 1))
 
 
 # Per-model closures as each model wrote them before ``Nonlinearity`` derived
@@ -1216,20 +1233,21 @@ FOUR_MODELS = {
 
 
 class TestNewtonMatrix:
-    """What LAPACK's band factorization is handed, or the site blocks that
-    replace it, equals the sparse-construction reference."""
+    """What LAPACK's band factorization is handed, or the Schur matrix of a
+    separable model, equals the sparse-construction reference."""
 
     @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
     def test_matches_reference_at_random_states(self, model, monkeypatch, rng):
         sysm = FOUR_MODELS[model]()
         x0 = 0.5 * rng.standard_normal(sysm.dim)
         opts = IntegratorOptions(1e-2, 5e-2)
-        if model == "vlasov":  # M = diag(0, I): uncoupled particles
-            states, blocks = capture_site_blocks(monkeypatch, sysm, x0, opts)
-            assert len(blocks) == len(states) >= 1
-            for y, b in zip(states, blocks):
-                ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
-                assert_same_site_blocks(b, ref)
+        if model in ("sine-gordon", "vlasov"):  # M = diag(K, I), V in q alone
+            states, schurs = capture_schur(monkeypatch, sysm, x0, opts)
+            assert len(schurs) == len(states) >= 1
+            for y, schur in zip(states, schurs):
+                assert schur[2] == -0.5 * opts.h_t
+                assert_same_schur(schur, reference_jacobian(sysm, y))
+            assert (schurs[0][1] is None) == (model == "vlasov")
             return
         _, states, matrices = capture_newton(monkeypatch, sysm, x0, opts)
         assert len(matrices) == len(states) >= 1
@@ -1246,10 +1264,12 @@ class TestNewtonMatrix:
     def test_band_stays_narrow(self, model, n):
         # an ordering that lost the band would factor a dense matrix
         # without any error
+        # (sine-Gordon's own Jacobian takes the Schur path; its sparse
+        # reference is what a non-separable variant would hand the band)
         sysm = {"wave": wave_system, "sine-gordon": sine_gordon_system,
                 "schrodinger": schrodinger_system}[model](n)
         band = hamiltonian._BandJ(-5e-3)
-        band.band(sysm.grad_jacobian(sysm.x0))
+        band.band(sysm.mass if sysm.is_linear else reference_jacobian(sysm, sysm.x0))
         assert band.kl <= 4 and band.ku <= 4
 
     def test_zero_curvature_state(self, monkeypatch, rng):
@@ -1259,13 +1279,12 @@ class TestNewtonMatrix:
         x0 = sysm.x0.copy()
         x0[[1, 4, 10 + 1, 10 + 4]] = 0.0
         opts = IntegratorOptions(1e-3, 3e-3)
-        states, blocks = capture_site_blocks(monkeypatch, sysm, x0, opts)
+        states, schurs = capture_schur(monkeypatch, sysm, x0, opts)
         assert states[0][1] == states[0][4] == 0.0
-        # the two zero curvatures stay stored, so the site path holds
-        assert not blocks[0][3][[1, 4]].any()
-        for y, b in zip(states, blocks):
-            ref = reference_newton_matrix(reference_jacobian(sysm, y), opts.h_t)
-            assert_same_site_blocks(b, ref)
+        # the two zero curvatures leave Schur diagonals of exactly 1
+        assert np.array_equal(schurs[0][0][[1, 4]], [1.0, 1.0])
+        for y, schur in zip(states, schurs):
+            assert_same_schur(schur, reference_jacobian(sysm, y))
 
     def test_trajectories_match_reference_assembly(self):
         for model in ("sine-gordon", "schrodinger", "vlasov"):
@@ -1320,71 +1339,78 @@ class TestNewtonMatrix:
         assert np.allclose(traj.states, plain.states, rtol=0.0, atol=1e-13)
 
 
-def site_local(blocks, n):
-    """Site blocks G from the entries (g_qq, g_pq, g_qp, g_pp) of each site,
-    zeros included."""
-    g_qq, g_pq, g_qp, g_pp = (np.asarray(b, dtype=float).reshape(n) for b in blocks)
-    return hamiltonian.SiteBlocks([g_qq, g_qp, g_pq, g_pp], np.zeros((4, n)))
+def separable(k, v_qq):
+    """A :class:`Separable` Jacobian of the dense K and the array v_qq."""
+    return Separable(sp.csr_matrix(k), np.asarray(v_qq, dtype=float))
 
 
-@st.composite
-def site_local_systems(draw):
-    """Site-local G with entries of mixed scale (exact zeros included), a
-    step h = 2^-j, and a residual.  A site drawn as "pivot" has g_pq = 1/c,
-    so its block's (1,1) entry 1 - c g_pq is exactly 0 and its determinant
-    c^2 g_pp g_qq is not."""
-    n = draw(st.integers(1, 30))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    c = 0.5 * 2.0 ** -draw(st.integers(0, 12))
-    g = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-4, 4, (4, n))
-    g[rng.random((4, n)) < 0.2] = 0.0
-    pivot = rng.random(n) < 0.3
-    g[1, pivot] = 1.0 / c
-    g[0, pivot] = np.where(g[0, pivot] == 0.0, 1.0, g[0, pivot])
-    g[3, pivot] = np.where(g[3, pivot] == 0.0, -1.0, g[3, pivot])
-    return site_local(g, n), c, rng.standard_normal(2 * n)
+#: Separable models at the sizes where LAPACK's tridiagonal wrappers reject
+#: their arguments (``dgtsv`` n = 1, ``dgttrf`` n <= 2), and above them.
+EDGE_SEPARABLE = {
+    "sine-gordon-1": lambda: sine_gordon_system(1),
+    "sine-gordon-2": lambda: sine_gordon_system(2),
+    "sine-gordon-3": lambda: sine_gordon_system(3),
+    "vlasov-1": lambda: vlasov_system(1, seed=3),
+}
 
 
 class TestSiteSolve:
-    """Newton matrices of site-local Jacobians: 2 x 2 blocks by Cramer's rule."""
+    """Newton matrices of separable Jacobians: one n x n Schur complement,
+    a row per site."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=site_local_systems())
-    def test_matches_dense_solve(self, case):
-        g, c, res = case
-        a = np.eye(res.size) - c * jmul(oracles.dense_jacobian(g))
-        cond = np.linalg.cond(a)
-        assume(np.isfinite(cond) and cond < 1e12)
-        ref = np.linalg.solve(a, res)
-        x = hamiltonian._SiteSolver(g, -c).factor(g, "test")(res)
-        assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+    def test_matches_dense_solve(self, rng):
+        c = 0.05
+        for name, factory in EDGE_SEPARABLE.items():
+            sysm = factory()
+            for _ in range(5):
+                g = sysm.grad_jacobian(rng.standard_normal(sysm.dim))
+                factor, solver = hamiltonian._pick_factor(g, -c)
+                assert solver == "schur", name
+                res = rng.standard_normal(sysm.dim)
+                a = np.eye(sysm.dim) - c * jmul(oracles.dense_jacobian(g))
+                ref = np.linalg.solve(a, res)
+                x = factor(g, "test")(res)
+                assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref), name
+            # whole runs against the dense LAPACK path
+            opts = IntegratorOptions(5e-2, 1.0)
+            traj = crank_nicolson(sysm, sysm.x0, opts)
+            dense = ReferenceSystem(sysm, lambda model, x: oracles.dense_jacobian(
+                model.grad_jacobian(x)))
+            ref = crank_nicolson(dense, sysm.x0, opts)
+            assert traj.solver == "schur" and ref.solver == "lapack"
+            assert np.allclose(traj.states, ref.states, rtol=0.0, atol=1e-13), name
 
     def test_singular_block_names_its_site(self):
-        # grad H(x) = x; site 1's block is [[1 - c g_pq, 0], [0, 1]] with
-        # g_pq = 1/c, so its (1,1) entry and its determinant are exactly 0
+        # grad H(x) = x; t^2 = (h/2)^2 = 1/16 and v_qq = -16 make a Schur
+        # diagonal 1 + t^2 v_qq exactly 0.  At site 1 with no K, that is the
+        # division's pivot 2; at site 0 with K coupling sites 1 and 2 only,
+        # it is dgtsv's first pivot, which no row swap can move
         h, n = 0.5, 3
-        g_pq = np.zeros(n)
-        g_pq[1] = 2.0 / h
-        g = site_local([np.zeros(n), g_pq, np.zeros(n), np.zeros(n)], n)
-        sysm = SimpleNamespace(dim=2 * n, is_linear=False, flow=jmul,
-                               grad_jacobian=lambda x: g)
-        with pytest.raises(NewtonDivergence,
-                           match=r"step 0: singular Newton matrix \(block of site 1\)"):
-            crank_nicolson(sysm, np.ones(2 * n), IntegratorOptions(h, 1.0))
+        coupled = np.zeros((n, n))
+        coupled[1, 2] = coupled[2, 1] = 3.0
+        for k, site, pivot in [(np.zeros((n, n)), 1, 2), (coupled, 0, 1)]:
+            v_qq = np.zeros(n)
+            v_qq[site] = -16.0
+            g = separable(k, v_qq)
+            sysm = SimpleNamespace(dim=2 * n, is_linear=False, flow=jmul,
+                                   grad_jacobian=lambda x: g)
+            with pytest.raises(NewtonDivergence, match=rf"^step 0: singular Newton matrix "
+                                                       rf"\(pivot {pivot} is exactly zero\)$"):
+                crank_nicolson(sysm, np.ones(2 * n), IntegratorOptions(h, 1.0))
 
     def test_nan_jacobian_raises_newton_divergence(self, monkeypatch):
-        sysm = vlasov_system(16, seed=1)
-
+        # a NaN V_qq passes the division (Vlasov) and dgtsv (sine-Gordon)
         def poisoned(model, x):
             g = model.grad_jacobian(x)
-            g_pq = g.mass[2].copy()
-            g_pq[2] = np.nan  # g_pq of site 2
-            return hamiltonian.SiteBlocks([*g.rows[:2], g_pq, g.rows[3]], g.mass)
+            v_qq = g.v_qq.copy()
+            v_qq[2] = np.nan  # V_qq of site 2
+            return Separable(g.k, v_qq)
 
         monkeypatch.setattr(hamiltonian._BandJ, "factor", lambda *a: pytest.fail("band"))
-        with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
-            crank_nicolson(ReferenceSystem(sysm, poisoned), sysm.x0,
-                           IntegratorOptions(1e-3, 0.01))
+        for sysm in (vlasov_system(16, seed=1), sine_gordon_system(16)):
+            with pytest.raises(NewtonDivergence, match="step 0: non-finite"):
+                crank_nicolson(ReferenceSystem(sysm, poisoned), sysm.x0,
+                               IntegratorOptions(1e-3, 0.01))
 
     def test_missing_site_entry_falls_back_to_band(self, monkeypatch):
         # exact zeros eliminated: V_qp = V_pp = 0 drops (q_i,p_i) and
@@ -1403,7 +1429,7 @@ class TestSiteSolve:
         g = pruned(sysm, x0)
         assert hamiltonian._entry_positions(g, q + 10, q) is None
         assert sp.issparse(g)
-        assert isinstance(sysm.grad_jacobian(x0), hamiltonian.SiteBlocks)
+        assert isinstance(sysm.grad_jacobian(x0), Separable)
         opts = IntegratorOptions(1e-3, 3e-3)
         model = ReferenceSystem(sysm, pruned)
         traj, states, matrices = capture_newton(monkeypatch, model, x0, opts)
@@ -1432,56 +1458,33 @@ def synthetic_site_system(n=12, seed=0, coupling=None):
     return HamiltonianSystem("synthetic", n, mass.tocsr(), rng.standard_normal(2 * n), nl)
 
 
-def cramer_factor(band, g, where):
-    """Stands in for the band factorization of a site-local Newton matrix:
-    Cramer's rule on each site's 2 x 2 block, read from the entries of the
-    band array."""
-    dense = unband(band, band.band(g))
-    n = dense.shape[0] // 2
-    q, p = np.arange(n), np.arange(n) + n
-    a_qq, a_qp, a_pq, a_pp = dense[q, q], dense[q, p], dense[p, q], dense[p, p]
-    det = a_pp * a_qq - a_qp * a_pq
-
-    def solve(r):
-        return np.concatenate([(a_pp * r[:n] - a_qp * r[n:]) / det,
-                               (a_qq * r[n:] - a_pq * r[:n]) / det])
-
-    return solve
-
-
 class TestSiteLocalSystems:
-    """The per-site path on a system whose M stores every site entry and
-    whose Hessian has nonzero V_qp; any coupling of two sites by M, or a
-    site entry M stores at some sites only, takes the CSC path."""
+    """A site-local system that is not separable: M stores all four entries
+    of each site block and the Hessian has nonzero V_qp, so the Jacobian is
+    CSC on a fixed pattern and the Newton matrices take the band path, as
+    they do when M couples two sites, or when it stores a q-p entry at some
+    sites of an otherwise separable model."""
 
     def test_grad_and_jacobian_match_sparse_reference(self, rng):
         sysm = synthetic_site_system()
-        assert sysm._site_mass is not None
+        assert sysm._separable is None
         for x in (rng.standard_normal(sysm.dim), sysm.x0):
             assert np.array_equal(sysm.flow(x), jmul(sysm.mass @ x + sysm.nonlin.gradient(x)))
             g = sysm.grad_jacobian(x)
-            assert isinstance(g, hamiltonian.SiteBlocks)
-            assert np.array_equal(oracles.dense_jacobian(g),
-                                  reference_jacobian(sysm, x).toarray())
+            assert sp.issparse(g)
+            assert np.array_equal(g.toarray(), reference_jacobian(sysm, x).toarray())
 
-    def test_trajectory_matches_reference_loop(self, monkeypatch):
+    def test_trajectory_matches_reference_loop(self):
         sysm = synthetic_site_system()
         opts = IntegratorOptions(5e-2, 1.0)
         traj = crank_nicolson(sysm, sysm.x0, opts)
-        assert traj.solver == "site-blocks" and traj.newton_updates >= opts.steps
-        # the band LU pivots a 2 x 2 block differently from Cramer's rule,
-        # so the band reference agrees at roundoff
-        lu_ref = reference_crank_nicolson(sysm, sysm.x0, opts)
-        assert np.allclose(traj.states, lu_ref, rtol=0.0, atol=1e-13)
-        # the reference loop's band Newton matrices, solved by Cramer's
-        # rule: bit for bit
-        monkeypatch.setattr(hamiltonian._BandJ, "factor", cramer_factor)
+        assert traj.solver == "band" and traj.newton_updates >= opts.steps
         assert np.array_equal(traj.states, reference_crank_nicolson(sysm, sysm.x0, opts))
 
     @pytest.mark.parametrize("coupling", [(0, 1), (2, 12 + 5), (12 + 3, 12 + 4)])
     def test_coupling_entry_takes_csc_path(self, coupling):
         sysm = synthetic_site_system(coupling=coupling)
-        assert sysm._site_mass is None
+        assert sysm._separable is None
         x = sysm.x0
         assert sp.issparse(sysm.grad_jacobian(x))
         assert np.array_equal(sysm.grad_jacobian(x).toarray(),
@@ -1492,16 +1495,70 @@ class TestSiteLocalSystems:
         assert np.array_equal(traj.states, reference_crank_nicolson(sysm, x, opts))
 
     def test_entry_stored_at_some_sites_takes_csc_path(self):
-        # m_qp stored at sites 0 and 1 only: the site arrays would read 0
-        # where M stores nothing, so the CSC path keeps M @ x as it is
+        # sine-Gordon's M with m_qp stored at sites 0 and 1 only: the q-p
+        # blocks are not empty, so the CSC path keeps M @ x as it is
         n = 6
-        mass = sp.lil_matrix((2 * n, 2 * n))
-        mass.setdiag(1.0)
+        base = sine_gordon_system(n)
+        mass = base.mass.tolil()
         mass[0, n] = mass[n, 0] = mass[1, n + 1] = mass[n + 1, 1] = 0.5
-        base = synthetic_site_system(n)
         sysm = dataclasses.replace(base, mass=mass.tocsr())
-        assert sysm._site_mass is None and base._site_mass is not None
+        assert sysm._separable is None and base._separable is not None
         assert sp.issparse(sysm.grad_jacobian(sysm.x0))
+
+
+def sine_gordon_variant(change, n=8):
+    """sine-Gordon with one change that makes it not separable."""
+    base = sine_gordon_system(n)
+    mass = base.mass.tolil()
+    if change == "qp-entry":  # the one q-p entry that |i - j| <= 1 admits
+        mass[n - 1, n] = 0.25
+    elif change == "p-block-entry":
+        mass[n + 2, n + 2] = 2.0
+    elif change == "k-two-off":  # |i - j| = 2
+        mass[1, 3] = mass[3, 1] = 0.1
+    mass = mass.tocsr()
+    if change == "p-potential":  # V = w q^2 p^2 / 2 on M = diag(K, I)
+        return dataclasses.replace(base, nonlin=synthetic_site_system(n).nonlin)
+    if change == "non-canonical":  # row 0's two columns stored in reverse
+        start = mass.indptr[0]
+        mass.indices[start:start + 2] = mass.indices[start:start + 2][::-1].copy()
+        mass.data[start:start + 2] = mass.data[start:start + 2][::-1].copy()
+        mass = sp.csr_matrix((mass.data, mass.indices, mass.indptr), shape=mass.shape)
+        assert not mass.has_canonical_format
+    return dataclasses.replace(base, mass=mass)
+
+
+class TestSeparableDetection:
+    """Separability is read off M's stored blocks and the nonlinearity's
+    scalar zeros: Vlasov and sine-Gordon are separable, and every system
+    that breaks one condition takes the band path with the same vector
+    field and the same trajectory up to roundoff."""
+
+    def test_separable_models(self):
+        for sysm in (vlasov_system(8, seed=1), sine_gordon_system(8)):
+            k = sysm._separable
+            assert k is not None and k.format == "csr"
+            assert np.array_equal(k.toarray(), sysm.mass.toarray()[:8, :8])
+            assert isinstance(sysm.grad_jacobian(sysm.x0), Separable)
+        assert vlasov_system(8)._separable.nnz == 0
+        assert wave_system(8)._separable is None  # linear
+
+    @pytest.mark.parametrize("case", ["schrodinger", "synthetic", "qp-entry", "p-block-entry",
+                                      "k-two-off", "non-canonical", "p-potential"])
+    def test_takes_band_path(self, case, rng):
+        sysm = {"schrodinger": lambda: schrodinger_system(8),
+                "synthetic": lambda: synthetic_site_system(8)}.get(
+            case, lambda: sine_gordon_variant(case))()
+        assert sysm._separable is None
+        x = rng.standard_normal(sysm.dim)
+        assert np.array_equal(sysm.flow(x), jmul(sysm.mass @ x + sysm.nonlin.gradient(x)))
+        assert np.array_equal(sysm.grad_jacobian(x).toarray(),
+                              reference_jacobian(sysm, x).toarray())
+        opts = IntegratorOptions(5e-2, 0.5)
+        traj = crank_nicolson(sysm, sysm.x0, opts)
+        assert traj.solver == "band"
+        ref = reference_crank_nicolson(sysm, sysm.x0, opts)
+        assert np.allclose(traj.states, ref, rtol=0.0, atol=1e-12)
 
 
 def _site_pairs_case(model):
@@ -1601,27 +1658,23 @@ class TestDeimSelections:
 
 
 @st.composite
-def site_blocks_with_fixed_rows(draw):
-    """M's rows and two Jacobians that share them: a random set of rows is
-    M's alone (None in ``rows``), the others change between the two calls.
-    Entries span 1e-4 to 1e4 and include exact zeros; h = 2^-j.  Fixed
-    zero g_qp, g_pq rows give the unit diagonal that skips 1 r."""
+def separable_jacobians(draw):
+    """A :class:`Separable` G whose K is empty or a random tridiagonal, not
+    symmetric, whose entries and V_qq span 1e-4 to 1e4 and include exact
+    zeros; h = 2^-j, and a residual."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fixed = draw(st.lists(st.booleans(), min_size=4, max_size=4))
     c = 0.5 * 2.0 ** -draw(st.integers(0, 12))
 
-    def entries():
-        g = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-4, 4, (4, n))
-        g[rng.random((4, n)) < 0.2] = 0.0
-        return g
+    def mixed(size):
+        v = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 4, size)
+        v[rng.random(size) < 0.2] = 0.0
+        return v
 
-    mass = entries()
-    if draw(st.booleans()):  # M stores no g_qp, g_pq, as Vlasov's
-        mass[1:3] = 0.0
-    calls = [hamiltonian.SiteBlocks([None if f else row for f, row in zip(fixed, entries())],
-                                    mass) for _ in range(2)]
-    return calls, c, [rng.standard_normal(2 * n) for _ in calls]
+    k = np.zeros((n, n))
+    if draw(st.booleans()):
+        k = np.diag(mixed(n)) + np.diag(mixed(n - 1), -1) + np.diag(mixed(n - 1), 1)
+    return separable(k, mixed(n)), c, rng.standard_normal(2 * n)
 
 
 @st.composite
@@ -1647,25 +1700,17 @@ def deim_jacobians(draw):
 
 class TestRunSolvers:
     @settings(max_examples=80, deadline=None)
-    @given(case=site_blocks_with_fixed_rows())
-    def test_site_solver_matches_dense_and_full_formula(self, case):
-        calls, c, residuals = case
-        factor = hamiltonian._SiteSolver(calls[0], -c).factor
-        for g, res in zip(calls, residuals):
-            dense = oracles.dense_jacobian(g)
-            a = np.eye(res.size) - c * jmul(dense)
-            cond = np.linalg.cond(a)
-            if not (np.isfinite(cond) and cond < 1e12):
-                continue
-            ref = np.linalg.solve(a, res)
-            x = factor(g, "test")(res)
-            assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
-            # every row handed in as varying: the same bits
-            n = res.size // 2
-            q, p = np.arange(n), np.arange(n) + n
-            full = hamiltonian.SiteBlocks(
-                [dense[r, s] for r, s in [(q, q), (q, p), (p, q), (p, p)]], g.mass)
-            assert np.array_equal(x, hamiltonian._SiteSolver(full, -c).factor(full, "test")(res))
+    @given(case=separable_jacobians())
+    def test_schur_solver_matches_dense(self, case):
+        g, c, res = case
+        a = np.eye(res.size) - c * jmul(oracles.dense_jacobian(g))
+        cond = np.linalg.cond(a)
+        assume(np.isfinite(cond) and cond < 1e12)
+        factor, solver = hamiltonian._pick_factor(g, -c)
+        assert solver == "schur"
+        x = factor(g, "test")(res)
+        ref = np.linalg.solve(a, res)
+        assert np.linalg.norm(x - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     @settings(max_examples=60, deadline=None)
     @given(case=deim_jacobians())
@@ -1702,17 +1747,17 @@ class TestRunSolvers:
             crank_nicolson(model, np.array([1.0, 0.0]), IntegratorOptions(1e-3, 0.01))
 
     def test_solver_rebuilt_when_run_constants_change(self, rng):
-        # a Jacobian with other fixed rows, or another M, gets its own constants
+        # a Jacobian with another K, tridiagonal or empty, gets its own t^2 K
         n = 5
-        mass = rng.standard_normal((4, n))
-        first = hamiltonian.SiteBlocks([rng.standard_normal(n), None, None, None], mass)
-        other = hamiltonian.SiteBlocks([None, rng.standard_normal(n), None, None], mass)
-        moved = hamiltonian.SiteBlocks(first.rows, mass + 1.0)
-        factor = hamiltonian._SiteSolver(first, -0.01).factor
+        tridiagonal = np.diag(rng.standard_normal(n - 1), 1) + np.diag(rng.standard_normal(n))
+        first = separable(tridiagonal + tridiagonal.T, rng.standard_normal(n))
+        other = separable(np.diag(rng.standard_normal(n)), rng.standard_normal(n))
+        moved = Separable(first.k + sp.eye(n, format="csr"), first.v_qq)
+        factor = hamiltonian._SchurJ(-0.01).factor
         res = rng.standard_normal(2 * n)
         for g in (first, other, moved, first):
             assert np.array_equal(factor(g, "test")(res),
-                                  hamiltonian._SiteSolver(g, -0.01).factor(g, "test")(res))
+                                  hamiltonian._SchurJ(-0.01).factor(g, "test")(res))
 
 
 FLOW_MODELS = {

@@ -1,8 +1,9 @@
 """The test-scale oracles stay out of the package, the SR layer has one
 factor type, every name a module exports through ``__all__`` exists, and every name the benchmark in
-``perfbench/`` imports or probes exists, no module reaches SuperLU,
-``crank_nicolson`` reaches a factorization only through its run's
-``factor``, and that factorization is picked by no reduced-model type.
+``perfbench/`` imports or probes exists, no module reaches SuperLU or
+names the deleted site-block path, ``crank_nicolson`` reaches a
+factorization only through its run's ``factor``, and that factorization is
+picked by no reduced-model type.
 
 No module of ``src/spopt`` imports an ``oracles`` module in any form
 (``from .oracles import ...``, ``from . import oracles``,
@@ -134,8 +135,8 @@ def names_used_by(function: str) -> set[str]:
 
 
 def test_no_package_module_reaches_superlu():
-    # every Crank-Nicolson solve is a LAPACK factorization or Cramer's rule
-    # on 2 x 2 blocks: no module imports scipy.sparse.linalg or names splu
+    # every Crank-Nicolson solve is a LAPACK factorization: no module
+    # imports scipy.sparse.linalg or names splu
     for path in sorted(SRC.glob("*.py")):
         imported = imported_names(path)
         assert not any(name == "scipy.sparse.linalg" or name.startswith("scipy.sparse.linalg.")
@@ -148,12 +149,25 @@ def test_no_package_module_reaches_superlu():
     assert "scipy.sparse.csgraph.reverse_cuthill_mckee" in imported_names(SRC / "hamiltonian.py")
 
 
+def test_no_package_module_names_the_site_block_path():
+    # separable systems solve through one n x n Schur complement, so the
+    # per-site 2 x 2 blocks and their Cramer solver stay deleted
+    gone = {"SiteBlocks", "_SiteSolver", "_site_row", "_site_mass", "_SITE_SIGNS"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                | defined_names(path))
+        assert used & gone == set(), path.name
+        assert "site-blocks" not in path.read_text(), path.name
+
+
 def test_crank_nicolson_factors_only_through_the_protocol():
     # every solve goes through the run's factor(G, where) -> solve: the
     # integrator names no factorization routine and no Newton matrix builder
     names = names_used_by("crank_nicolson")
-    assert names & {"splu", "lapack", "dgbtrf", "dgbtrs", "_ShiftedJ", "_BandJ",
-                    "_shifted_dense"} == set()
+    assert names & {"splu", "lapack", "dgbtrf", "dgbtrs", "dgtsv", "_ShiftedJ", "_BandJ",
+                    "_SchurJ", "_shifted_dense"} == set()
     assert "_pick_factor" in names
 
 
@@ -164,5 +178,5 @@ def test_reduced_jacobians_are_plain_arrays():
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     assert {"DeimOperator", "PsdProblem"} <= classes
     names = names_used_by("_pick_factor")
-    assert "SiteBlocks" in names
+    assert "Separable" in names
     assert names & classes == set()
