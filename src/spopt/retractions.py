@@ -4,9 +4,10 @@ All three maps satisfy R_X(0) = X and d/dt R_X(tZ)|_0 = Z.  The Cayley
 retraction is the economical form, with one 2k-by-2k LAPACK inverse; the
 full form, with a 2n-by-2n one, is a test-scale oracle of the test suite.
 The quasi-geodesic map is globally defined but lets feasibility drift
-accumulate over many steps; the SR retraction re-factorizes X + Z at every
-call and keeps iterates symplectic to factorization accuracy whenever
-||Z||_2 < 1 (and, in practice, well beyond).
+accumulate over many steps; its two exponentials call scipy's compiled Pade
+kernels (``scipy.linalg._matfuncs_expm``) directly.  The SR retraction
+re-factorizes X + Z at every call and keeps iterates symplectic to
+factorization accuracy whenever ||Z||_2 < 1 (and, in practice, well beyond).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import enum
 import math
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .core import NumericalFailure, SymplecticPoint, jmul, jtmul, nonfinite_note
 from .sr import Breakdown, sgs
@@ -72,12 +73,31 @@ def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPo
     return SymplecticPoint.from_entries(out, check=check)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    # scipy.linalg.expm's generic branch (Al-Mohy & Higham 2009) without its
+    # per-call layer; a zero step, whose exponents expm treats as diagonal
+    # and as triangular, gives the same bits on both routes.
+    work = np.empty((5,) + a.shape)
+    work[0] = a
+    m, s = pick_pade_structure(work)
+    info = m if m < 0 else pade_UV_calc(work, m)
+    if m < 0 or info <= -11:
+        raise MemoryError(f"expm could not allocate its work memory (error code {info})")
+    if info != 0:
+        raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
+    out = work[0]
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
     """Quasi-geodesic retraction; globally defined.
 
     [X, Z] expm([[-JW, J Z^T J Z], [I, -JW]]) [I; 0] expm(JW) with
     W = X^T J Z.  The exponentials act on 4k-by-4k and 2k-by-2k blocks; the
-    4k-by-4k exponent is filled in place.
+    4k-by-4k exponent is filled in place.  Both are scipy.linalg.expm's
+    Pade kernels and squarings, bit for bit, without its per-call checks.
     """
     e = x.entries
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
@@ -89,8 +109,8 @@ def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint
     block[:k2, k2:] = jmul(ze.T.dot(jz))
     block[k2:, :k2].flat[::k2 + 1] = 1.0
     block[k2:, k2:] = block[:k2, :k2]
-    left = np.concatenate([e, ze], axis=1).dot(scipy.linalg.expm(block)[:, :k2])
-    out = left.dot(scipy.linalg.expm(jw))
+    left = np.concatenate([e, ze], axis=1).dot(_expm(block)[:, :k2])
+    out = left.dot(_expm(jw))
     return SymplecticPoint.from_entries(out, check=check)
 
 

@@ -3,8 +3,12 @@
 The solver path reads J X and X^T J X from the point's cache, applies J by
 filling a new array, and multiplies with ``ndarray.dot``.  The references
 below spell out the arithmetic that these replace: ``np.concatenate`` for J,
-``@`` for every product, J X and X^T J X formed afresh at each use.  Every
-comparison is bit for bit.
+``@`` for every product, J X and X^T J X formed afresh at each use.  The
+quasi-geodesic retraction calls scipy's compiled Pade kernels directly, and
+its reference calls ``scipy.linalg.expm``, also on the inputs that function
+treats specially: a zero step (a zero, hence diagonal, JW and a lower
+triangular 4k x 4k exponent) and a long step that is scaled and squared.
+Every comparison is bit for bit.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import blas, lapack
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from spopt.applications import random_symplectic_orthogonal
 from spopt.core import (
@@ -120,6 +125,13 @@ def quasi_geodesic_ref(x, z):
     return left @ scipy.linalg.expm(jw)
 
 
+def qgeo_exponent(x, z):
+    """The 4k x 4k exponent of ``quasi_geodesic_ref``."""
+    k2 = x.k * 2
+    jw = jmul_ref(x.entries.T @ jmul_ref(z))
+    return np.block([[-jw, jmul_ref(z.T @ jmul_ref(z))], [np.eye(k2), -jw]])
+
+
 def gram_pass_ref(b):
     n, k2 = b.shape[0] // 2, b.shape[1]
     m = b[:n].T @ b[n:]
@@ -190,7 +202,12 @@ def point_and_tangent(draw):
     draws), with a Euclidean gradient and a tangent of norm 0.1 there."""
     n = draw(st.integers(1, 12))
     k = draw(st.one_of(st.just(n), st.integers(1, n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return point_and_tangent_at(n, k, draw(st.integers(0, 2**32 - 1)))
+
+
+def point_and_tangent_at(n, k, seed):
+    """The draw of ``point_and_tangent`` at sizes n, k and ``seed``."""
+    rng = np.random.default_rng(seed)
     embed = canonical_point(n, k)
     step = sr_retract(embed, random_tangent(embed, rng, norm=0.7).entries)
     q = random_symplectic_orthogonal(n, int(rng.integers(2**31)))
@@ -272,3 +289,27 @@ class TestAgainstReferences:
         except RETRACTION_ERRORS:
             return  # a long step may meet a singular resolvent or a breakdown
         assert_same_bits(out.entries, ref(x, scale * z))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (6, 1), (6, 6), (9, 4)])
+    def test_quasi_geodesic_zero_step_is_identity(self, n, k):
+        # Z = 0 makes JW zero (scipy.linalg.expm's diagonal shortcut) and the
+        # 4k x 4k exponent strictly lower triangular (its triangular branch)
+        x, _, _ = point_and_tangent_at(n, k, seed=n + k)
+        zero = np.zeros_like(x.entries)
+        out = quasi_geodesic(x, zero).entries
+        assert_same_bits(out, x.entries)
+        assert_same_bits(out, quasi_geodesic_ref(x, zero))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (6, 1), (6, 6), (9, 4), (12, 7)])
+    def test_quasi_geodesic_long_step_scales_and_squares(self, n, k):
+        # a 4k x 4k exponent of 1-norm well above theta_13 ~ 5.37: the Pade
+        # kernels scale it by 2^-s, s > 0, and the result is squared s times
+        x, _, z = point_and_tangent_at(n, k, seed=100 + n + k)
+        for norm in (10.0, 30.0):
+            step = z * (norm / np.linalg.norm(z))
+            work = np.empty((5, 4 * k, 4 * k))
+            work[0] = qgeo_exponent(x, step)
+            assert np.abs(work[0]).sum(axis=0).max() > 5.37
+            assert pick_pade_structure(work)[1] > 0
+            assert_same_bits(quasi_geodesic(x, step, check=False).entries,
+                             quasi_geodesic_ref(x, step))

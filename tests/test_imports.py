@@ -3,7 +3,9 @@ factor type, every name a module exports through ``__all__`` exists, and every n
 ``perfbench/`` imports or probes exists, no module reaches SuperLU or
 names the deleted site-block path, ``crank_nicolson`` reaches a
 factorization only through its run's ``factor``, and that factorization is
-picked by no reduced-model type.
+picked by no reduced-model type.  No module names ``scipy.linalg.expm``
+or imports an ``expm``, and ``retractions`` alone imports scipy's Pade
+kernels from ``scipy.linalg._matfuncs_expm``.
 
 No module of ``src/spopt`` imports an ``oracles`` module in any form
 (``from .oracles import ...``, ``from . import oracles``,
@@ -147,6 +149,25 @@ def test_no_package_module_reaches_superlu():
                 | {name.rpartition(".")[2] for name in imported})
         assert "splu" not in used, path.name
     assert "scipy.sparse.csgraph.reverse_cuthill_mckee" in imported_names(SRC / "hamiltonian.py")
+
+
+def test_matrix_exponentials_call_the_pade_kernels_from_retractions_only():
+    # the quasi-geodesic exponentials skip scipy.linalg.expm's per-call
+    # layer; no other module takes a dependency on scipy's private kernels
+    kernels = "scipy.linalg._matfuncs_expm"
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        imported = imported_names(path)
+        tree = ast.parse(path.read_text())
+        used = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                | {name.rpartition(".")[2] for name in imported})
+        assert "expm" not in used, path.name
+        if any(name == kernels or name.startswith(kernels + ".") for name in imported):
+            importers.append(path.name)
+    assert importers == ["retractions.py"]
+    pade = {f"{kernels}.pick_pade_structure", f"{kernels}.pade_UV_calc"}
+    assert pade <= imported_names(SRC / "retractions.py")
 
 
 def test_no_package_module_names_the_site_block_path():

@@ -140,6 +140,19 @@ class TestNonFiniteMessages:
         with pytest.raises(error, match=r" \(non-finite input\)$"):
             retraction(x, z)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_overflowing_quasi_geodesic_step_raises_at_once(self):
+        # a finite step whose exponent overflows: the Pade kernels pick no
+        # squarings (s = 0), so the non-finite result is checked at once
+        rng = np.random.default_rng(3)
+        x = random_point(4, 2, rng)
+        z = 1e300 * random_tangent(x, rng).entries
+        assert np.isfinite(z).all()
+        t0 = time.perf_counter()
+        with pytest.raises(FeasibilityError):
+            quasi_geodesic(x, z)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_finite_failures_carry_no_note(self):
         x = canonical_point(3, 1)
         with pytest.raises(Breakdown) as info:
