@@ -40,12 +40,16 @@ __all__ = [
     "gauss_transform", "random_symplectic_orthogonal", "spsd_test_matrix",
     "williamson_small", "williamson_spsd", "symplectic_eigenpairs",
     "cotangent_lift", "deim_select", "deim_reduced_rhs", "exact_reduced_rhs",
-    "DeimOperator", "random_symplectic_point", "SingularSelection",
+    "DeimOperator", "random_symplectic_point", "SingularSelection", "SYMPEV_SOLVER",
 ]
 
 
 #: Relative eigenvalue threshold of the symplectic null space in Williamson.
 NULL_TOL = 1e-8
+
+#: The default solver fields of :func:`symplectic_eigenpairs`; ``spopt sympev``
+#: merges its config into them.
+SYMPEV_SOLVER = dict(gtol=1e-12, niter=5000, gamma_max=1.0)
 
 
 class SingularSelection(NumericalFailure):
@@ -352,7 +356,7 @@ def symplectic_eigenpairs(a: np.ndarray, k: int,
                          f"{a.shape[0]} x {2 * k}")
     prob = TraceProblem(a, k)
     if solver_options is None:
-        solver_options = SolverOptions(gtol=1e-12, niter=5000, gamma_max=1.0)
+        solver_options = SolverOptions(**SYMPEV_SOLVER)
     result = minimize(prob, x0, solver_options)
     if result.status is not SolverStatus.GRAD_TOLERANCE_REACHED:
         warnings.warn(

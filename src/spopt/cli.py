@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .applications import (
+    SYMPEV_SOLVER,
     TargetProblem,
     random_symplectic_point,
     spsd_test_matrix,
@@ -51,6 +52,7 @@ from .core import NumericalFailure, SymplecticPoint, checked_number
 from .geometry import Metric
 from .hamiltonian import (
     NONLIN_TREATMENTS,
+    ROM_SOLVER,
     IntegratorOptions,
     build_rom,
     crank_nicolson,
@@ -286,7 +288,7 @@ def run_sympev(config: ExperimentConfig) -> dict:
     n = _field(p, "n", 1000 if config.paper_scale else 100, int)
     m = _field(p, "m", 2, int)
     k = _field(p, "k", 5, int)
-    solver = {**dict(gtol=1e-12, niter=5000, gamma_max=1.0), **_field(p, "solver", {}, dict)}
+    solver = {**SYMPEV_SOLVER, **_field(p, "solver", {}, dict)}
     options = _options_by_scheme(config, solver)
 
     a, diag = spsd_test_matrix(n, m, seed=config.seed)
@@ -353,7 +355,7 @@ def run_mor(config: ExperimentConfig) -> dict:
                     NONLIN_TREATMENTS)
     deim_variants = _field(p, "deim_variants", None, list, NONLIN_TREATMENTS)
     variants = deim_variants or [nonlin]
-    solver = {**dict(gamma0=1e-8, gtol=1e-12, niter=1000), **_field(p, "solver", {}, dict)}
+    solver = {**ROM_SOLVER, **_field(p, "solver", {}, dict)}
     options = _options_by_scheme(config, solver)
 
     system = construct(n, config.seed)

@@ -147,10 +147,10 @@ def tangency_residual(x, z) -> float:
     return float(np.linalg.norm(m - m.T))
 
 
-def _check_residual(kind: str, residual: float, tol: float, *operands) -> None:
+def _check_residual(kind: str, residual: float, tol: float, *operands, stacklevel=3) -> None:
     # Warn above tol, hard-error above 1e3*tol: iterative schemes are allowed
     # to drift a little, garbage input is not.  Written so that a NaN residual
-    # (non-finite entries) fails the test too; the message then says so.
+    # fails the test too; the message then says whether an operand is non-finite.
     if not residual <= 1e3 * tol:
         raise FeasibilityError(f"{kind} residual {residual:.3e} exceeds {1e3 * tol:.1e}"
                                + nonfinite_note(*operands))
@@ -158,7 +158,7 @@ def _check_residual(kind: str, residual: float, tol: float, *operands) -> None:
         warnings.warn(
             f"{kind} residual {residual:.3e} above tolerance {tol:.1e}",
             FeasibilityWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -177,10 +177,14 @@ class SymplecticPoint:
         e = np.ascontiguousarray(entries, dtype=float)
         _dims_of(e)
         point = cls(e)
-        if check:
-            _check_residual("symplecticity", symplecticity_residual(point),
-                            DEFAULT_FEAS_TOL, e)
-        return point
+        return point._checked(e) if check else point
+
+    def _checked(self, *operands) -> "SymplecticPoint":
+        # the feasibility check, its failure note testing ``operands``: the
+        # entries in from_entries, a retraction's own X and Z for its result
+        _check_residual("symplecticity", symplecticity_residual(self), DEFAULT_FEAS_TOL,
+                        *operands, stacklevel=4)
+        return self
 
     @property
     def n(self) -> int:

@@ -46,11 +46,14 @@ __all__ = [
     "sample_vlasov_ic", "VlasovParams", "sine_gordon_exact",
     "crank_nicolson", "extract_snapshots", "state_seeded_cotangent_lift",
     "restore_state_containment", "build_rom", "relative_errors", "ErrorReport",
-    "NONLIN_TREATMENTS",
+    "NONLIN_TREATMENTS", "ROM_SOLVER",
 ]
 
 #: Treatments of the nonlinear term that ``build_rom`` accepts.
 NONLIN_TREATMENTS = ("exact", "psd-deim", "structure-preserving")
+
+#: ``build_rom``'s default solver fields; ``spopt mor`` merges its config into them.
+ROM_SOLVER = dict(gamma0=1e-8, gtol=1e-12, niter=1000)
 
 
 class NewtonDivergence(NumericalFailure):
@@ -78,7 +81,6 @@ class Nonlinearity:
     ``applications`` call ``slope`` and ``curvature`` on the selected sites.
     """
 
-    n: int
     potential: Callable
     slope: Callable
     curvature: Callable
@@ -87,13 +89,13 @@ class Nonlinearity:
         """h(x) for one state, or an array of h at each column of a 2n x B
         block.  The potential runs on time-major (B x n) views, so per-site
         arrays such as sine-Gordon's boundary terms broadcast along sites."""
-        n = self.n
+        n = x.shape[0] // 2
         return np.sum(self.potential(x[:n].T, x[n:].T, slice(None)), axis=-1)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad h for one state, or for each column of a 2n x B block; the
         slope runs on time-major views, as in :meth:`value`."""
-        n = self.n
+        n = x.shape[0] // 2
         g = np.zeros(x.shape)
         xt, gt = x.T, g.T
         gt[..., :n], gt[..., n:] = self.slope(xt[..., :n], xt[..., n:], slice(None))
@@ -260,7 +262,7 @@ class IntegratorOptions:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # (dim, steps + 1)
+    states: np.ndarray  # (dim, steps + 1): the transpose of time-major rows
     wall_time: float
     newton_updates: int = 0  # Jacobian evaluations; 0 for a linear system
     # the run's factorization (:func:`_pick_factor`) of its Newton matrices, or
@@ -425,9 +427,6 @@ def _pick_factor(g, t: float):
     return (lambda g, where: _lu(shifted(g), where)), "lapack"
 
 
-#: Converged Newton states per block that :func:`crank_nicolson` stores at once.
-_STATE_BLOCK = 64
-
 #: Newton iterations allowed per Crank-Nicolson step.
 NEWTON_MAXIT = 50
 
@@ -446,7 +445,8 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     ``perfbench`` counts and times updates; their number is
     ``Trajectory.newton_updates``.  The converged iterate's vector field is
     reused as the next step's J grad H(x_m), so a run makes
-    steps + updates + 1 ``system.flow`` calls.
+    steps + updates + 1 ``system.flow`` calls.  Each converged state is one
+    row of a time-major array, and ``Trajectory.states`` is its transpose.
 
     Every solve goes through one factor/solve protocol: the first Jacobian's
     type picks the run's factorization ``factor(G, where) -> solve``,
@@ -463,31 +463,19 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
     start = time.perf_counter()
     dim, h, steps = system.dim, opts.h_t, opts.steps
     c = 0.5 * h
-    x0 = np.asarray(x0, dtype=float)
-    states = np.empty((dim, steps + 1))
-    states[:, 0] = x0
-    x = x0.copy()
+    rows = np.empty((steps + 1, dim))
+    rows[0] = x0
+    x = rows[0]
     updates, solver = 0, None
-    # states are written as rows and stored a block of columns at a time:
-    # one strided column write per step costs more than a step
-    block = np.empty((_STATE_BLOCK, dim))
-
-    def store(m, y):
-        j = m % _STATE_BLOCK
-        block[j] = y
-        if j == _STATE_BLOCK - 1 or m == steps - 1:
-            states[:, m + 1 - j:m + 2] = block[:j + 1].T
-
     if system.is_linear:
-        g = system.grad_jacobian(x0)
+        g = system.grad_jacobian(x)
         factor, solver = _pick_factor(g, -c)
         solve = factor(g, "linear step")
         rhs_mat = _shifted(g, c)
         for m in range(steps):
-            x = solve(rhs_mat @ x)
-            store(m, x)
+            rows[m + 1] = x = solve(rhs_mat @ x)
         if not np.all(np.isfinite(x)):
-            first = int(np.argmin(np.isfinite(states).all(axis=0)))
+            first = int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise NewtonDivergence(
                 f"step {first - 1}: linear step produced a non-finite state"
                 if first else "initial state is non-finite")
@@ -497,7 +485,6 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
         fx = flow(x)
         for m in range(steps):
             y = x + h * fx
-            converged = False
             for _ in range(NEWTON_MAXIT):
                 fy = flow(y)
                 # y - x - c (fx + fy), in that order of operations
@@ -507,7 +494,6 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 res -= t
                 norm = math.sqrt(res.dot(res))
                 if norm <= 1e-10:
-                    converged = True
                     break
                 if not math.isfinite(norm):
                     raise NewtonDivergence(f"step {m}: non-finite Newton residual norm {norm}")
@@ -516,14 +502,14 @@ def crank_nicolson(system, x0: np.ndarray, opts: IntegratorOptions) -> Trajector
                 if factor is None:
                     factor, solver = _pick_factor(g, -c)
                 y = y - factor(g, f"step {m}")(res)
-            if not converged:
+            else:
                 raise NewtonDivergence(
                     f"step {m}: residual {norm:.3e} after "
                     f"{NEWTON_MAXIT} Newton iterations")
-            store(m, y)
-            x, fx = y, fy
+            rows[m + 1] = x = y
+            fx = fy
     times = h * np.arange(steps + 1)
-    return Trajectory(times, states, time.perf_counter() - start, updates, solver)
+    return Trajectory(times, rows.T, time.perf_counter() - start, updates, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +586,6 @@ def sine_gordon_system(n: int, a: float = 0.0, b: float = 50.0, v: float = 0.2,
     np.add.at(force, [0, -1], [ca, cb])
     np.add.at(offset, [0, -1], [phi_a**2 / (2 * h_xi**2), phi_b**2 / (2 * h_xi**2)])
     nl = Nonlinearity(
-        n,
         potential=lambda q, p, i: 1.0 - np.cos(q) - force[i] * q + offset[i],
         slope=lambda q, p, i: (np.sin(q) - force[i], 0.0),
         curvature=lambda q, p, i: (np.cos(q), 0.0, 0.0))
@@ -635,7 +620,7 @@ def schrodinger_system(n: int, length: float = 2 * np.pi / 0.11,
         r = q**2 + p**2
         return -eps * (r + 2 * q**2), -eps * 2 * q * p, -eps * (r + 2 * p**2)
 
-    nl = Nonlinearity(n, potential=lambda q, p, i: -(eps / 4.0) * (q**2 + p**2) ** 2,
+    nl = Nonlinearity(potential=lambda q, p, i: -(eps / 4.0) * (q**2 + p**2) ** 2,
                       slope=slope, curvature=curvature)
     return HamiltonianSystem("schrodinger", n, mass, x0, nl,
                              meta=dict(length=length, eps=eps, c=c, xi0=xi0,
@@ -696,7 +681,6 @@ def vlasov_system(n: int, seed: int = 0,
     x0 = np.concatenate([q0, p0])
     # per-site energy -phi(q) = (3/4pi) sin(4 pi q), whose slope is the field E
     nl = Nonlinearity(
-        n,
         potential=lambda q, p, i: (3.0 / four_pi) * np.sin(four_pi * q),
         slope=lambda q, p, i: (3.0 * np.cos(four_pi * q), 0.0),
         curvature=lambda q, p, i: (-3.0 * four_pi * np.sin(four_pi * q), 0.0, 0.0))
@@ -844,7 +828,7 @@ def build_rom(system: HamiltonianSystem, snapshots: np.ndarray, k: int,
 
     if reduction == "optimized":
         prob = PsdProblem(snapshots, k)
-        opts = solver_options or SolverOptions(gamma0=1e-8, gtol=1e-12, niter=1000)
+        opts = solver_options or SolverOptions(**ROM_SOLVER)
         opt_result = minimize(prob, u, opts)
         u = opt_result.x_final
         diagnostics["cost_optimized"] = prob.cost(u.entries)

@@ -70,7 +70,8 @@ def cayley_economical(x: SymplecticPoint, z, check: bool = True) -> SymplecticPo
     h += 2.0 * e
     out = h.dot(_inverse_checked(inner, (e, ze)))
     out -= e
-    return SymplecticPoint.from_entries(out, check=check)
+    point = SymplecticPoint.from_entries(out, check=False)
+    return point._checked(e, ze) if check else point
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -111,7 +112,8 @@ def quasi_geodesic(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint
     block[k2:, k2:] = block[:k2, :k2]
     left = np.concatenate([e, ze], axis=1).dot(_expm(block)[:, :k2])
     out = left.dot(_expm(jw))
-    return SymplecticPoint.from_entries(out, check=check)
+    point = SymplecticPoint.from_entries(out, check=False)
+    return point._checked(e, ze) if check else point
 
 
 def sr_retract(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
@@ -121,7 +123,8 @@ def sr_retract(x: SymplecticPoint, z, check: bool = True) -> SymplecticPoint:
     :class:`Breakdown`.
     """
     ze = np.asarray(getattr(z, "entries", z), dtype=float)
-    return sgs(x.entries + ze, check=check).s
+    point = sgs(x.entries + ze, check=False).s
+    return point._checked(x.entries, ze) if check else point
 
 
 def retract(kind: RetractionKind, x: SymplecticPoint, z,

@@ -616,7 +616,7 @@ class TestDeim:
         m = m + m.T
         v = np.linalg.qr(rng.standard_normal((20, 5)))[0]
         idx = deim_select(v)
-        zero = Nonlinearity(10, potential=lambda q, p, i: 0.0 * q,
+        zero = Nonlinearity(potential=lambda q, p, i: 0.0 * q,
                             slope=lambda q, p, i: (0.0, 0.0),
                             curvature=lambda q, p, i: (0.0, 0.0, 0.0))
         xt = rng.standard_normal(4)
@@ -636,7 +636,7 @@ class TestDeim:
         idx = deim_select(v)
 
         # grad h = sin(x) componentwise
-        sines = Nonlinearity(n, potential=lambda q, p, i: -np.cos(q) - np.cos(p),
+        sines = Nonlinearity(potential=lambda q, p, i: -np.cos(q) - np.cos(p),
                              slope=lambda q, p, i: (np.sin(q), np.sin(p)),
                              curvature=lambda q, p, i: (np.cos(q), 0.0, np.cos(p)))
         op = deim_reduced_rhs(u, reduced_mass, v, idx, sines, "psd-deim")

@@ -458,6 +458,33 @@ def _off_manifold():
     SymplecticPoint.from_entries(np.ones((4, 2)))  # residual far above 1e3 * tol
 
 
+class TestSolverDefaults:
+    @pytest.mark.parametrize("app, target, default", [
+        ("sympev", "symplectic_eigenpairs", applications.SYMPEV_SOLVER),
+        ("mor", "build_rom", hamiltonian.ROM_SOLVER),
+    ])
+    def test_empty_config_takes_library_defaults(self, app, target, default, tmp_path,
+                                                 monkeypatch):
+        # a {} config solves with the library's own default solver fields,
+        # and sympev records exactly them in summary.json
+        passed = []
+
+        def record(*args, **kwargs):
+            passed.append(kwargs.get("solver_options"))
+            raise NumericalFailure("recorded")
+
+        monkeypatch.setattr(cli, target, record)
+        before = dict(default)
+        out = tmp_path / "o"
+        rc = main([app, "--config", write_cfg(tmp_path, {}), "--schemes", "SRE",
+                   "--out", str(out)])
+        assert rc == 3
+        assert scheme_options("SRE", **default) in passed
+        assert default == before  # the config merge left the library's dict alone
+        if app == "sympev":
+            assert json.loads((out / "summary.json").read_text())["solver"] == default
+
+
 class TestNumericalFailureExit:
     @pytest.mark.parametrize("fail, message", [
         (_singular_selection, "singular interpolation block"),

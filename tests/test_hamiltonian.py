@@ -637,7 +637,7 @@ BLOCK = hamiltonian._ERROR_BLOCK
 
 
 def reference_potential_sum(nonlin, x):
-    n = nonlin.n
+    n = x.shape[0] // 2
     return float(np.sum(nonlin.potential(x[:n], x[n:], slice(None))))
 
 
@@ -766,6 +766,44 @@ class TestBlockedErrors:
         assert growth <= 16 * 8 * (6 * BLOCK), peaks
 
 
+class TestStateLayout:
+    """Trajectory.states is the transpose of a time-major array: each stored
+    state is one contiguous row of memory."""
+
+    @pytest.mark.parametrize("model, solver", [
+        ("wave", "band"), ("vlasov", "schur"), ("schrodinger", "band"), ("rom", "lapack")])
+    def test_states_transpose_time_major_rows(self, model, solver):
+        opts = IntegratorOptions(1e-2, 0.5)
+        if model == "rom":
+            sysm = schrodinger_system(16)
+            fom = crank_nicolson(sysm, sysm.x0, opts)
+            sysm = build_rom(sysm, extract_snapshots(fom, 20), 3, nonlin="psd-deim")
+            x0 = sysm.x0_reduced
+        else:
+            sysm = FOUR_MODELS[model]()
+            x0 = sysm.x0
+        traj = crank_nicolson(sysm, x0, opts)
+        assert traj.solver == solver
+        assert traj.states.shape == (sysm.dim, opts.steps + 1)
+        assert traj.states.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_errors_of_c_ordered_copies_agree(self, model):
+        # the error blocks only change memory layout: the column sums may
+        # move in their last bits, RE_H (a difference of nearly equal
+        # energies) by more; a linear ROM's RE_H sits at roundoff (1e-14),
+        # where a last-bit move of H is a few eps of it absolutely
+        fom, roms = blocked_case(model)
+        full = Trajectory(fom.times, np.ascontiguousarray(fom.states), 0.0)
+        for rom, rt in roms:
+            red = Trajectory(rt.times, np.ascontiguousarray(rt.states), 0.0)
+            rep, copied = relative_errors(fom, rom, rt), relative_errors(full, rom, red)
+            np.testing.assert_allclose(copied.re_x, rep.re_x, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(copied.pointwise_state, rep.pointwise_state,
+                                       rtol=1e-14, atol=0.0, err_msg=rom.variant)
+            assert abs(copied.re_h - rep.re_h) <= 1e-8 * rep.re_h + 1e-15, rom.variant
+
+
 # ---------------------------------------------------------------------------
 # Test-scale references: the sparse assembly the Newton and DEIM Jacobians
 # were built by before they moved to fixed patterns and site rows.
@@ -785,7 +823,7 @@ def sampled_at(sysm, idx):
 
 def reference_rows(nonlin, indices, x):
     """Hessian rows at ``indices`` as CSR, exact zeros eliminated."""
-    n, m = nonlin.n, indices.size
+    n, m = x.shape[0] // 2, indices.size
     on_q, site = indices < n, indices % n
     v_qq, v_qp, v_pp = nonlin.curvature(x[site], x[site + n], site)
     data = np.empty((m, 2))
@@ -1296,10 +1334,9 @@ class TestNewtonMatrix:
 
     @pytest.mark.parametrize("model", sorted(FOUR_MODELS))
     def test_trajectories_bit_identical_to_reference_loop(self, model):
-        # the full model and its ROM variants, each state bit for bit; 100
-        # steps fill one block of stored states and part of the next
+        # the full model and its ROM variants over 100 steps, each state bit
+        # for bit
         sysm = FOUR_MODELS[model]()
-        assert 100 % hamiltonian._STATE_BLOCK
         opts = IntegratorOptions(1e-2, 1.0)
         reference = (reference_linear_crank_nicolson if sysm.is_linear
                      else reference_crank_nicolson)
@@ -1451,7 +1488,6 @@ def synthetic_site_system(n=12, seed=0, coupling=None):
         mass[coupling] = mass[coupling[::-1]] = 0.1
     w = 0.2 * (1.0 + np.arange(n) / n)
     nl = hamiltonian.Nonlinearity(
-        n,
         potential=lambda q, p, i: 0.5 * w[i] * q**2 * p**2,
         slope=lambda q, p, i: (w[i] * q * p**2, w[i] * q**2 * p),
         curvature=lambda q, p, i: (w[i] * p**2, 2.0 * w[i] * q * p, w[i] * q**2))

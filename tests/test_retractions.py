@@ -153,6 +153,22 @@ class TestNonFiniteMessages:
             quasi_geodesic(x, z)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("retraction", [quasi_geodesic, sr_retract])
+    def test_finite_overflowing_step_does_not_blame_its_input(self, retraction):
+        # the retraction's own result is non-finite, its X and Z are not
+        rng = np.random.default_rng(3)
+        x = random_point(4, 2, rng)
+        z = 1e300 * random_tangent(x, rng).entries
+        with pytest.raises(FeasibilityError) as info:
+            retraction(x, z)
+        assert "non-finite input" not in str(info.value)
+        # from_entries called directly still tests the entries it is given
+        out = retraction(x, z, check=False).entries
+        assert not np.isfinite(out).all()
+        with pytest.raises(FeasibilityError, match=r" \(non-finite input\)$"):
+            SymplecticPoint.from_entries(out)
+
     def test_finite_failures_carry_no_note(self):
         x = canonical_point(3, 1)
         with pytest.raises(Breakdown) as info:
