@@ -8,7 +8,9 @@ quasi-geodesic retraction calls scipy's compiled Pade kernels directly, and
 its reference calls ``scipy.linalg.expm``, also on the inputs that function
 treats specially: a zero step (a zero, hence diagonal, JW and a lower
 triangular 4k x 4k exponent) and a long step that is scaled and squared.
-Every comparison is bit for bit.
+The SR reference spells out the one certified Gram pass, with the shuffle
+as ``np.ix_`` picks, and the two-pass and Gram-Schmidt routes as its
+else-branch.  Every comparison is bit for bit.
 """
 
 import numpy as np
@@ -37,10 +39,10 @@ from spopt.retractions import (
     quasi_geodesic,
     sr_retract,
 )
-from spopt.sr import DEFAULT_BREAKDOWN_TOL, sgs_modified
+from spopt.sr import DEFAULT_BREAKDOWN_TOL, ONE_PASS_MAX_COND, sgs_modified
 
 from conftest import random_tangent
-from oracles import poisson, shuffle_cols, unshuffle_cols
+from oracles import conjugate, poisson, shuffle_cols, unconjugate, unshuffle_cols
 
 
 def jmul_ref(a):
@@ -132,13 +134,9 @@ def qgeo_exponent(x, z):
     return np.block([[-jw, jmul_ref(z.T @ jmul_ref(z))], [np.eye(k2), -jw]])
 
 
-def gram_pass_ref(b):
-    n, k2 = b.shape[0] // 2, b.shape[1]
-    m = b[:n].T @ b[n:]
-    h = np.empty((k2, k2), order="F")
-    h[0::2] = m.T[1::2] - m[1::2]
-    h[1::2] = m[0::2] - m.T[0::2]
+def r_hat_ref(h):
     lu, piv, info = lapack.dgetrf(h, overwrite_a=True)
+    k2 = h.shape[0]
     if info != 0 or (piv != np.arange(k2)).any():
         return None
     flat = lu.ravel(order="F")
@@ -153,12 +151,48 @@ def gram_pass_ref(b):
     lu /= d[:, None]
     lu[np.tri(k2, k=-1, dtype=bool)] = 0.0
     flat[::step], flat[k2 + 1::step], flat[k2::step] = r11, r22, 0.0
-    return blas.dtrsm(1.0, lu, b, side=1, overwrite_b=True)
+    return lu
+
+
+def gram_pass_ref(b):
+    n, k2 = b.shape[0] // 2, b.shape[1]
+    m = b[:n].T @ b[n:]
+    h = np.empty((k2, k2), order="F")
+    h[0::2] = m.T[1::2] - m[1::2]
+    h[1::2] = m[0::2] - m.T[0::2]
+    r_hat = r_hat_ref(h)
+    return None if r_hat is None else blas.dtrsm(1.0, r_hat, b, side=1, overwrite_b=True)
+
+
+def one_pass_ref(a):
+    n, k = a.shape[0] // 2, a.shape[1] // 2
+    m = a[:n].T @ a[n:]
+    gb = conjugate(k, m.T - m)  # P (m^T - m) P^T = -P G P^T
+    h = np.empty((2 * k, 2 * k), order="F")
+    h[0::2] = gb[1::2]
+    h[1::2] = -gb[0::2]
+    r_hat = r_hat_ref(h)
+    if r_hat is None:
+        return None
+    inv, _ = lapack.dtrtri(r_hat)
+    if not np.linalg.norm(r_hat, 1) * np.linalg.norm(inv, 1) <= ONE_PASS_MAX_COND:
+        return None
+    s = a @ unconjugate(k, inv)
+    norms = np.sqrt(np.einsum("ij,ij->j", s, s))
+    g = s[:n].T @ s[n:]
+    if ((norms[:k] * norms[k:] * DEFAULT_BREAKDOWN_TOL >= 1.0).any()
+            or not (np.abs(g - g.T - poisson(k))
+                    <= np.outer(norms, 2 * n * np.finfo(float).eps * norms)).all()):
+        return None
+    return s
 
 
 def sr_ref(x, z):
     a = x.entries + z
     k = a.shape[1] // 2
+    s = one_pass_ref(a)
+    if s is not None:
+        return s
     s = gram_pass_ref(np.asfortranarray(shuffle_cols(k, a)))
     if s is not None:
         norms = np.sqrt(np.einsum("ij,ij->j", s, s))

@@ -18,7 +18,7 @@ from spopt.geometry import Metric, project_tangent
 from spopt.sr import _layout
 
 from conftest import random_point
-from oracles import conjugate, poisson, shuffle_cols, shuffle_matrix
+from oracles import conjugate, poisson, shuffle_cols, shuffle_matrix, unconjugate
 
 
 class TestPoisson:
@@ -91,6 +91,20 @@ class TestPerfectShuffle:
         assert np.array_equal(hat, target)
         p = _layout(k).order
         assert np.array_equal(hat[np.ix_(p, p)], poisson(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_take_indices_match_dense(self, k, rng):
+        # H = J_hat^T P G P^T gathered column-major from M^T - M = -G, and
+        # P^T R P from R's column-major entries, each by one take
+        layout = _layout(k)
+        m = rng.standard_normal((2 * k, 2 * k))
+        h = np.subtract(m.T, m).take(layout.gram_take).T
+        j_hat = conjugate(k, poisson(k))
+        assert np.array_equal(h, j_hat.T @ conjugate(k, m - m.T))
+        assert h.flags.f_contiguous
+        r = np.asfortranarray(rng.standard_normal((2 * k, 2 * k)))
+        assert np.array_equal(r.ravel(order="F").take(layout.r_take), unconjugate(k, r))
+        assert np.array_equal(layout.j_2k, poisson(k))
 
     def test_shuffle_matches_dense(self, rng):
         layout = _layout(3)

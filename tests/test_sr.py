@@ -17,6 +17,7 @@ from spopt.core import (
 from spopt.sr import Breakdown, desr, sgs, sgs_modified
 
 from conftest import random_point, random_tangent, random_tangent_spectral
+from test_bitwise import point_and_tangent_at
 from oracles import (even_minor_check, in_normalized_triangular_set, poisson, sgs_basic,
                      shuffle_cols, shuffle_matrix, unconjugate, unshuffle_cols)
 
@@ -224,6 +225,15 @@ def unit_ball_step(n, k, seed, norm2):
     return x.entries + z * (norm2 / np.linalg.norm(z, 2))
 
 
+def graded_step(n, k, c):
+    """S R with S orthosymplectic and R = I - c (strict block upper ones), in
+    A's column order: R's condition grows fast with c and k."""
+    s = shuffle_cols(k, orthosymplectic_point(n, k, seed=3).entries)
+    u = np.triu(np.ones((2 * k, 2 * k)), 1)
+    u[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
+    return unshuffle_cols(k, s @ (np.eye(2 * k) - c * u))
+
+
 def modified_factors(a):
     """sgs computed by the Gram-Schmidt path alone."""
     k = a.shape[1] // 2
@@ -297,16 +307,14 @@ class TestGramPath:
         # ones): every LU multiplier is below 1, so nothing pivots, and
         # cond(B) ~ 8e5 costs a single pass about cond^2 eps of feasibility
         n, k = 40, 12
-        s = shuffle_cols(k, orthosymplectic_point(n, k, seed=3).entries)
-        u = np.triu(np.ones((2 * k, 2 * k)), 1)
-        u[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 0.0
-        a = unshuffle_cols(k, s @ (np.eye(2 * k) - 0.9 * u))
+        a = graded_step(n, k, 0.9)
         s_modified, _ = modified_factors(a)
         forbid_fallback(monkeypatch)
         f = sgs(a)
         assert symplecticity_residual(f.s) <= 1e-13
         assert symplecticity_residual(f.s) <= 10 * symplecticity_residual(s_modified)
         assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
+        assert len(f.r_hat_factors) == 2
 
     def test_isotropic_pair_without_interchange_breaks(self):
         # J_hat^T G is diagonal, so the LU pivots nowhere, but the first pair
@@ -324,13 +332,19 @@ class TestGramPath:
             sgs(a)
 
     def test_lazy_r_equals_eager_product(self):
-        # R = P^T (R_hat_2 R_hat_1) P, formed on first read of ``r``
+        # R = P^T R_hat P after one pass, P^T (R_hat_2 R_hat_1) P after two,
+        # formed on first read of ``r``
         a = unit_ball_step(30, 6, seed=5, norm2=0.9)
-        s_1, r_hat_1 = sr._gram_pass(shuffle_cols(6, a))
+        f = sgs(a)
+        (r_hat,) = f.r_hat_factors
+        assert np.array_equal(f.r, unconjugate(6, r_hat))
+        assert f.r is f.r
+        a = graded_step(10, 3, 0.6)
+        s_1, r_hat_1 = sr._gram_pass(shuffle_cols(3, a))
         s_2, r_hat_2 = sr._gram_pass(s_1.copy())
         f = sgs(a)
-        assert np.array_equal(f.s.entries, unshuffle_cols(6, s_2))
-        assert np.array_equal(f.r, unconjugate(6, r_hat_2 @ r_hat_1))
+        assert np.array_equal(f.s.entries, unshuffle_cols(3, s_2))
+        assert np.array_equal(f.r, unconjugate(3, r_hat_2 @ r_hat_1))
         assert f.r is f.r
 
     def test_deterministic_bitwise(self):
@@ -347,6 +361,87 @@ class TestGramPath:
         assert sr._sgs_gram(shuffle_cols(2, a)) is None
         with pytest.raises(FeasibilityError):
             sgs(a)
+
+
+def two_pass_factors(a):
+    """sgs computed by the two Gram passes alone, unshuffled."""
+    k = a.shape[1] // 2
+    s_hat, (r_hat_2, r_hat_1) = sr._sgs_gram(np.asfortranarray(shuffle_cols(k, a)))
+    return np.ascontiguousarray(unshuffle_cols(k, s_hat)), unconjugate(k, r_hat_2 @ r_hat_1)
+
+
+def kappa_1(a):
+    """kappa_1 of the one-pass R_hat of A, formed independently of sgs."""
+    k = a.shape[1] // 2
+    r_hat = sr._gram_pass(shuffle_cols(k, a))[1]
+    return np.linalg.norm(r_hat, 1) * np.linalg.norm(np.linalg.inv(r_hat), 1)
+
+
+class TestOnePass:
+    @staticmethod
+    def check_one_pass(a):
+        one_pass, made = sr._sgs_one_pass, []
+        with pytest.MonkeyPatch.context() as mp:
+            def two_passes(b):
+                raise AssertionError("sgs declined the one-pass route")
+
+            def recorded(*args):
+                made.append(one_pass(*args))
+                return made[-1]
+
+            mp.setattr(sr, "_sgs_gram", two_passes)
+            mp.setattr(sr, "_sgs_one_pass", recorded)
+            forbid_fallback(mp)
+            f = sgs(a)
+        assert len(f.r_hat_factors) == 1
+        assert np.linalg.norm(a - f.s.entries @ f.r) <= 1e-13 * np.linalg.norm(a)
+        assert in_normalized_triangular_set(f.r)
+        s_modified, _ = modified_factors(a)
+        eps = np.finfo(float).eps
+        assert (symplecticity_residual(f.s)
+                <= 10 * max(symplecticity_residual(s_modified), eps))
+        # S is the GEMM's own row-major buffer: no view, gather or copy
+        assert f.s.entries is made[0][0]
+        assert f.s.entries.flags.c_contiguous and f.s.entries.flags.owndata
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), norm2=st.floats(0.0, 0.5))
+    def test_taken_in_half_unit_ball(self, shape, seed, norm2):
+        self.check_one_pass(unit_ball_step(*shape, seed, norm2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=shapes(), seed=st.integers(0, 2**32 - 1))
+    def test_taken_at_non_orthonormal_points(self, shape, seed):
+        n, k = shape
+        x, _, z = point_and_tangent_at(n, k, seed)
+        self.check_one_pass(x.entries + z)
+
+    def test_large_kappa_declined_exactly(self, monkeypatch):
+        # no row interchange and a Gram that one pass would meet, but
+        # kappa_1(R_hat) ~ 16.5 is above the bound: two passes, as before
+        a = graded_step(10, 3, 0.6)
+        assert sr.ONE_PASS_MAX_COND < kappa_1(a) < 100
+        f = sgs(a)
+        s_ref, r_ref = two_pass_factors(a)
+        assert len(f.r_hat_factors) == 2
+        assert np.array_equal(f.s.entries, s_ref)
+        assert np.array_equal(f.r, r_ref)
+        # the bound alone declined it
+        monkeypatch.setattr(sr, "ONE_PASS_MAX_COND", 100.0)
+        assert sr._sgs_one_pass(a, sr._layout(3)) is not None
+
+    def test_gram_missing_j_declined_exactly(self, monkeypatch):
+        # the cond ~ 8e5 input of test_second_pass_restores_feasibility with
+        # the kappa bound lifted: the one-pass Gram misses J by far more than
+        # its rounding, so the two passes run, as before
+        a = graded_step(40, 12, 0.9)
+        monkeypatch.setattr(sr, "ONE_PASS_MAX_COND", np.inf)
+        assert sr._sgs_one_pass(a, sr._layout(12)) is None
+        f = sgs(a)
+        s_ref, r_ref = two_pass_factors(a)
+        assert len(f.r_hat_factors) == 2
+        assert np.array_equal(f.s.entries, s_ref)
+        assert np.array_equal(f.r, r_ref)
 
 
 class TestEvenMinorCheck:
