@@ -105,6 +105,10 @@ class TraceProblem:
         return self.evaluate(x).gradient()
 
 
+def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:  # numpy's matrix_rank
+    return int(np.count_nonzero(sv > sv.max(initial=0.0) * max(shape) * np.finfo(float).eps))
+
+
 def _psd_residual(x: np.ndarray, a: np.ndarray, ja: np.ndarray):
     """PSD residual E = A - X J^T C with C = X^T J A, returned with C."""
     c = x.T @ ja
@@ -133,8 +137,7 @@ class PsdProblem:
     def __post_init__(self, snapshots):
         a = np.asarray(snapshots, dtype=float)
         u, sv, _ = np.linalg.svd(a, full_matrices=False)
-        tol = sv.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
-        r = int(np.count_nonzero(sv > tol))
+        r = _numerical_rank(sv, a.shape)
         factor = np.ascontiguousarray(u[:, :r] * sv[:r])
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "jl", jmul(factor))
@@ -389,22 +392,22 @@ def cotangent_lift(snapshots: np.ndarray, k: int) -> SymplecticPoint:
     Xhat holds the k leading left singular vectors of the stacked matrix
     [top-half snapshots, bottom-half snapshots].
     """
+    return _block_diag_lift(_stacked_modes(snapshots, k)[0][:, :k])
+
+
+def _stacked_modes(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Left singular vectors of [A_q, A_p] and its numerical rank, k checked."""
     a = np.asarray(snapshots, dtype=float)
-    n = a.shape[0] // 2
-    s = a.shape[1]
+    n, s = a.shape[0] // 2, a.shape[1]
     if not 1 <= k <= min(n, 2 * s):
         raise ValueError(f"need 1 <= k <= min(n, 2s) = {min(n, 2 * s)}, got {k}")
     stacked = np.column_stack([a[:n], a[n:]])
-    u, _, _ = np.linalg.svd(stacked, full_matrices=False)
-    return _block_diag_lift(u[:, :k])
+    u, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    return u, _numerical_rank(sv, stacked.shape)
 
 
 def _block_diag_lift(xhat: np.ndarray) -> SymplecticPoint:
-    n, k = xhat.shape
-    out = np.zeros((2 * n, 2 * k))
-    out[:n, :k] = xhat
-    out[n:, k:] = xhat
-    return SymplecticPoint.from_entries(out)
+    return SymplecticPoint.from_entries(scipy.linalg.block_diag(xhat, xhat))
 
 
 def deim_select(v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ from spopt.applications import (
     williamson_small,
     williamson_spsd,
 )
+from spopt.cli import SCHEMES, scheme_options
 from spopt.core import (
+    SymplecticPoint,
     canonical_point,
     jmul,
     jtmul,
@@ -28,7 +30,8 @@ from spopt.core import (
     symplecticity_residual,
 )
 from spopt import applications, hamiltonian
-from spopt.geometry import NotSPD
+from spopt.geometry import Metric, NotSPD, riemannian_gradient
+from spopt.retractions import RetractionKind, retract
 from spopt.hamiltonian import (
     IntegratorOptions,
     Nonlinearity,
@@ -41,7 +44,7 @@ from spopt.hamiltonian import (
 from spopt.optimizer import SolverOptions, minimize
 from spopt.sr import sgs
 
-from conftest import random_point
+from conftest import random_point, random_tangent
 from oracles import dense_jacobian, poisson
 
 
@@ -537,25 +540,143 @@ class TestPsdFactor:
         assert prob.factor.shape[1] < snaps.shape[1]
 
     def test_build_rom_diagnostics(self, wave60, monkeypatch):
+        # the optimizer runs on the 2d-row restriction to diag(V, V): its
+        # final iterate Y is compared as the lifted basis [V Y_q; V Y_p]
         w, snaps = wave60
-        finals = []
-        inner = hamiltonian.minimize
+        finals, spans = [], []
+        inner, inner_span = hamiltonian.minimize, hamiltonian._span_basis
 
         def capturing(*args, **kwargs):
             result = inner(*args, **kwargs)
             finals.append(result.x_final.entries)
             return result
 
+        def capturing_span(*args):
+            spans.append(inner_span(*args))
+            return spans[-1]
+
         monkeypatch.setattr(hamiltonian, "minimize", capturing)
+        monkeypatch.setattr(hamiltonian, "_span_basis", capturing_span)
         k = 4
         rom = build_rom(w, snaps, k, reduction="optimized",
                         solver_options=SolverOptions(gamma0=1e-8, gtol=1e-12, niter=30))
         d = rom.diagnostics
+        v, y = spans[0], finals[0]
+        dv = v.shape[1]
+        assert y.shape == (2 * dv, 2 * k) and dv < w.n
         at = {"cost_cotlift": state_seeded_cotangent_lift(snaps, k, w.x0).entries,
-              "cost_optimized": finals[0],
+              "cost_optimized": np.vstack([v @ y[:dv], v @ y[dv:]]),
               "cost_restored": rom.basis.entries}
         for key, x in at.items():
             assert d[key] == pytest.approx(ref_psd_raw(snaps, x)[0], rel=1e-12, abs=0.0), key
+
+
+def halves(m, x):
+    """diag(M, M) x = [M x_q; M x_p], the reference for build_rom's lift."""
+    c = m.shape[1]
+    return np.vstack([m @ x[:c], m @ x[c:]])
+
+
+def span_of(a, k):
+    """build_rom's lift U0 and span basis V for snapshots whose first column is x0."""
+    n = a.shape[0] // 2
+    modes, rank = applications._stacked_modes(a, k)
+    u0 = hamiltonian._seeded_lift(modes, k, a[:, 0])
+    return u0, hamiltonian._span_basis(u0.entries[:n, :k], modes[:, :rank]), rank
+
+
+@st.composite
+def shared_span_snapshots(draw):
+    """Snapshots whose q- and p-halves share a d-dimensional span: d < n,
+    d = n and rank below k all occur."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, n))
+    s = draw(st.integers(1, 14))
+    k = draw(st.integers(2, min(n, 2 * s)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = rng.standard_normal((n, d))
+    a = np.vstack([basis @ rng.standard_normal((d, s)), basis @ rng.standard_normal((d, s))])
+    return a, k, rng
+
+
+class TestSnapshotSpan:
+    """The PSD optimization of ``build_rom`` runs in W = range diag(V, V).
+
+    diag(V, V) is orthosymplectic and W holds the snapshots and the lift, so
+    cost, gradients and retractions commute with the lift Y -> diag(V, V) Y.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=shared_span_snapshots())
+    def test_lift_commutes(self, case):
+        a, k, rng = case
+        n = a.shape[0] // 2
+        u0, v, rank = span_of(a, k)
+        d = v.shape[1]
+        eps = np.finfo(float).eps
+        modes = applications._stacked_modes(a, k)[0]
+        assert k <= d <= n and np.array_equal(v[:, :rank], modes[:, :rank])
+        assert np.linalg.norm(v.T @ v - np.eye(d)) <= 100 * eps * d
+        scale_a = max(np.linalg.norm(a), 1e-300)
+        for half in (a[:n], a[n:], u0.entries[:n]):
+            miss = np.linalg.norm(half - v @ (v.T @ half))
+            assert miss <= 1e3 * eps * max(np.linalg.norm(half), 1.0)
+        # the start: restricted, it is symplectic and lifts back onto U0
+        y0 = halves(v.T, u0.entries)
+        assert symplecticity_residual(y0) <= 1e-12
+        assert np.linalg.norm(halves(v, y0) - u0.entries) <= 1e-12
+
+        full, span = PsdProblem(a, k), PsdProblem(halves(v.T, a), k)
+        y = random_point(d, k, rng)
+        x = SymplecticPoint(halves(v, y.entries))
+        # roundoff of the canonical gradient and of the retractions grows
+        # like cond(Y)^2 eps (a Gaussian's symplectic factor, cond up to ~1e3)
+        rel = 1e3 * eps * np.linalg.cond(y.entries) ** 2
+
+        def close(got, lifted):
+            return np.linalg.norm(got - halves(v, lifted)) <= rel * max(np.linalg.norm(got), 1.0)
+
+        f_w, g_w = cost_grad(span, y.entries)
+        f, g = cost_grad(full, x.entries)
+        assert abs(f - f_w) <= rel * max(f, scale_a ** 2 * eps)
+        assert close(g, g_w)
+        for metric in (Metric.euclidean(), Metric.canonical_like(0.5)):
+            assert close(riemannian_gradient(metric, x, halves(v, g_w)).entries,
+                         riemannian_gradient(metric, y, g_w).entries), metric
+        z_w = random_tangent(y, rng, norm=0.3 / np.linalg.norm(y.entries, 2))
+        for kind in RetractionKind:
+            assert close(retract(kind, x, halves(v, z_w.entries)).entries,
+                         retract(kind, y, z_w).entries), kind
+
+    def test_rank_below_k(self):
+        # snapshot halves of rank 2 < k = 4: the seeded lift has directions
+        # off the snapshot modes, which V must hold for the start to stay
+        # symplectic once restricted
+        w = wave_system(30)
+        rng = np.random.default_rng(5)
+        basis = np.column_stack([w.x0[:30], rng.standard_normal(30)])
+        a = np.vstack([basis @ rng.standard_normal((2, 5)), basis @ rng.standard_normal((2, 5))])
+        a[:, 0] = w.x0
+        u0, v, rank = span_of(a, 4)
+        assert rank == 2 and v.shape[1] >= 4
+        rom = build_rom(w, a, 4, reduction="optimized",
+                        solver_options=SolverOptions(gamma0=1e-8, gtol=1e-12, niter=20))
+        d = rom.diagnostics
+        assert symplecticity_residual(rom.basis) <= 1e-13
+        assert d["cost_restored"] <= d["cost_cotlift"] + 1e-20
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_cost_trace_matches_full_space(self, wave60, scheme):
+        # 60 iterations of each scheme on the full 2n rows and through
+        # build_rom's 2d rows: the iterates agree, so do the cost traces
+        w, snaps = wave60
+        k = 4
+        opts = scheme_options(scheme, gamma0=1e-8, gtol=1e-300, niter=60)
+        full = minimize(PsdProblem(snaps, k), state_seeded_cotangent_lift(snaps, k, w.x0), opts)
+        rom = build_rom(w, snaps, k, reduction="optimized", solver_options=opts)
+        traced, ref = rom.diagnostics["cost_trace"], full.trace.costs()
+        assert full.trace.iterations == rom.diagnostics["solver_iterations"] == 60
+        assert np.max(np.abs(np.asarray(traced) - ref) / np.abs(ref)) <= 1e-9
 
 
 class TestCotangentLift:
