@@ -10,8 +10,13 @@ treats specially: a zero step (a zero, hence diagonal, JW and a lower
 triangular 4k x 4k exponent) and a long step that is scaled and squared.
 The SR reference spells out the one certified Gram pass, with the shuffle
 as ``np.ix_`` picks, and the two-pass and Gram-Schmidt routes as its
-else-branch.  Every comparison is bit for bit.
+else-branch.  The Lyapunov reference spells out the route selection with D
+= P - mu I formed by ``np.eye`` and delta by ``np.linalg.norm``, and its
+near-orthosymplectic inputs take the fixed-point iteration.  Every
+comparison is bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +37,12 @@ from spopt.core import (
     skew_part,
     symplecticity_residual,
 )
-from spopt.geometry import Metric, project_tangent, riemannian_gradient
+from spopt.geometry import (
+    ITERATION_MAX_DELTA,
+    Metric,
+    project_tangent,
+    riemannian_gradient,
+)
 from spopt.retractions import (
     RETRACTION_ERRORS,
     cayley_economical,
@@ -69,13 +79,27 @@ def assert_same_bits(actual, expected):
 
 # -- references: the arithmetic of the solver path with @ and fresh J X --
 
+def lyapunov_ref(p, c):
+    k2 = p.shape[0]
+    mu = np.trace(p) / k2
+    d = p - mu * np.eye(k2)
+    delta = np.linalg.norm(d) / mu
+    if mu > 0 and delta <= ITERATION_MAX_DELTA:
+        eps = np.finfo(float).eps
+        omega = c / (2 * mu)
+        for _ in range(math.ceil(math.log(eps) / math.log(max(delta, eps)))):
+            t = d @ omega
+            omega = (c - (t - t.T)) / (2 * mu)
+        return omega
+    lam, u, _ = lapack.dsyevd(p, lower=1)
+    return skew_part(u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T)
+
+
 def gradient_ref(metric, x, egrad):
     e, g = x.entries, np.asarray(egrad, dtype=float)
     if metric.kind.value == "euclidean":
         m = jmul_ref(e).T @ g
-        lam, u, _ = lapack.dsyevd(e.T @ e, lower=1)
-        omega = skew_part(u @ ((u.T @ (m - m.T) @ u) / (lam[:, None] + lam[None, :])) @ u.T)
-        return g - jmul_ref(e @ omega)
+        return g - jmul_ref(e @ lyapunov_ref(e.T @ e, m - m.T))
     jx = jmul_ref(e)
     chol, _ = lapack.dpotrf(e.T @ e)
     coef, _ = lapack.dpotrs(chol, jx.T @ g)
@@ -239,6 +263,24 @@ def point_and_tangent(draw):
     return point_and_tangent_at(n, k, draw(st.integers(0, 2**32 - 1)))
 
 
+@st.composite
+def near_orthosymplectic(draw):
+    """Orthosymplectic columns moved by an SR step of norm at most 1e-2, with a
+    Euclidean gradient and a tangent of norm 0.1: X^T X is within 1/8 of I,
+    so the Euclidean projection iterates."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_symplectic_orthogonal(n, int(rng.integers(2**31)))
+    start = SymplecticPoint.from_entries(q[:, np.r_[0:k, n:n + k]])
+    norm = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-2]))
+    x = sr_retract(start, random_tangent(start, rng, norm=norm).entries) if norm else start
+    p = x.entries.T @ x.entries
+    mu = np.trace(p) / (2 * k)
+    assert np.linalg.norm(p - mu * np.eye(2 * k)) / mu <= ITERATION_MAX_DELTA
+    return x, rng.standard_normal(x.entries.shape), random_tangent(x, rng, norm=0.1).entries
+
+
 def point_and_tangent_at(n, k, seed):
     """The draw of ``point_and_tangent`` at sizes n, k and ``seed``."""
     rng = np.random.default_rng(seed)
@@ -301,8 +343,8 @@ class TestAgainstReferences:
     @pytest.mark.parametrize("metric", [Metric.euclidean(), Metric.canonical_like(0.5),
                                         Metric.canonical_like(1.7)],
                              ids=["euclidean", "canonical-0.5", "canonical-1.7"])
-    @settings(max_examples=40, deadline=None)
-    @given(case=point_and_tangent())
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(point_and_tangent(), near_orthosymplectic()))
     def test_gradient_and_projection(self, metric, case):
         x, egrad, _ = case
         assert_same_bits(riemannian_gradient(metric, x, egrad).entries,

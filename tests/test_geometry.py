@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from spopt.applications import random_symplectic_orthogonal
 from spopt.core import (
@@ -11,6 +16,7 @@ from spopt.core import (
     tangency_residual,
 )
 from spopt.geometry import (
+    ITERATION_MAX_DELTA,
     Metric,
     MetricKind,
     NotSPD,
@@ -95,6 +101,39 @@ class TestTangentCoordinates:
         assert np.linalg.norm(rec - z.entries) <= 1e-10 * z.norm()
 
 
+def eigen_route(p, c):
+    """``solve_skew_lyapunov``'s dsyevd route."""
+    lam, u, _ = lapack.dsyevd(p, lower=1)
+    return skew_part(u @ ((u.T @ c @ u) / (lam[:, None] + lam[None, :])) @ u.T)
+
+
+def near_multiple_of_identity(k2, mu, delta, rng):
+    """mu (I + E) with E symmetric, trace-free and ||E||_F = delta, and a skew C."""
+    e = rng.standard_normal((k2, k2))
+    e += e.T
+    e.flat[::k2 + 1] -= np.trace(e) / k2
+    p = mu * (np.eye(k2) + e * (delta / np.linalg.norm(e)))
+    return p, skew_part(rng.standard_normal((k2, k2)))
+
+
+@st.composite
+def lyapunov_cases(draw):
+    """(P, C) with 2k from 2 to 40 and skew C: P = mu (I + E) with delta =
+    ||E||_F from 0 to just above ``ITERATION_MAX_DELTA`` and mu from 1e-3 to
+    1e3, or an SPD P with eigenvalues geometrically spread to cond up to 1e6."""
+    k2 = 2 * draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        delta = draw(st.one_of(st.sampled_from([0.0, 1e-12, ITERATION_MAX_DELTA]),
+                               st.floats(0.0, 1.05 * ITERATION_MAX_DELTA)))
+        return near_multiple_of_identity(k2, mu, delta, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((k2, k2)))
+    lam = mu * np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 6.0)), k2)
+    p = (q * lam) @ q.T
+    return 0.5 * (p + p.T), skew_part(rng.standard_normal((k2, k2)))
+
+
 class TestSkewLyapunov:
     def test_identity_coefficient(self, rng):
         c = skew_part(rng.standard_normal((6, 6)))
@@ -136,6 +175,57 @@ class TestSkewLyapunov:
             p[where] = p[where[::-1]] = np.nan
         with pytest.raises(NotSPD):
             solve_skew_lyapunov(p, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("p", [
+        np.diag([np.inf, 1.0, 1.0, 1.0]),           # mu = inf
+        np.diag([-np.inf, 1.0, 1.0, 1.0]),          # mu = -inf
+        np.array([[1.0, 0, 0, 0], [0, 1, np.inf, 0], [0, np.inf, 1, 0], [0, 0, 0, 1]]),
+        np.zeros((4, 4)),                           # zero trace
+        np.diag([1.0, -1.0, 1.0, -1.0]),            # zero trace, indefinite
+    ], ids=["inf-diag", "minus-inf-diag", "inf-offdiag", "zero", "traceless"])
+    def test_infinite_or_traceless_coefficient_raises_not_spd(self, p):
+        with pytest.raises(NotSPD):
+            solve_skew_lyapunov(p, skew_part(np.arange(16.0).reshape(4, 4)))
+
+    @pytest.mark.parametrize("p_shape, c_shape", [
+        ((4, 3), (4, 3)), ((4, 4), (4, 1)), ((4, 4), (2, 2)), ((4,), (4,)), ((0, 0), (0, 0)),
+        ((2, 2, 2), (2, 2, 2)),
+    ])
+    def test_bad_shapes_raise_value_error(self, p_shape, c_shape):
+        # a (2k, 1) C would broadcast through the iteration's T - T^T
+        p = np.eye(p_shape[0]) if p_shape[1:] == p_shape[:1] else np.ones(p_shape)
+        with pytest.raises(ValueError, match="square"):
+            solve_skew_lyapunov(p, np.zeros(c_shape))
+
+    def test_tiny_scale_far_from_identity_takes_dsyevd(self, rng):
+        # at mu = 1e-170 the squared norms of the screen underflow to zero, so
+        # only delta, taken by dnrm2, sends this P (delta = 0.5) to dsyevd
+        p, c = near_multiple_of_identity(8, 1e-170, 0.5, rng)
+        mu = np.trace(p) / 8
+        assert np.vdot(p, p) <= (8 + ITERATION_MAX_DELTA**2) * mu * mu
+        omega = solve_skew_lyapunov(p, c)
+        assert np.array_equal(omega, eigen_route(p, c))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=lyapunov_cases())
+    def test_both_routes(self, case):
+        p, c = case
+        k2 = p.shape[0]
+        mu = np.trace(p) / k2
+        delta = np.linalg.norm(p - mu * np.eye(k2)) / mu
+        lam = np.linalg.eigvalsh(p)
+        reference = eigen_route(p, c)
+        eps = np.finfo(float).eps
+        if delta <= ITERATION_MAX_DELTA * (1 - 1e-6):
+            with mock.patch.object(lapack, "dsyevd", side_effect=AssertionError("dsyevd called")):
+                omega = solve_skew_lyapunov(p, c)
+        else:
+            omega = solve_skew_lyapunov(p, c)
+        assert np.array_equal(omega, -omega.T)
+        scale = np.linalg.norm(p) * np.linalg.norm(omega)
+        assert np.linalg.norm(p @ omega + omega @ p - c) <= 4 * k2 * eps * scale
+        assert (np.linalg.norm(omega - reference)
+                <= 4 * k2 * (lam[-1] / lam[0]) * eps * np.linalg.norm(omega))
 
 
 def conditioned_point(n, k, cond, seed):
